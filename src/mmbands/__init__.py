@@ -22,7 +22,8 @@ from .dispersion import (Branch, Cutoff, DegenerateGridError,
                          detect_asymptote, sweep)
 from .eigensolve import (EigenSolution, EigenSolveError,
                          NegativeEigenvalueError, NotHermitianError,
-                         NotPositiveDefiniteError, general_eig)
+                         NotPositiveDefiniteError, general_eig,
+                         general_eig_stack)
 
 __version__ = "0.1.0"
 
@@ -39,5 +40,6 @@ __all__ = [
     "default_grid", "detect_asymptote", "sweep",
     "EigenSolution", "EigenSolveError", "NegativeEigenvalueError",
     "NotHermitianError", "NotPositiveDefiniteError", "general_eig",
+    "general_eig_stack",
     "__version__",
 ]

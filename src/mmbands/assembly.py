@@ -129,8 +129,24 @@ def _unpack(w):
     return w[:3], w[3:].reshape(3, 3)
 
 
+class _KPolynomial:
+    """Evaluation of ``M(k) = M0 + k^2 M2`` and ``K(k) = K0 + k K1 + k^2 K2``.
+
+    ``k`` is a scalar, giving (n, n) matrices, or a 1-D array of
+    wavenumbers, giving an (n_k, n, n) stack with one matrix per entry.
+    """
+
+    def mass_at(self, k) -> np.ndarray:
+        k = np.asarray(k, dtype=float)[..., None, None]
+        return self.M0 + (k * k) * self.M2
+
+    def stiffness_at(self, k) -> np.ndarray:
+        k = np.asarray(k, dtype=float)[..., None, None]
+        return self.K0 + k * self.K1 + (k * k) * self.K2
+
+
 @dataclass(frozen=True)
-class FullSystem:
+class FullSystem(_KPolynomial):
     """Coefficient matrices of the 12x12 plane-wave system.
 
     ``M(k) = M0 + k^2 M2`` is Hermitian positive definite for admissible
@@ -145,15 +161,9 @@ class FullSystem:
     K1: np.ndarray
     K2: np.ndarray
 
-    def mass_at(self, k: float) -> np.ndarray:
-        return self.M0 + (k * k) * self.M2
-
-    def stiffness_at(self, k: float) -> np.ndarray:
-        return self.K0 + k * self.K1 + (k * k) * self.K2
-
 
 @dataclass(frozen=True)
-class BlockSystem:
+class BlockSystem(_KPolynomial):
     """One 3x3 diagonal block of the transformed system."""
 
     block: WaveBlock
@@ -163,12 +173,6 @@ class BlockSystem:
     K0: np.ndarray
     K1: np.ndarray
     K2: np.ndarray
-
-    def mass_at(self, k: float) -> np.ndarray:
-        return self.M0 + (k * k) * self.M2
-
-    def stiffness_at(self, k: float) -> np.ndarray:
-        return self.K0 + k * self.K1 + (k * k) * self.K2
 
 
 def assemble_full(model: ModelKind, elastic: ElasticParams,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .assembly import block_for
 from .core import ElasticParams, InertiaParams, ModelKind, WaveBlock
-from .eigensolve import general_eig
+from .eigensolve import EigenSolveError, general_eig, general_eig_stack
 
 # Ratio of the two largest eigenvector magnitudes below which no single
 # degree of freedom is called dominant.
@@ -234,29 +234,33 @@ def sweep(model: ModelKind, elastic: ElasticParams, inertia: InertiaParams,
           mode_threshold: float = MODE_RATIO_THRESHOLD) -> DispersionCurve:
     """Dispersion branches of one block over a wavenumber grid.
 
-    For every k the block system is evaluated and solved; adjacent
-    eigenpairs are joined by greedy maximal overlap |v_prev^H M v_new|.
+    The block pencils of the whole grid are solved as one stack; adjacent
+    eigenpairs are then joined by greedy maximal overlap |v_prev^H M v_new|.
+    A solver failure is re-raised with the model, block and k added.
     """
     bs = block_for(model, elastic, inertia, block, transverse_axis)
+    k = grid.values
     n_k = len(grid)
+    masses = bs.mass_at(k)
+    try:
+        sol = general_eig_stack(bs.stiffness_at(k), masses)
+    except EigenSolveError as exc:
+        raise type(exc)(f"{model.value}, {block.value} block, "
+                        f"k = {k[exc.index]:g} rad/m: {exc}",
+                        exc.index) from exc
+    omegas_raw = np.sqrt(sol.omega_sq)
+    # overlap[j - 1, r, c] = |v_r(k_{j-1})^H M(k_j) v_c(k_j)|, unpermuted
+    overlap = np.abs(np.conj(np.swapaxes(sol.vectors[:-1], 1, 2))
+                     @ (masses[1:] @ sol.vectors[1:]))
 
-    omegas = np.zeros((n_k, 3))
-    vectors = np.zeros((n_k, 3, 3), dtype=complex)   # (k, component, branch)
-
-    sol0 = general_eig(bs.stiffness_at(0.0), bs.mass_at(0.0))
-    omegas[0] = np.sqrt(sol0.omega_sq)
-    vectors[0] = sol0.vectors
-    prev_vecs = sol0.vectors
-
+    # columns[j, b] is the eigenpair of k_j that continues branch b
+    columns = np.empty((n_k, 3), dtype=int)
+    columns[0] = np.arange(3)
     for j in range(1, n_k):
-        k = float(grid.values[j])
-        mass = bs.mass_at(k)
-        sol = general_eig(bs.stiffness_at(k), mass)
-        overlap = np.abs(prev_vecs.conj().T @ (mass @ sol.vectors))
-        perm = _greedy_overlap_match(overlap, np.sqrt(sol.omega_sq))
-        omegas[j] = np.sqrt(sol.omega_sq[perm])
-        vectors[j] = sol.vectors[:, perm]
-        prev_vecs = vectors[j]
+        columns[j] = _greedy_overlap_match(overlap[j - 1][columns[j - 1]],
+                                           omegas_raw[j])
+    omegas = np.take_along_axis(omegas_raw, columns, axis=1)
+    vectors = np.take_along_axis(sol.vectors, columns[:, None, :], axis=2)
 
     names = _label_branches(block, omegas[0], vectors[0], bs.labels)
 

@@ -1,23 +1,45 @@
-"""Dense generalized Hermitian eigensolver K v = omega^2 M v.
+"""Generalized Hermitian eigensolver K v = omega^2 M v over stacks of pencils.
 
-The pencil is reduced with a Cholesky factorization M = L L^H to a standard
-Hermitian problem L^-1 K L^-H, which is diagonalized by cyclic Jacobi
-rotations.  Jacobi is preferred over a closed-form cubic for the 3x3 blocks
-because the transverse double roots of isotropic media are exact
-degeneracies, where the rotation method keeps orthogonal eigenvectors
-without any special casing.
+A stack of n pencils, K and M each of shape (n, m, m), is solved in one
+vectorised pass of numpy's LAPACK drivers:
+
+1. the diagonal congruence D = diag(M)^-1/2 equilibrates each pencil, so
+   the equilibrated mass has a unit diagonal whatever the physical scale of
+   its degrees of freedom (the eigenvalues are unchanged);
+2. a Cholesky factor M_eq = L L^H reduces it to the standard Hermitian
+   problem L^-1 K_eq L^-H;
+3. ``np.linalg.eigh`` diagonalizes that, and the eigenvectors are carried
+   back through D L^-H.
+
+LAPACK's Hermitian driver returns orthonormal eigenvectors at exact
+degeneracies as well, such as the transverse double roots of isotropic
+media, so no special casing is needed there.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+# Relative deviation from the conjugate transpose accepted as Hermitian.
+HERMITIAN_REL_TOL = 1e-12
+# Floor on the Cholesky pivots of the equilibrated (unit-diagonal) mass.
+PIVOT_REL_TOL = 1e-14
+# Negative eigenvalues down to -CLAMP_REL_TOL * |K| / |M| are roundoff on a
+# positive semidefinite K and are clamped to zero.
+CLAMP_REL_TOL = 1e-9
+
 
 class EigenSolveError(Exception):
-    """Base class for failures of the generalized eigensolver."""
+    """Base class for failures of the generalized eigensolver.
+
+    ``index`` is the position of the failing pencil in its stack.
+    """
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class NotHermitianError(EigenSolveError):
@@ -25,7 +47,8 @@ class NotHermitianError(EigenSolveError):
 
 
 class NotPositiveDefiniteError(EigenSolveError):
-    """Mass matrix has a Cholesky pivot at or below the admissible floor."""
+    """Mass matrix has a non-positive diagonal entry, or its equilibrated
+    form a Cholesky pivot at or below the admissible floor."""
 
 
 class NegativeEigenvalueError(EigenSolveError):
@@ -36,6 +59,8 @@ class NegativeEigenvalueError(EigenSolveError):
 class EigenSolution:
     """Eigenpairs of the pencil (K, M), sorted by ascending eigenvalue.
 
+    For a stack of pencils both arrays carry the stack as a leading axis.
+
     Attributes:
         omega_sq: real eigenvalues [rad^2/s^2], ascending, ties allowed
         vectors: complex eigenvectors as columns, M-orthonormal (v^H M v = 1)
@@ -45,144 +70,103 @@ class EigenSolution:
     vectors: np.ndarray
 
 
-def _assert_hermitian(a: np.ndarray, name: str, rel_tol: float) -> None:
-    scale = np.linalg.norm(a)
-    if scale == 0.0:
-        return
-    if np.linalg.norm(a - a.conj().T) > rel_tol * scale:
-        raise NotHermitianError(f"{name} deviates from its conjugate transpose "
-                                f"by more than {rel_tol:g} relative")
+def _first(mask: np.ndarray) -> int:
+    return int(np.argmax(mask))
 
 
-def _cholesky_lower(m: np.ndarray, pivot_rel_tol: float) -> np.ndarray:
-    """Lower Cholesky factor of a Hermitian positive definite matrix.
-
-    Raises NotPositiveDefiniteError when a pivot falls below
-    ``pivot_rel_tol * trace(M) / n``.
-    """
-    n = m.shape[0]
-    floor = pivot_rel_tol * float(np.trace(m).real) / n
-    lower = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        pivot = float(m[j, j].real) - float(np.sum(np.abs(lower[j, :j]) ** 2))
-        if pivot <= floor:
-            raise NotPositiveDefiniteError(
-                f"Cholesky pivot {pivot:g} at index {j} is below floor {floor:g}")
-        lower[j, j] = math.sqrt(pivot)
-        for i in range(j + 1, n):
-            acc = m[i, j] - np.dot(lower[i, :j], lower[j, :j].conj())
-            lower[i, j] = acc / lower[j, j]
-    return lower
+def _conj_t(a: np.ndarray) -> np.ndarray:
+    return np.conj(np.swapaxes(a, -1, -2))
 
 
-def _hermitian_jacobi(a: np.ndarray, offdiag_rel_tol: float = 1e-14,
-                      max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonalize a Hermitian matrix by cyclic complex Jacobi rotations.
-
-    Returns (eigenvalues, unitary V) with A = V diag(w) V^H, unsorted.
-    Iterates until the off-diagonal Frobenius norm drops to
-    ``offdiag_rel_tol`` times the matrix norm.
-    """
-    n = a.shape[0]
-    a = np.array(a, dtype=complex)
-    v = np.eye(n, dtype=complex)
-    norm = np.linalg.norm(a)
-    if norm == 0.0:
-        return np.zeros(n), v
-
-    for _ in range(max_sweeps):
-        # off-diagonal norm summed directly; deriving it from the full norm
-        # minus the diagonal loses the small entries to cancellation
-        off_sq = float(np.sum(np.abs(a - np.diag(np.diagonal(a))) ** 2))
-        if math.sqrt(off_sq) <= offdiag_rel_tol * norm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                mag = abs(apq)
-                if mag <= offdiag_rel_tol * norm / n:
-                    continue
-                # Phase factor turns the 2x2 sub-problem real symmetric,
-                # then a classical rotation annihilates the off-diagonal.
-                phase = apq / mag
-                app = a[p, p].real
-                aqq = a[q, q].real
-                tau = (aqq - app) / (2.0 * mag)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # column p' = c*col_p - s*conj(phase)*col_q
-                # column q' = s*phase*col_p + c*col_q
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * np.conj(phase) * col_q
-                a[:, q] = s * phase * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * phase * row_q
-                a[q, :] = s * np.conj(phase) * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vcol_p = v[:, p].copy()
-                vcol_q = v[:, q].copy()
-                v[:, p] = c * vcol_p - s * np.conj(phase) * vcol_q
-                v[:, q] = s * phase * vcol_p + c * vcol_q
-    return np.real(np.diagonal(a)).copy(), v
+def _assert_hermitian(a: np.ndarray, name: str) -> None:
+    scale = np.linalg.norm(a, axis=(-2, -1))
+    deviation = np.linalg.norm(a - _conj_t(a), axis=(-2, -1))
+    bad = deviation > HERMITIAN_REL_TOL * scale
+    if bad.any():
+        i = _first(bad)
+        raise NotHermitianError(
+            f"{name} of pencil {i} deviates from its conjugate transpose "
+            f"by more than {HERMITIAN_REL_TOL:g} relative", i)
 
 
-def _fix_phase(vec: np.ndarray) -> np.ndarray:
-    """Rotate a vector so its largest-magnitude component is real positive."""
-    idx = int(np.argmax(np.abs(vec)))
-    pivot = vec[idx]
-    mag = abs(pivot)
-    if mag == 0.0:
-        return vec
-    return vec * (np.conj(pivot) / mag)
+def general_eig_stack(k_stack: np.ndarray,
+                      m_stack: np.ndarray) -> EigenSolution:
+    """Solve K v = w M v for every pencil of an (n, m, m) stack at once.
 
-
-def general_eig(k_matrix: np.ndarray, m_matrix: np.ndarray, *,
-                hermitian_rel_tol: float = 1e-12,
-                pivot_rel_tol: float = 1e-14,
-                offdiag_rel_tol: float = 1e-14,
-                clamp_rel_tol: float = 1e-9) -> EigenSolution:
-    """Solve K v = w M v for a Hermitian K and Hermitian PD M.
-
-    Eigenvalues come back ascending (stable order on ties) and eigenvectors
+    Eigenvalues come back ascending along the last axis and eigenvectors
     M-orthonormal with the phase fixed so that the largest-magnitude
     component is real and positive.  Small negative eigenvalues (roundoff on
     a positive semidefinite K) are clamped to zero; negatives beyond
-    ``clamp_rel_tol * |K| / |M|`` raise NegativeEigenvalueError.
+    ``CLAMP_REL_TOL * |K| / |M|`` raise NegativeEigenvalueError.  Every
+    error names the index of the first failing pencil and the quantity that
+    failed, and carries that index as ``index``.
     """
-    k_matrix = np.asarray(k_matrix, dtype=complex)
-    m_matrix = np.asarray(m_matrix, dtype=complex)
-    _assert_hermitian(k_matrix, "stiffness matrix", hermitian_rel_tol)
-    _assert_hermitian(m_matrix, "mass matrix", hermitian_rel_tol)
+    k_stack = np.asarray(k_stack, dtype=complex)
+    m_stack = np.asarray(m_stack, dtype=complex)
+    _assert_hermitian(k_stack, "stiffness matrix")
+    _assert_hermitian(m_stack, "mass matrix")
 
-    lower = _cholesky_lower(m_matrix, pivot_rel_tol)
-    # B = L^-1 K L^-H, Hermitian by construction up to roundoff
-    x = np.linalg.solve(lower, k_matrix)
-    b = np.linalg.solve(lower, x.conj().T).conj().T
-    b = 0.5 * (b + b.conj().T)
+    diag = np.real(np.diagonal(m_stack, axis1=-2, axis2=-1))
+    bad = ~(diag > 0.0)
+    if bad.any():
+        i, j = np.unravel_index(_first(bad), bad.shape)
+        raise NotPositiveDefiniteError(
+            f"mass matrix of pencil {i} has diagonal entry {diag[i, j]:g} "
+            f"at index {j}, which is not positive", int(i))
+    d = 1.0 / np.sqrt(diag)
+    congruence = d[:, :, None] * d[:, None, :]
+    m_eq = m_stack * congruence
+    k_eq = k_stack * congruence
 
-    w, v = _hermitian_jacobi(b, offdiag_rel_tol=offdiag_rel_tol)
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    v = v[:, order]
+    try:
+        lower = np.linalg.cholesky(m_eq)
+        quantity = "Cholesky pivot"
+        worst = np.real(np.diagonal(lower, axis1=-2, axis2=-1)).min(axis=-1)
+        worst = worst * worst
+        bad = worst <= PIVOT_REL_TOL
+    except np.linalg.LinAlgError:
+        # the smallest eigenvalue bounds every pivot from below
+        quantity = "smallest eigenvalue"
+        worst = np.linalg.eigvalsh(m_eq)[:, 0]
+        bad = worst <= max(PIVOT_REL_TOL, float(worst.min()))
+    if bad.any():
+        i = _first(bad)
+        raise NotPositiveDefiniteError(
+            f"equilibrated mass matrix of pencil {i} has {quantity} "
+            f"{worst[i]:g}, at or below the floor {PIVOT_REL_TOL:g}", i)
 
-    k_norm = float(np.linalg.norm(k_matrix))
-    m_norm = float(np.linalg.norm(m_matrix))
-    scale = k_norm / m_norm if m_norm > 0.0 else 0.0
-    if w.size and float(w[0]) < -clamp_rel_tol * scale:
+    # B = L^-1 K_eq L^-H, Hermitian by construction up to roundoff
+    lower_inv = np.linalg.inv(lower)
+    b = lower_inv @ k_eq @ _conj_t(lower_inv)
+    w, y = np.linalg.eigh(0.5 * (b + _conj_t(b)))
+
+    limit = -CLAMP_REL_TOL * (np.linalg.norm(k_stack, axis=(-2, -1))
+                              / np.linalg.norm(m_stack, axis=(-2, -1)))
+    bad = w[:, 0] < limit
+    if bad.any():
+        i = _first(bad)
         raise NegativeEigenvalueError(
-            f"eigenvalue {w[0]:g} below -{clamp_rel_tol:g} * |K|/|M|")
+            f"eigenvalue {w[i, 0]:g} of pencil {i} below "
+            f"-{CLAMP_REL_TOL:g} * |K|/|M|", i)
     w = np.where(w < 0.0, 0.0, w)
 
-    # back-transform and M-normalize
-    vecs = np.linalg.solve(lower.conj().T, v)
-    for j in range(vecs.shape[1]):
-        nrm = float(np.real(vecs[:, j].conj() @ (m_matrix @ vecs[:, j])))
-        vecs[:, j] = _fix_phase(vecs[:, j] / math.sqrt(nrm))
+    # back-transform, M-normalize, then rotate each column so its
+    # largest-magnitude component is real positive
+    vecs = d[:, :, None] * (_conj_t(lower_inv) @ y)
+    norm_sq = np.real(np.sum(np.conj(vecs) * (m_stack @ vecs), axis=-2))
+    vecs = vecs / np.sqrt(norm_sq)[:, None, :]
+    top = np.argmax(np.abs(vecs), axis=-2)[:, None, :]
+    pivot = np.take_along_axis(vecs, top, axis=-2)
+    vecs = vecs * (np.conj(pivot) / np.abs(pivot))
     return EigenSolution(omega_sq=w, vectors=vecs)
+
+
+def general_eig(k_matrix: np.ndarray, m_matrix: np.ndarray) -> EigenSolution:
+    """Solve K v = w M v for a Hermitian K and Hermitian PD M.
+
+    The single-pencil form of ``general_eig_stack``, with the same ordering,
+    normalization, phase convention and errors.
+    """
+    sol = general_eig_stack(np.asarray(k_matrix)[None],
+                            np.asarray(m_matrix)[None])
+    return EigenSolution(omega_sq=sol.omega_sq[0], vectors=sol.vectors[0])

@@ -1,6 +1,7 @@
 import json
 import math
 import xml.dom.minidom
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,9 @@ eta_bar_1 = {ETA_BAR}
 eta_bar_2 = {ETA_BAR}
 eta_bar_3 = {ETA_BAR}
 """
+
+
+DEMO_CONFIG = str(Path(__file__).resolve().parents[1] / "demo.cfg")
 
 
 @pytest.fixture()
@@ -138,6 +142,16 @@ class TestGapsCommand:
         data = json.loads(text)
         assert data["scope"] == "uncoupled"
         assert data["blocks"] == ["uncoupled"]
+
+    @pytest.mark.parametrize("k_max", ["1e7", "1e9"])
+    def test_large_k_max_keeps_the_gaps(self, tmp_path, k_max):
+        # the mass diagonal spans many decades on these grids; the
+        # pencils stay valid and the gaps are those of k_max = 1e6
+        argv = ["gaps", "--config", DEMO_CONFIG, "--k-max"]
+        code, text = run_to_file(tmp_path, "big.json", argv + [k_max])
+        assert code == 0
+        _, ref = run_to_file(tmp_path, "ref.json", argv + ["1e6"])
+        assert json.loads(text)["n_gaps"] == json.loads(ref)["n_gaps"]
 
     def test_byte_determinism(self, tmp_path, config_file):
         argv = ["gaps", "--config", config_file]

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import mmbands.dispersion
 from mmbands.core import ElasticParams, ModelKind, WaveBlock, homogenize
 from mmbands.dispersion import (Branch, DegenerateGridError, KGrid,
                                 ZeroVectorError, classify_mode, cutoffs,
                                 default_grid, detect_asymptote, sweep)
+from mmbands.eigensolve import NotPositiveDefiniteError
 
 ALL_MODELS = list(ModelKind)
 ALL_BLOCKS = [WaveBlock.LONGITUDINAL, WaveBlock.TRANSVERSE,
@@ -381,3 +383,21 @@ class TestSweepInvariants:
         starts = {b.label: b.modes[0].dominant for b in lon.branches}
         assert starts["LO1"] == "P_D"
         assert starts["LO2"] == "P_S"
+
+
+def test_sweep_error_names_model_block_and_k(monkeypatch, ref_elastic,
+                                            inertia_on):
+    def failing_solve(k_stack, m_stack):
+        raise NotPositiveDefiniteError("mass matrix of pencil 7 failed", 7)
+
+    monkeypatch.setattr(mmbands.dispersion, "general_eig_stack",
+                        failing_solve)
+    grid = KGrid.linear(1.0e5, 60)
+    with pytest.raises(NotPositiveDefiniteError) as info:
+        sweep(ModelKind.RELAXED_DIV, ref_elastic, inertia_on,
+              WaveBlock.TRANSVERSE, grid)
+    message = str(info.value)
+    assert "relaxed-div, transverse block" in message
+    assert f"k = {grid.values[7]:g} rad/m" in message
+    assert "pencil 7" in message
+    assert info.value.index == 7

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from mmbands.assembly import block_for
+from mmbands.core import ModelKind, WaveBlock
 from mmbands.eigensolve import (EigenSolution, NegativeEigenvalueError,
                                 NotHermitianError, NotPositiveDefiniteError,
-                                general_eig)
+                                general_eig, general_eig_stack)
 
 from oracles import cubic_pencil_eigenvalues
 
@@ -27,29 +29,67 @@ def test_analytic_two_by_two():
     assert np.allclose(sol.omega_sq, [1.0, 3.0])
 
 
-def test_matches_cubic_oracle_on_200_random_pencils():
-    rng = np.random.default_rng(42)
-    for _ in range(200):
-        k, m = random_pencil(rng)
+def random_stack(rng, count):
+    """``count`` random pencils, drawn as by repeated random_pencil calls."""
+    pencils = [random_pencil(rng) for _ in range(count)]
+    return (np.array([k for k, _ in pencils]),
+            np.array([m for _, m in pencils]))
+
+
+def assert_matches_single_solves(stack, ks, ms):
+    """The stack solution equals the pencil-by-pencil solutions."""
+    for i, (k, m) in enumerate(zip(ks, ms)):
         sol = general_eig(k, m)
+        scale = np.linalg.norm(k) / np.linalg.norm(m)
+        assert np.allclose(stack.omega_sq[i], sol.omega_sq,
+                           rtol=0.0, atol=1e-12 * scale)
+        assert np.allclose(stack.vectors[i], sol.vectors,
+                           rtol=0.0, atol=1e-10)
+
+
+def test_matches_cubic_oracle_on_200_random_pencils():
+    ks, ms = random_stack(np.random.default_rng(42), 200)
+    stack = general_eig_stack(ks, ms)
+    for i, (k, m) in enumerate(zip(ks, ms)):
         ref = cubic_pencil_eigenvalues(k, m)
         scale = np.linalg.norm(k) / np.linalg.norm(m)
-        for got, want in zip(sol.omega_sq, ref):
-            assert abs(got - want) <= 1e-8 * max(abs(want), scale)
+        for omega_sq in (general_eig(k, m).omega_sq, stack.omega_sq[i]):
+            for got, want in zip(omega_sq, ref):
+                assert abs(got - want) <= 1e-8 * max(abs(want), scale)
+    assert_matches_single_solves(stack, ks, ms)
+
+
+def assert_residuals_and_m_orthonormality(k, m, omega_sq, vectors):
+    k_norm, m_norm = np.linalg.norm(k), np.linalg.norm(m)
+    for j in range(len(omega_sq)):
+        v = vectors[:, j]
+        res = np.linalg.norm(k @ v - omega_sq[j] * (m @ v))
+        assert res <= 1e-10 * (k_norm + abs(omega_sq[j]) * m_norm)
+    gram = vectors.conj().T @ m @ vectors
+    assert np.max(np.abs(gram - np.eye(len(omega_sq)))) <= 1e-9
 
 
 def test_residuals_and_m_orthonormality():
-    rng = np.random.default_rng(43)
-    for _ in range(50):
-        k, m = random_pencil(rng)
+    ks, ms = random_stack(np.random.default_rng(43), 50)
+    stack = general_eig_stack(ks, ms)
+    for i, (k, m) in enumerate(zip(ks, ms)):
         sol = general_eig(k, m)
-        k_norm, m_norm = np.linalg.norm(k), np.linalg.norm(m)
-        for j in range(3):
-            v = sol.vectors[:, j]
-            res = np.linalg.norm(k @ v - sol.omega_sq[j] * (m @ v))
-            assert res <= 1e-10 * (k_norm + abs(sol.omega_sq[j]) * m_norm)
-        gram = sol.vectors.conj().T @ m @ sol.vectors
-        assert np.max(np.abs(gram - np.eye(3))) <= 1e-9
+        assert_residuals_and_m_orthonormality(k, m, sol.omega_sq, sol.vectors)
+        assert_residuals_and_m_orthonormality(k, m, stack.omega_sq[i],
+                                              stack.vectors[i])
+    assert_matches_single_solves(stack, ks, ms)
+
+
+def test_demo_longitudinal_block_at_huge_wavenumber(ref_elastic, inertia_on):
+    # the gradient micro-inertia puts k^2 on the displacement mass only, so
+    # at k = 1e9 rad/m the mass diagonal spans many decades
+    bs = block_for(ModelKind.RELAXED_CURL, ref_elastic, inertia_on,
+                   WaveBlock.LONGITUDINAL)
+    k, m = bs.stiffness_at(1e9), bs.mass_at(1e9)
+    diag = np.real(np.diagonal(m))
+    assert diag.max() / diag.min() > 1e15
+    sol = general_eig(k, m)
+    assert_residuals_and_m_orthonormality(k, m, sol.omega_sq, sol.vectors)
 
 
 def test_spectral_shift():
@@ -113,6 +153,17 @@ def test_not_positive_definite_rejected():
         general_eig(np.eye(2), np.diag([1.0, -1.0]))
     with pytest.raises(NotPositiveDefiniteError):
         general_eig(np.eye(2), np.diag([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("bad_mass", [
+    np.diag([1.0, 1.0, -1.0]),                                  # diagonal
+    np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),  # pivot
+])
+def test_stack_error_names_the_failing_pencil(bad_mass):
+    masses = np.array([np.eye(3), bad_mass, np.eye(3)])
+    with pytest.raises(NotPositiveDefiniteError, match="pencil 1") as info:
+        general_eig_stack(np.array([np.eye(3)] * 3), masses)
+    assert info.value.index == 1
 
 
 def test_genuinely_negative_eigenvalue_rejected():
