@@ -9,8 +9,8 @@ labeled dispersion branches and reports per-block and complete band-gaps.
 from .assembly import (BlockLeakageError, BlockSystem, FullSystem,
                        assemble_full, block_basis, block_decompose,
                        block_for, DOF_NAMES)
-from .bandgap import (COMPLETE, CoverageMap, Gap, GapReport,
-                      InconsistentInputsError, coverage,
+from .bandgap import (COMPLETE, CoverageMap, FrequencyAxisError, Gap,
+                      GapReport, InconsistentInputsError, coverage,
                       default_omega_ceiling, detect_gaps,
                       gaps_from_coverage)
 from .core import (ElasticParams, InertiaParams, InvariantCheck, MacroParams,
@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BlockLeakageError", "BlockSystem", "FullSystem", "assemble_full",
     "block_basis", "block_decompose", "block_for", "DOF_NAMES",
-    "COMPLETE", "CoverageMap", "Gap", "GapReport",
+    "COMPLETE", "CoverageMap", "FrequencyAxisError", "Gap", "GapReport",
     "InconsistentInputsError", "coverage", "default_omega_ceiling",
     "detect_gaps", "gaps_from_coverage",
     "ElasticParams", "InertiaParams", "InvariantCheck", "MacroParams",

@@ -39,6 +39,9 @@ _SQRT2 = np.sqrt(2.0)
 _SQRT3 = np.sqrt(3.0)
 _SQRT6 = np.sqrt(6.0)
 
+# off-block magnitude, relative to the matrix maximum, that fails the split
+LEAK_REL_TOL = 1e-12
+
 
 class BlockLeakageError(Exception):
     """Transformed system has off-block entries above tolerance."""
@@ -263,6 +266,7 @@ def _build_block_basis() -> tuple[np.ndarray, tuple]:
 
 
 _BLOCK_T, _BLOCK_META = _build_block_basis()
+_OFF_BLOCK = np.kron(np.eye(4), np.ones((3, 3))) == 0.0
 
 
 def block_basis() -> np.ndarray:
@@ -270,12 +274,11 @@ def block_basis() -> np.ndarray:
     return _BLOCK_T.copy()
 
 
-def block_decompose(system: FullSystem,
-                    leak_rel_tol: float = 1e-12) -> tuple[BlockSystem, ...]:
+def block_decompose(system: FullSystem) -> tuple[BlockSystem, ...]:
     """Split the full system into its four exact 3x3 diagonal blocks.
 
     Every coefficient matrix is conjugated with the block basis; any
-    off-block entry larger than ``leak_rel_tol`` times the matrix maximum
+    off-block entry larger than ``LEAK_REL_TOL`` times the matrix maximum
     signals an assembly inconsistency and raises BlockLeakageError.
     """
     t = _BLOCK_T
@@ -284,15 +287,11 @@ def block_decompose(system: FullSystem,
         a = t @ getattr(system, name) @ t.conj().T
         scale = float(np.max(np.abs(a)))
         if scale > 0.0:
-            mask = np.ones((12, 12), dtype=bool)
-            for b in range(4):
-                sl = slice(3 * b, 3 * b + 3)
-                mask[sl, sl] = False
-            leak = float(np.max(np.abs(a[mask])))
-            if leak > leak_rel_tol * scale:
+            leak = float(np.max(np.abs(a[_OFF_BLOCK])))
+            if leak > LEAK_REL_TOL * scale:
                 raise BlockLeakageError(
                     f"{name} off-block magnitude {leak:g} exceeds "
-                    f"{leak_rel_tol:g} * {scale:g}")
+                    f"{LEAK_REL_TOL:g} * {scale:g}")
         transformed[name] = a
 
     out = []

@@ -1,25 +1,25 @@
-"""Frequency coverage maps and band-gap detection.
+"""Frequency coverage and band-gap detection.
 
-A coverage map discretizes the frequency axis into bins and marks every bin
-that any propagating branch can reach.  Between consecutive sweep samples of
-the same branch the whole spanned interval is marked, so a coarse grid can
-never fake a gap.  Above the end of the wavenumber grid a branch
-contributes in one of two ways: a branch that has reached its horizontal
-asymptote stops at its saturated value, while an unbounded branch keeps
-rising and therefore covers everything up to the frequency ceiling.
+Each pair of consecutive sweep samples of a branch covers every frequency
+bin (width delta_omega) between them, so a coarse grid can never fake a
+gap.  Past the end of the wavenumber grid, a branch that has reached its
+horizontal asymptote stops at its saturated value, while an unbounded
+branch keeps rising and covers everything up to the frequency ceiling.
+The coverage is the union of these bin ranges, merged after a sort.
 
-Band-gaps are the maximal unmarked intervals wider than a minimum width.
-The "complete" scope intersects the longitudinal and both transverse
-blocks: an interval counts as a complete gap when no displacement-coupled
-plane wave propagates there at any wavenumber.  The displacement-free
-micro-modes can be added to the intersection with ``include_uncoupled``;
-they are left out by default because several model variants let those modes
+Band-gaps are the holes between the merged runs wider than a minimum width.
+The "complete" scope intersects the longitudinal and both transverse blocks
+(identical, so swept once): an interval counts as a complete gap when no
+displacement-coupled plane wave propagates there at any wavenumber.  The
+displacement-free micro-modes can be added with ``include_uncoupled``; they
+are left out by default because several model variants let those modes
 sweep the whole frequency axis, hiding the optic-branch gaps that the
 coupled blocks exhibit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,35 +40,32 @@ class InconsistentInputsError(Exception):
     """Coverage was asked to merge curves from different parameter sets."""
 
 
+class FrequencyAxisError(ValueError):
+    """A frequency-axis setting (ceiling, bin width, gap width) is invalid."""
+
+
+def _check_axis(key: str, value: float, *, zero_ok: bool = False) -> None:
+    if not (math.isfinite(value) and (value > 0.0 or zero_ok and value == 0)):
+        bound = ">= 0" if zero_ok else "> 0"
+        raise FrequencyAxisError(f"{key} must be finite and {bound}, "
+                                 f"got {value!r}")
+
+
 @dataclass(frozen=True)
 class CoverageMap:
-    """Boolean occupancy of the frequency axis up to a ceiling.
+    """Occupied bins of the frequency axis up to a ceiling.
 
-    ``provenance`` records, per occupied bin, which block/branch touched it.
+    ``runs[r] = (first_bin, last_bin)`` are the maximal occupied runs in
+    ascending order.  ``edge_tags[r]`` holds two tuples naming, as
+    ``block:label``, the branches that reach the run's first and its last
+    bin: the owners of the gap edges just below and just above the run.
     """
 
     omega_ceiling: float
     delta_omega: float
-    bins: np.ndarray
-    provenance: dict
-
-    @property
-    def n_bins(self) -> int:
-        return int(self.bins.size)
-
-    def empty_runs(self):
-        """Maximal runs of unoccupied bins as (first_bin, last_bin) pairs."""
-        runs = []
-        start = None
-        for i, occupied in enumerate(self.bins):
-            if not occupied and start is None:
-                start = i
-            elif occupied and start is not None:
-                runs.append((start, i - 1))
-                start = None
-        if start is not None:
-            runs.append((start, self.n_bins - 1))
-        return runs
+    n_bins: int
+    runs: np.ndarray
+    edge_tags: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -99,7 +96,7 @@ class GapReport:
 
 
 def coverage(curves, omega_ceiling: float, delta_omega: float) -> CoverageMap:
-    """Mark every frequency bin reachable by any branch of the given curves."""
+    """Union of the frequency bins reachable by any branch of the curves."""
     curves = list(curves)
     if not curves:
         raise InconsistentInputsError("no curves given")
@@ -107,59 +104,68 @@ def coverage(curves, omega_ceiling: float, delta_omega: float) -> CoverageMap:
     if len(keys) != 1:
         raise InconsistentInputsError(
             "curves come from different parameter sets")
+    _check_axis("omega_ceiling", omega_ceiling)
+    _check_axis("delta_omega", delta_omega)
+    # bin numbers must stay exact integers in float64
+    if not omega_ceiling / delta_omega <= 2.0 ** 53:
+        raise FrequencyAxisError(
+            f"delta_omega {delta_omega!r} gives over 2**53 bins")
+    n_bins = math.ceil(omega_ceiling / delta_omega)
 
-    n_bins = int(np.ceil(omega_ceiling / delta_omega))
-    bins = np.zeros(n_bins, dtype=bool)
-    provenance: dict[int, set] = {}
-
-    def mark(lo: float, hi: float, tag: str):
-        if lo > hi:
-            lo, hi = hi, lo
-        if lo >= omega_ceiling:
-            return
-        hi = min(hi, omega_ceiling)
-        first = min(int(lo / delta_omega), n_bins - 1)
-        last = min(int(hi / delta_omega), n_bins - 1)
-        bins[first:last + 1] = True
-        for b in range(first, last + 1):
-            provenance.setdefault(b, set()).add(tag)
-
+    # the repeated first sample lets a one-sample branch cover its own bin;
+    # an unbounded branch gets a last sample at the ceiling
+    pairs, tags = [], []
     for curve in curves:
-        for idx, branch in enumerate(curve.branches):
-            tag = f"{curve.block.value}:{branch.label}"
-            om = branch.omegas
-            for j in range(om.size - 1):
-                mark(float(om[j]), float(om[j + 1]), tag)
-            if om.size == 1:
-                mark(float(om[0]), float(om[0]), tag)
-            if not curve.asymptote_flags[idx]:
-                # unbounded branch: it keeps rising past the grid end
-                mark(float(om[-1]), omega_ceiling, tag)
+        for branch, bounded in zip(curve.branches, curve.asymptote_flags):
+            om = np.r_[branch.omegas[:1], branch.omegas,
+                       [] if bounded else [omega_ceiling]]
+            pairs.append(np.sort(np.c_[om[:-1], om[1:]], axis=1))
+            tags.append(f"{curve.block.value}:{branch.label}")
+    owner = np.repeat(np.arange(len(tags)), [p.shape[0] for p in pairs])
+    ranges = np.concatenate(pairs)
+    keep = ranges[:, 0] < omega_ceiling
+    bins = np.minimum(ranges[keep] / delta_omega, n_bins - 1).astype(np.int64)
+    order = np.argsort(bins[:, 0])
+    (first, last), owner = bins[order].T, owner[keep][order]
 
-    return CoverageMap(omega_ceiling=omega_ceiling, delta_omega=delta_omega,
-                       bins=bins, provenance=provenance)
+    # a run ends where the next range starts past every bin reached so far
+    reach = np.maximum.accumulate(last)
+    breaks = first[1:] > reach[:-1] + 1
+    runs = np.column_stack([np.r_[first[:1], first[1:][breaks]],
+                            np.r_[reach[:-1][breaks], reach[-1:]]])
+    run_of = np.searchsorted(runs[:, 0], first, side="right") - 1
+    at_edge = np.c_[first, last] == runs[run_of]
+    edge_tags = [([], []) for _ in runs]
+    for side in (0, 1):
+        for r, o in np.unique(np.c_[run_of, owner][at_edge[:, side]],
+                              axis=0).tolist():
+            edge_tags[r][side].append(tags[o])
+    return CoverageMap(omega_ceiling, delta_omega, n_bins, runs,
+                       tuple((tuple(a), tuple(b)) for a, b in edge_tags))
 
 
 def gaps_from_coverage(cov: CoverageMap, min_gap_width: float) -> tuple[Gap, ...]:
     """Maximal empty intervals of a coverage map, at bin resolution."""
-    out = []
-    for first, last in cov.empty_runs():
-        lo = first * cov.delta_omega
-        hi = min((last + 1) * cov.delta_omega, cov.omega_ceiling)
-        if hi - lo >= min_gap_width:
-            out.append(Gap(omega_lo=lo, omega_hi=hi))
-    return tuple(out)
+    _check_axis("min_gap_width", min_gap_width, zero_ok=True)
+    # the holes around the runs, as [first bin, end bin) pairs
+    holes = np.c_[np.r_[0, cov.runs[:, 1] + 1],
+                  np.r_[cov.runs[:, 0], cov.n_bins]]
+    edges = holes[holes[:, 0] < holes[:, 1]] * cov.delta_omega
+    edges[:, 1] = np.minimum(edges[:, 1], cov.omega_ceiling)
+    wide = edges[:, 1] - edges[:, 0] >= min_gap_width
+    return tuple(Gap(omega_lo=lo, omega_hi=hi)
+                 for lo, hi in edges[wide].tolist())
 
 
 def _blocks_for_scope(scope, include_uncoupled: bool):
+    """Blocks to sweep, and the report names of the blocks they stand for."""
     if scope == COMPLETE:
-        blocks = [(WaveBlock.LONGITUDINAL, 2), (WaveBlock.TRANSVERSE, 2),
-                  (WaveBlock.TRANSVERSE, 3)]
-        if include_uncoupled:
-            blocks.append((WaveBlock.UNCOUPLED, 2))
-        return blocks
+        extra = (WaveBlock.UNCOUPLED,) if include_uncoupled else ()
+        names = ("longitudinal", "transverse", "transverse-3")
+        return ((WaveBlock.LONGITUDINAL, WaveBlock.TRANSVERSE) + extra,
+                names + tuple(b.value for b in extra))
     if isinstance(scope, WaveBlock):
-        return [(scope, 2)]
+        return (scope,), (scope.value,)
     raise ValueError(f"scope must be a WaveBlock or {COMPLETE!r}: {scope!r}")
 
 
@@ -193,16 +199,12 @@ def detect_gaps(model: ModelKind, elastic: ElasticParams,
     if min_gap_width is None:
         min_gap_width = omega_ceiling / CEILING_TO_MIN_GAP
 
-    block_specs = _blocks_for_scope(scope, include_uncoupled)
-    curves = [sweep(model, elastic, inertia, blk, grid, transverse_axis=axis)
-              for blk, axis in block_specs]
+    blocks, block_names = _blocks_for_scope(scope, include_uncoupled)
+    curves = [sweep(model, elastic, inertia, blk, grid) for blk in blocks]
     cov = coverage(curves, omega_ceiling, delta_omega)
     gaps = gaps_from_coverage(cov, min_gap_width)
 
     scope_name = scope if isinstance(scope, str) else scope.value
-    block_names = tuple(
-        blk.value if axis == 2 else f"{blk.value}-{axis}"
-        for blk, axis in block_specs)
     return GapReport(gaps=gaps, scope=scope_name, blocks=block_names,
                      omega_ceiling=omega_ceiling, delta_omega=delta_omega,
                      min_gap_width=min_gap_width, model=model,

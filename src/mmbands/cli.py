@@ -32,7 +32,8 @@ import sys
 from dataclasses import dataclass
 
 from .assembly import BlockLeakageError
-from .bandgap import COMPLETE, default_omega_ceiling, detect_gaps
+from .bandgap import (COMPLETE, FrequencyAxisError, default_omega_ceiling,
+                      detect_gaps)
 from .core import (ElasticParams, InertiaParams, ModelKind, WaveBlock,
                    homogenize, validate, PA_PER_MPA)
 from .dispersion import (DegenerateGridError, KGrid, cutoffs, default_grid,
@@ -568,7 +569,7 @@ def run(argv) -> int:
     try:
         cfg = build_config(args)
         return _COMMANDS[args.command](cfg, args, err)
-    except (ConfigError, DegenerateGridError) as exc:
+    except (ConfigError, DegenerateGridError, FrequencyAxisError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_CONFIG
     except (EigenSolveError, BlockLeakageError) as exc:

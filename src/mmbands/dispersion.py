@@ -16,13 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import block_for
+from .assembly import assemble_full, block_decompose, block_for
 from .core import ElasticParams, InertiaParams, ModelKind, WaveBlock
 from .eigensolve import EigenSolveError, general_eig, general_eig_stack
 
 # Ratio of the two largest eigenvector magnitudes below which no single
 # degree of freedom is called dominant.
 MODE_RATIO_THRESHOLD = 1.25
+
+# omega(k_max) vs omega(0.8 k_max) relative change that marks saturation
+ASYMPTOTE_REL_TOL = 1e-3
 
 DEFAULT_GRID_POINTS = 400
 
@@ -127,8 +130,7 @@ class DispersionCurve:
         return (self.model, self.elastic, self.inertia)
 
 
-def classify_mode(vector, labels,
-                  threshold: float = MODE_RATIO_THRESHOLD) -> ModeMarker:
+def classify_mode(vector, labels) -> ModeMarker:
     """Name the dominant DOF of an eigenvector, or "Mixed" when unclear."""
     mags = np.abs(np.asarray(vector, dtype=complex))
     if float(np.max(mags)) == 0.0:
@@ -138,17 +140,16 @@ def classify_mode(vector, labels,
     second = float(mags[order[-2]])
     largest = float(mags[top])
     ratio = math.inf if second == 0.0 else largest / second
-    dominant = labels[top] if ratio >= threshold else "Mixed"
+    dominant = labels[top] if ratio >= MODE_RATIO_THRESHOLD else "Mixed"
     return ModeMarker(dominant=dominant, ratio=ratio)
 
 
-def detect_asymptote(branch: Branch, grid: KGrid,
-                     rel_tol: float = 1e-3) -> bool:
+def detect_asymptote(branch: Branch, grid: KGrid) -> bool:
     """True when the branch has flattened by the end of the grid.
 
-    Compares omega at k_max with omega at 0.8 * k_max; a relative change
-    below ``rel_tol`` (with a nonzero final value) marks a horizontal
-    asymptote.  Requires at least 10 samples in the top decade of the grid.
+    Compares omega at k_max with omega at 0.8 * k_max: a nonzero final
+    value that moved by less than ``ASYMPTOTE_REL_TOL`` (relative) marks a
+    horizontal asymptote.  Needs >= 10 samples in the top decade of the grid.
     """
     k = grid.values
     in_top_decade = int(np.count_nonzero(k >= 0.1 * grid.k_max))
@@ -160,7 +161,7 @@ def detect_asymptote(branch: Branch, grid: KGrid,
         return False
     idx = int(np.argmin(np.abs(k - 0.8 * grid.k_max)))
     omega_ref = float(branch.omegas[idx])
-    return abs(omega_end - omega_ref) / omega_end < rel_tol
+    return abs(omega_end - omega_ref) / omega_end < ASYMPTOTE_REL_TOL
 
 
 def _greedy_overlap_match(overlap: np.ndarray, omegas_new: np.ndarray):
@@ -230,8 +231,8 @@ def _label_branches(block: WaveBlock, omega0s, vectors0, labels):
 
 
 def sweep(model: ModelKind, elastic: ElasticParams, inertia: InertiaParams,
-          block: WaveBlock, grid: KGrid, *, transverse_axis: int = 2,
-          mode_threshold: float = MODE_RATIO_THRESHOLD) -> DispersionCurve:
+          block: WaveBlock, grid: KGrid, *,
+          transverse_axis: int = 2) -> DispersionCurve:
     """Dispersion branches of one block over a wavenumber grid.
 
     The block pencils of the whole grid are solved as one stack; adjacent
@@ -266,22 +267,17 @@ def sweep(model: ModelKind, elastic: ElasticParams, inertia: InertiaParams,
 
     branches = []
     for b in range(3):
-        modes = tuple(classify_mode(vectors[j, :, b], bs.labels,
-                                    threshold=mode_threshold)
+        modes = tuple(classify_mode(vectors[j, :, b], bs.labels)
                       for j in range(n_k))
         branches.append(Branch(label=names[b], omegas=omegas[:, b].copy(),
                                vectors=vectors[:, :, b].copy(), modes=modes))
     branches = tuple(branches)
 
     tol = _acoustic_threshold(omegas[0])
-    if block is WaveBlock.UNCOUPLED:
-        cut = tuple(Cutoff(omega=float(omegas[0, b]), acoustic=False,
-                           mode=branches[b].modes[0].dominant)
-                    for b in range(3))
-    else:
-        cut = tuple(Cutoff(omega=float(omegas[0, b]), acoustic=False,
-                           mode=branches[b].modes[0].dominant)
-                    for b in range(3) if float(omegas[0, b]) > tol)
+    cut = tuple(Cutoff(omega=float(omegas[0, b]), acoustic=False,
+                       mode=branches[b].modes[0].dominant)
+                for b in range(3)
+                if block is WaveBlock.UNCOUPLED or float(omegas[0, b]) > tol)
 
     flags = tuple(detect_asymptote(br, grid) for br in branches)
     return DispersionCurve(
@@ -299,9 +295,10 @@ def cutoffs(model: ModelKind, elastic: ElasticParams,
     micro-inertia only.
     """
     out: dict[WaveBlock, tuple[Cutoff, ...]] = {}
-    for block in (WaveBlock.LONGITUDINAL, WaveBlock.TRANSVERSE,
-                  WaveBlock.UNCOUPLED):
-        bs = block_for(model, elastic, inertia, block)
+    blocks = block_decompose(assemble_full(model, elastic, inertia))
+    # blocks[2] is the x3 transverse block, identical to blocks[1]
+    for bs in (blocks[0], blocks[1], blocks[3]):
+        block = bs.block
         sol = general_eig(bs.stiffness_at(0.0), bs.mass_at(0.0))
         omega0 = np.sqrt(sol.omega_sq)
         tol = _acoustic_threshold(omega0)

@@ -3,7 +3,9 @@
 The cubic route below never touches the production eigensolver: the
 characteristic polynomial det(K - lam*M) is sampled at four nodes, the
 cubic coefficients are recovered from the Vandermonde system, and the three
-real roots come out of the closed-form trigonometric solution.
+real roots come out of the closed-form trigonometric solution.  The gap
+finder at the end marks a boolean array with one entry per frequency bin,
+the direct form of the interval union that the production code computes.
 """
 
 import math
@@ -62,3 +64,47 @@ def cubic_pencil_eigenvalues(k_matrix: np.ndarray, m_matrix: np.ndarray):
     vander = np.vander(nodes, 4, increasing=True)
     c0, c1, c2, c3 = np.linalg.solve(vander, samples)
     return _real_cubic_roots(c3, c2, c1, c0)
+
+
+def binned_coverage(branches, omega_ceiling, delta_omega, min_gap_width):
+    """Gap finder that marks a boolean array of delta_omega-wide bins.
+
+    ``branches`` holds (tag, omegas, bounded) triples.  Every bin between
+    two consecutive samples is marked, and an unbounded branch also marks
+    up to the ceiling.  Returns the empty runs at least ``min_gap_width``
+    wide as (lo, hi) pairs, the occupied-bin count and, per occupied bin,
+    the set of tags that reach it.
+    """
+    n_bins = int(np.ceil(omega_ceiling / delta_omega))
+    bins = np.zeros(n_bins, dtype=bool)
+    owners = {}
+
+    def mark(lo, hi, tag):
+        lo, hi = min(lo, hi), min(max(lo, hi), omega_ceiling)
+        if lo >= omega_ceiling:
+            return
+        first = min(int(lo / delta_omega), n_bins - 1)
+        last = min(int(hi / delta_omega), n_bins - 1)
+        bins[first:last + 1] = True
+        for b in range(first, last + 1):
+            owners.setdefault(b, set()).add(tag)
+
+    for tag, om, bounded in branches:
+        om = [float(w) for w in om]
+        for lo, hi in zip(om[:-1], om[1:]):
+            mark(lo, hi, tag)
+        if len(om) == 1:
+            mark(om[0], om[0], tag)
+        if not bounded:
+            mark(om[-1], omega_ceiling, tag)
+
+    gaps, start = [], None
+    for i, occupied in enumerate(list(bins) + [True]):
+        if not occupied and start is None:
+            start = i
+        elif occupied and start is not None:
+            lo, hi = start * delta_omega, min(i * delta_omega, omega_ceiling)
+            if hi - lo >= min_gap_width:
+                gaps.append((lo, hi))
+            start = None
+    return gaps, int(np.count_nonzero(bins)), owners

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from mmbands.bandgap import (COMPLETE, InconsistentInputsError, coverage,
+import mmbands.bandgap
+from mmbands.bandgap import (COMPLETE, FrequencyAxisError,
+                             InconsistentInputsError, coverage,
                              default_omega_ceiling, detect_gaps,
                              gaps_from_coverage)
 from mmbands.core import InertiaParams, ModelKind, WaveBlock
@@ -9,19 +13,21 @@ from mmbands.dispersion import (Branch, DispersionCurve, KGrid, ModeMarker,
                                 sweep, default_grid)
 
 from conftest import RHO, ETA
+from oracles import binned_coverage
 
 
 def synthetic_curve(omegas_per_branch, flags, elastic, inertia,
                     model=ModelKind.RELAXED_CURL,
                     block=WaveBlock.LONGITUDINAL):
-    """Hand-built DispersionCurve for coverage unit tests."""
-    n = len(omegas_per_branch[0])
-    k_max = 1.0e5
-    grid = KGrid(values=np.linspace(0.0, k_max, n))
+    """Hand-built DispersionCurve for coverage unit tests.
+
+    Branches may have any number of samples; the grid always has 60.
+    """
+    grid = KGrid.linear(1.0e5, 60)
     branches = tuple(
         Branch(label=f"B{i}", omegas=np.asarray(om, dtype=float),
-               vectors=np.zeros((n, 3), dtype=complex),
-               modes=tuple(ModeMarker("Mixed", 1.0) for _ in range(n)))
+               vectors=np.zeros((len(om), 3), dtype=complex),
+               modes=tuple(ModeMarker("Mixed", 1.0) for _ in om))
         for i, om in enumerate(omegas_per_branch))
     return DispersionCurve(block=block, grid=grid, branches=branches,
                            cutoffs=(), asymptote_flags=flags, model=model,
@@ -38,8 +44,8 @@ class TestCoverage:
         curve = synthetic_curve([np.full(60, omega0)] * 3,
                                 (True, True, True), ref_elastic, inertia_off)
         cov = coverage([curve], self.CEILING, self.DELTA)
-        assert int(np.count_nonzero(cov.bins)) == 1
-        assert cov.bins[int(omega0 / self.DELTA)]
+        b = int(omega0 / self.DELTA)
+        assert cov.runs.tolist() == [[b, b]]
 
     def test_linear_branch_covers_contiguously(self, ref_elastic,
                                                inertia_off):
@@ -49,8 +55,7 @@ class TestCoverage:
                                 ref_elastic, inertia_off)
         cov = coverage([curve], self.CEILING, self.DELTA)
         top_bin = int(3.0e5 / self.DELTA)
-        assert np.all(cov.bins[:top_bin + 1])
-        assert not np.any(cov.bins[top_bin + 1:])
+        assert cov.runs.tolist() == [[0, top_bin]]
         assert gaps_from_coverage(cov, 10 * self.DELTA) == (
             gaps_from_coverage(cov, 10 * self.DELTA))
         # exactly one trailing empty region
@@ -62,7 +67,7 @@ class TestCoverage:
         curve = synthetic_curve([3.0 * k] * 3, (False, False, False),
                                 ref_elastic, inertia_off)
         cov = coverage([curve], self.CEILING, self.DELTA)
-        assert np.all(cov.bins)
+        assert cov.runs.tolist() == [[0, cov.n_bins - 1]]
 
     def test_interval_marking_bridges_coarse_samples(self, ref_elastic,
                                                      inertia_off):
@@ -73,16 +78,93 @@ class TestCoverage:
         cov = coverage([curve], self.CEILING, self.DELTA)
         lo = int(1.0e5 / self.DELTA)
         hi = int(9.0e5 / self.DELTA)
-        assert np.all(cov.bins[lo:hi + 1])
+        assert any(a <= lo and hi <= b for a, b in cov.runs.tolist())
 
-    def test_provenance_records_touching_branch(self, ref_elastic,
-                                                inertia_off):
+    def test_edge_tags_record_touching_branch(self, ref_elastic,
+                                              inertia_off):
         omega0 = 4.0e5
         curve = synthetic_curve([np.full(60, omega0)] * 3,
                                 (True, True, True), ref_elastic, inertia_off)
         cov = coverage([curve], self.CEILING, self.DELTA)
-        tags = cov.provenance[int(omega0 / self.DELTA)]
-        assert "longitudinal:B0" in tags
+        first_tags, last_tags = cov.edge_tags[0]
+        assert "longitudinal:B0" in first_tags
+        assert "longitudinal:B0" in last_tags
+
+    def test_nothing_below_the_ceiling_leaves_one_full_gap(self, ref_elastic,
+                                                           inertia_off):
+        curve = synthetic_curve([np.full(60, 2.0 * self.CEILING)] * 3,
+                                (False, True, True), ref_elastic, inertia_off)
+        cov = coverage([curve], self.CEILING, self.DELTA)
+        assert cov.runs.shape == (0, 2)
+        assert cov.edge_tags == ()
+        gaps = gaps_from_coverage(cov, 0.0)
+        assert [(g.omega_lo, g.omega_hi) for g in gaps] == [
+            (0.0, self.CEILING)]
+
+    @pytest.mark.parametrize("key, value", [
+        ("omega_ceiling", 0.0), ("omega_ceiling", -1.0),
+        ("omega_ceiling", math.nan), ("omega_ceiling", math.inf),
+        ("delta_omega", 0.0), ("delta_omega", -5.0),
+        ("delta_omega", math.inf), ("delta_omega", 1.0e-300),
+        ("delta_omega", 1.0e-12), ("min_gap_width", -1.0),
+        ("min_gap_width", math.nan), ("min_gap_width", math.inf)])
+    def test_bad_frequency_axis_rejected(self, ref_elastic, inertia_off,
+                                         key, value):
+        curve = synthetic_curve([np.full(60, 1.0e5)] * 3, (True, True, True),
+                                ref_elastic, inertia_off)
+        axis = {"omega_ceiling": self.CEILING, "delta_omega": self.DELTA,
+                "min_gap_width": 0.0, key: value}
+        with pytest.raises(FrequencyAxisError, match=key):
+            cov = coverage([curve], axis["omega_ceiling"],
+                           axis["delta_omega"])
+            gaps_from_coverage(cov, axis["min_gap_width"])
+
+    def test_matches_bin_marking_oracle(self, ref_elastic, inertia_off):
+        rng = np.random.default_rng(20161017)
+        blocks = (WaveBlock.LONGITUDINAL, WaveBlock.TRANSVERSE,
+                  WaveBlock.UNCOUPLED)
+        for _ in range(150):
+            ceiling = float(rng.uniform(1.0e3, 1.0e5))
+            # an exact divisor in half the trials, a ragged last bin in
+            # the others
+            ratio = (float(rng.integers(50, 600)) if rng.random() < 0.5
+                     else float(rng.uniform(50.0, 600.0)))
+            delta = ceiling / ratio
+            width = float(rng.choice([0.0, delta, 3.7 * delta]))
+            curves = []
+            for block in blocks[:int(rng.integers(1, 4))]:
+                branches = []
+                for _ in range(3):
+                    n = int(rng.choice([1, 2, 60]))
+                    walk = ceiling * np.abs(np.cumsum(
+                        rng.normal(0.0, 0.05, n)) + rng.uniform(0.0, 1.2))
+                    kind = rng.integers(4)
+                    if kind == 0:      # constant, in one of the low bins
+                        walk = np.full(n, delta * rng.uniform(0.0, 8.0))
+                    elif kind == 1:    # exactly on bin edges
+                        walk = np.round(walk / delta) * delta
+                    elif kind == 2:    # mostly above the ceiling
+                        walk = walk + ceiling
+                    branches.append(walk)
+                flags = tuple(bool(f) for f in rng.integers(0, 2, 3))
+                curves.append(synthetic_curve(branches, flags, ref_elastic,
+                                              inertia_off, block=block))
+            triples = [(f"{c.block.value}:{br.label}", br.omegas, flag)
+                       for c in curves
+                       for br, flag in zip(c.branches, c.asymptote_flags)]
+            gaps, occupied, owners = binned_coverage(triples, ceiling, delta,
+                                                     width)
+
+            cov = coverage(curves, ceiling, delta)
+            got = gaps_from_coverage(cov, width)
+            assert [(g.omega_lo, g.omega_hi) for g in got] == gaps
+            runs = cov.runs.tolist()
+            assert sum(b - a + 1 for a, b in runs) == occupied
+            # maximal runs: an empty bin separates each from the next
+            assert all(b + 1 < a for (_, b), (a, _) in zip(runs, runs[1:]))
+            for (a, b), (first_tags, last_tags) in zip(runs, cov.edge_tags):
+                assert set(first_tags) == owners[a]
+                assert set(last_tags) == owners[b]
 
     def test_inconsistent_parameter_sets_rejected(self, ref_elastic,
                                                   inertia_off):
@@ -137,6 +219,26 @@ class TestDetectGaps:
         report = detect_gaps(ModelKind.INTERNAL_VARIABLE, ref_elastic,
                              inertia_on)
         assert len(report.gaps) == 3
+
+    @pytest.mark.parametrize("include_uncoupled, n_sweeps",
+                             [(False, 2), (True, 3)])
+    def test_complete_scope_sweeps_transverse_once(
+            self, ref_elastic, inertia_off, monkeypatch, include_uncoupled,
+            n_sweeps):
+        swept = []
+
+        def counting_sweep(*args, **kwargs):
+            swept.append(args[3])
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(mmbands.bandgap, "sweep", counting_sweep)
+        report = detect_gaps(ModelKind.RELAXED_CURL, ref_elastic, inertia_off,
+                             include_uncoupled=include_uncoupled)
+        assert len(swept) == n_sweeps
+        assert swept.count(WaveBlock.TRANSVERSE) == 1
+        assert report.blocks == (("longitudinal", "transverse",
+                                  "transverse-3")
+                                 + ("uncoupled",) * include_uncoupled)
 
     def test_per_block_scope(self, ref_elastic, inertia_off):
         report = detect_gaps(ModelKind.RELAXED_CURL, ref_elastic, inertia_off,

@@ -153,6 +153,39 @@ class TestGapsCommand:
         _, ref = run_to_file(tmp_path, "ref.json", argv + ["1e6"])
         assert json.loads(text)["n_gaps"] == json.loads(ref)["n_gaps"]
 
+    def test_nothing_below_the_ceiling_is_one_full_gap(self, capsys):
+        argv = ["gaps", "--config", DEMO_CONFIG, "--block", "uncoupled",
+                "--omega-ceiling", "100"]
+        assert run(argv) == 0
+        assert capsys.readouterr().out == """\
+{
+  "model": "relaxed-curl",
+  "scope": "uncoupled",
+  "blocks": [
+    "uncoupled"
+  ],
+  "unit": "rad/s",
+  "omega_ceiling": 100.0,
+  "delta_omega": 0.025,
+  "min_gap_width": 0.25,
+  "n_gaps": 1,
+  "gaps": [
+    {
+      "omega_lo": 0.0,
+      "omega_hi": 100.0
+    }
+  ]
+}
+"""
+
+    def test_fine_bins_need_no_bin_array(self, tmp_path):
+        # about 6.9e8 bins of 1e-3 rad/s up to the default ceiling
+        code, text = run_to_file(tmp_path, "fine.json",
+                                 ["gaps", "--config", DEMO_CONFIG,
+                                  "--delta-omega", "1e-3"])
+        assert code == 0
+        assert json.loads(text)["n_gaps"] == 2
+
     def test_byte_determinism(self, tmp_path, config_file):
         argv = ["gaps", "--config", config_file]
         _, a = run_to_file(tmp_path, "a.json", argv)
@@ -246,3 +279,16 @@ class TestErrorPaths:
 
     def test_missing_config_file(self):
         assert run(["gaps", "--config", "/nonexistent/file.cfg"]) == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--delta-omega", "0"), ("--omega-ceiling", "0"),
+        ("--delta-omega", "-5"), ("--omega-ceiling", "nan"),
+        ("--omega-ceiling", "-1"), ("--delta-omega", "inf"),
+        ("--delta-omega", "1e-15"), ("--min-gap-width", "-1")])
+    def test_bad_frequency_axis(self, config_file, capsys, flag, value):
+        code = run(["gaps", "--config", config_file, "--grid-points", "50",
+                    flag, value])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert flag[2:].replace("-", "_") in err
