@@ -259,10 +259,8 @@ def _build_block_basis() -> tuple[np.ndarray, tuple]:
             unit({"P22": 1 / _SQRT2, "P33": -1 / _SQRT2}),
         )),
     )
-    rows = [r for _, _, rs in blocks for r in rs]
-    t = np.array(rows)
-    meta = tuple((kind, labels) for kind, labels, _ in blocks)
-    return t, meta
+    return (np.array([r for _, _, rs in blocks for r in rs]),
+            tuple((kind, labels) for kind, labels, _ in blocks))
 
 
 _BLOCK_T, _BLOCK_META = _build_block_basis()
@@ -297,14 +295,8 @@ def block_decompose(system: FullSystem) -> tuple[BlockSystem, ...]:
     out = []
     for b, (kind, labels) in enumerate(_BLOCK_META):
         sl = slice(3 * b, 3 * b + 3)
-        out.append(BlockSystem(
-            block=kind, labels=labels,
-            M0=transformed["M0"][sl, sl].copy(),
-            M2=transformed["M2"][sl, sl].copy(),
-            K0=transformed["K0"][sl, sl].copy(),
-            K1=transformed["K1"][sl, sl].copy(),
-            K2=transformed["K2"][sl, sl].copy(),
-        ))
+        out.append(BlockSystem(block=kind, labels=labels, **{
+            name: a[sl, sl].copy() for name, a in transformed.items()}))
     return tuple(out)
 
 

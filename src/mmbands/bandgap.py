@@ -191,7 +191,7 @@ def detect_gaps(model: ModelKind, elastic: ElasticParams,
     also the uncoupled one, see the module docstring).
     """
     if grid is None:
-        grid = default_grid(elastic)
+        grid = default_grid(elastic, inertia)
     if omega_ceiling is None:
         omega_ceiling = default_omega_ceiling(model, elastic, inertia)
     if delta_omega is None:

@@ -30,14 +30,15 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 from .assembly import BlockLeakageError
 from .bandgap import (COMPLETE, FrequencyAxisError, default_omega_ceiling,
                       detect_gaps)
 from .core import (ElasticParams, InertiaParams, ModelKind, WaveBlock,
                    homogenize, validate, PA_PER_MPA)
-from .dispersion import (DegenerateGridError, KGrid, cutoffs, default_grid,
-                         sweep)
+from .dispersion import (DEFAULT_GRID_POINTS, DegenerateGridError, KGrid,
+                         cutoffs, default_grid, sweep)
 from .eigensolve import EigenSolveError
 
 EXIT_OK = 0
@@ -83,11 +84,8 @@ class RunConfig:
     def inertia(self) -> InertiaParams:
         self.require(("rho", "eta"))
         v = self.values
-        return InertiaParams(
-            rho=v["rho"], eta=v["eta"],
-            eta_bar_1=v.get("eta_bar_1") or 0.0,
-            eta_bar_2=v.get("eta_bar_2") or 0.0,
-            eta_bar_3=v.get("eta_bar_3") or 0.0)
+        return InertiaParams(rho=v["rho"], eta=v["eta"], **{
+            key: v.get(key) or 0.0 for key in _INERTIA_KEYS[2:]})
 
     def model(self) -> ModelKind:
         name = self.values.get("model")
@@ -99,22 +97,18 @@ class RunConfig:
             choices = ", ".join(m.value for m in ModelKind)
             raise ConfigError(f"unknown model {name!r} (choose from {choices})")
 
-    def grid(self, elastic: ElasticParams) -> KGrid:
+    def grid(self, elastic: ElasticParams, inertia: InertiaParams) -> KGrid:
         points = self.values.get("grid_points")
-        if points is None:
-            points = 400
+        points = DEFAULT_GRID_POINTS if points is None else points
         k_max = self.values.get("k_max")
         if k_max is None:
-            return default_grid(elastic, points=points)
+            return default_grid(elastic, inertia, points=points)
         return KGrid.linear(k_max, points=points)
 
     def gap_options(self) -> dict:
-        return {
-            "omega_ceiling": self.values.get("omega_ceiling"),
-            "delta_omega": self.values.get("delta_omega"),
-            "min_gap_width": self.values.get("min_gap_width"),
-            "include_uncoupled": bool(self.values.get("include_uncoupled")),
-        }
+        keys = ("omega_ceiling", "delta_omega", "min_gap_width")
+        return {key: self.values.get(key) for key in keys} | {
+            "include_uncoupled": bool(self.values.get("include_uncoupled"))}
 
 
 def _parse_scalar(key: str, raw: str):
@@ -169,13 +163,11 @@ def build_config(args) -> RunConfig:
 
 def _check_validation(elastic, inertia, out) -> bool:
     report = validate(elastic, inertia)
-    if not report.ok:
-        for failure in report.failures():
-            print(f"invalid parameters: {failure.name}"
-                  + (f" ({failure.message})" if failure.message else ""),
-                  file=out)
-        return False
-    return True
+    for failure in report.failures():
+        print(f"invalid parameters: {failure.name}"
+              + (f" ({failure.message})" if failure.message else ""),
+              file=out)
+    return report.ok
 
 
 def _omega_scale(args) -> tuple[float, str]:
@@ -195,6 +187,15 @@ def _write_output(text: str, args) -> None:
 
 def _json_dumps(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
+
+
+def _csv_text(header, rows) -> str:
+    """CSV text of a header and rows; a Python float prints as its repr."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -228,21 +229,27 @@ def _cmd_cutoffs(cfg: RunConfig, args, err) -> int:
         return EXIT_VALIDATION
     scale, unit = _omega_scale(args)
     table = cutoffs(model, elastic, inertia)
-    payload = {"model": model.value, "unit": unit, "blocks": {}}
-    for block in (WaveBlock.LONGITUDINAL, WaveBlock.TRANSVERSE,
-                  WaveBlock.UNCOUPLED):
-        payload["blocks"][block.value] = [
-            {"omega": c.omega * scale, "acoustic": c.acoustic, "mode": c.mode}
-            for c in table[block]]
+    payload = {"model": model.value, "unit": unit, "blocks": {
+        block.value: [{"omega": c.omega * scale, "acoustic": c.acoustic,
+                       "mode": c.mode} for c in table[block]]
+        for block in (WaveBlock.LONGITUDINAL, WaveBlock.TRANSVERSE,
+                      WaveBlock.UNCOUPLED)}}
     _write_output(_json_dumps(payload), args)
     return EXIT_OK
 
 
 def _sweep_all_blocks(cfg: RunConfig):
     model, elastic, inertia = cfg.model(), cfg.elastic(), cfg.inertia()
-    grid = cfg.grid(elastic)
+    grid = cfg.grid(elastic, inertia)
     return {block: sweep(model, elastic, inertia, block, grid)
             for block in _BLOCK_ORDER}, grid
+
+
+def _branch_columns(branch, scale):
+    """omega, dominant_mode and ratio columns of one branch, as lists."""
+    return ((branch.omegas * scale).tolist(),
+            [m.dominant for m in branch.modes],
+            [m.ratio for m in branch.modes])
 
 
 def _cmd_disperse(cfg: RunConfig, args, err) -> int:
@@ -251,19 +258,13 @@ def _cmd_disperse(cfg: RunConfig, args, err) -> int:
         return EXIT_VALIDATION
     scale, _ = _omega_scale(args)
     curves, grid = _sweep_all_blocks(cfg)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["k", "block", "branch_label", "omega",
-                     "dominant_mode", "ratio"])
-    for block in _BLOCK_ORDER:
-        curve = curves[block]
-        for branch in curve.branches:
-            for j, k in enumerate(grid.values):
-                marker = branch.modes[j]
-                writer.writerow([repr(float(k)), block.value, branch.label,
-                                 repr(float(branch.omegas[j] * scale)),
-                                 marker.dominant, repr(float(marker.ratio))])
-    _write_output(buf.getvalue(), args)
+    ks = grid.values.tolist()
+    rows = chain.from_iterable(
+        zip(ks, repeat(block.value), repeat(branch.label),
+            *_branch_columns(branch, scale))
+        for block in _BLOCK_ORDER for branch in curves[block].branches)
+    _write_output(_csv_text(["k", "block", "branch_label", "omega",
+                             "dominant_mode", "ratio"], rows), args)
     return EXIT_OK
 
 
@@ -276,7 +277,7 @@ def _cmd_modes(cfg: RunConfig, args, err) -> int:
     except ValueError:
         raise ConfigError(f"unknown block {args.block!r}")
     model = cfg.model()
-    grid = cfg.grid(elastic)
+    grid = cfg.grid(elastic, inertia)
     curve = sweep(model, elastic, inertia, block, grid)
     wanted = [b for b in curve.branches if b.label == args.branch]
     if not wanted:
@@ -285,15 +286,9 @@ def _cmd_modes(cfg: RunConfig, args, err) -> int:
                           f"{block.value} (have: {names})")
     branch = wanted[0]
     scale, _ = _omega_scale(args)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["k", "omega", "dominant_mode", "ratio"])
-    for j, k in enumerate(grid.values):
-        marker = branch.modes[j]
-        writer.writerow([repr(float(k)),
-                         repr(float(branch.omegas[j] * scale)),
-                         marker.dominant, repr(float(marker.ratio))])
-    _write_output(buf.getvalue(), args)
+    rows = zip(grid.values.tolist(), *_branch_columns(branch, scale))
+    _write_output(_csv_text(["k", "omega", "dominant_mode", "ratio"], rows),
+                  args)
     return EXIT_OK
 
 
@@ -317,7 +312,7 @@ def _cmd_gaps(cfg: RunConfig, args, err) -> int:
     if not _check_validation(elastic, inertia, err):
         return EXIT_VALIDATION
     scope = COMPLETE if args.block is None else WaveBlock(args.block)
-    grid = cfg.grid(elastic)
+    grid = cfg.grid(elastic, inertia)
     report = detect_gaps(model, elastic, inertia, scope, grid=grid,
                          **cfg.gap_options())
     scale, unit = _omega_scale(args)
@@ -349,9 +344,7 @@ def _cmd_sweep_param(cfg: RunConfig, args, err) -> int:
         raise ConfigError("sweep-param needs --values or --range")
 
     scale, _ = _omega_scale(args)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["param_value", "n_gaps", "gaps"])
+    rows = []
     for value in values:
         run = RunConfig(values=dict(cfg.values))
         run.values[args.param] = value
@@ -359,11 +352,12 @@ def _cmd_sweep_param(cfg: RunConfig, args, err) -> int:
         if not _check_validation(elastic, inertia, err):
             return EXIT_VALIDATION
         report = detect_gaps(model, elastic, inertia, COMPLETE,
-                             grid=run.grid(elastic), **run.gap_options())
+                             grid=run.grid(elastic, inertia),
+                             **run.gap_options())
         joined = ";".join(f"{g.omega_lo * scale!r}:{g.omega_hi * scale!r}"
                           for g in report.gaps)
-        writer.writerow([repr(float(value)), len(report.gaps), joined])
-    _write_output(buf.getvalue(), args)
+        rows.append([repr(float(value)), len(report.gaps), joined])
+    _write_output(_csv_text(["param_value", "n_gaps", "gaps"], rows), args)
     return EXIT_OK
 
 

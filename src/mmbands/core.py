@@ -83,14 +83,8 @@ class ElasticParams:
 
     def scaled(self, c: float) -> "ElasticParams":
         """Return a copy with all five moduli multiplied by ``c`` (L_c kept)."""
-        return replace(
-            self,
-            mu_e=c * self.mu_e,
-            lambda_e=c * self.lambda_e,
-            mu_c=c * self.mu_c,
-            mu_micro=c * self.mu_micro,
-            lambda_micro=c * self.lambda_micro,
-        )
+        return replace(self, **{name: c * getattr(self, name) for name in (
+            "mu_e", "lambda_e", "mu_c", "mu_micro", "lambda_micro")})
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,10 @@
 A sweep solves the 3x3 generalized eigenproblem of one block on a grid of
 wavenumbers and strings the eigenpairs into continuous branches by maximal
 mass-weighted eigenvector overlap between adjacent grid points, so branches
-keep their physical identity through avoided crossings.  Labels are decided
-once, at k = 0: the branch with omega(0) = 0 is acoustic, the optic
+keep their physical identity through avoided crossings.  The matches of all
+steps come from one array pass (sequential only where a greedy choice ties
+exactly), and the dominant DOF of every sample from one more.  Labels are
+decided once, at k = 0: the branch with omega(0) = 0 is acoustic, the optic
 branches are named by ascending cut-off (coupled blocks) or by their
 dominant micro mode (uncoupled block).
 """
@@ -34,7 +36,7 @@ class DegenerateGridError(Exception):
     """Wavenumber grid violates its invariants."""
 
 
-class ZeroVectorError(Exception):
+class ZeroVectorError(EigenSolveError):
     """Mode classification received a zero eigenvector."""
 
 
@@ -69,16 +71,23 @@ class KGrid:
 
 
 def default_grid(elastic: ElasticParams,
+                 inertia: InertiaParams | None = None,
                  points: int = DEFAULT_GRID_POINTS) -> KGrid:
     """Default sweep grid: linear from 0 to 100 / L_c.
 
     That range takes the dimensionless k * L_c to 100, deep into the
-    saturated tail of every bounded branch.
+    saturated tail of every bounded branch.  With L_c = 0 the inertia
+    length sqrt(eta / rho) takes its place.
     """
-    if elastic.L_c <= 0.0:
+    length = elastic.L_c
+    if length == 0.0 and inertia is not None and min(inertia.eta,
+                                                     inertia.rho) > 0.0:
+        length = math.sqrt(inertia.eta / inertia.rho)
+    if not length > 0.0:
         raise DegenerateGridError(
-            "default grid needs L_c > 0; pass an explicit grid instead")
-    return KGrid.linear(100.0 / elastic.L_c, points)
+            "default grid needs L_c > 0, or L_c = 0 with eta, rho > 0; "
+            "pass an explicit grid instead")
+    return KGrid.linear(100.0 / length, points)
 
 
 @dataclass(frozen=True)
@@ -130,18 +139,36 @@ class DispersionCurve:
         return (self.model, self.elastic, self.inertia)
 
 
+def classify_mode_stack(vectors, labels):
+    """Dominant DOF of every eigenvector (last axis: components) at once.
+
+    Returns names (a label, or "Mixed" below ``MODE_RATIO_THRESHOLD``) and
+    the ratios of the two largest magnitudes (inf if the second is 0), each
+    shaped like the leading axes.  A zero vector raises ZeroVectorError
+    with its position along the first axis as ``index``.
+    """
+    mags = np.abs(np.asarray(vectors, dtype=complex))
+    zero = np.nonzero(np.max(mags, axis=-1) == 0.0)[0]
+    if zero.size:
+        raise ZeroVectorError(f"cannot classify a zero eigenvector "
+                              f"(stack index {zero[0]})", int(zero[0]))
+    order = np.argsort(mags, axis=-1, kind="stable")
+    second, largest = np.moveaxis(
+        np.take_along_axis(mags, order[..., -2:], axis=-1), -1, 0)
+    with np.errstate(over="ignore"):
+        ratio = np.divide(largest, second, out=np.full(second.shape, math.inf),
+                          where=second != 0.0)
+    names = np.array(["Mixed", *labels], dtype=object)
+    return names[np.where(ratio >= MODE_RATIO_THRESHOLD,
+                          order[..., -1] + 1, 0)], ratio
+
+
 def classify_mode(vector, labels) -> ModeMarker:
-    """Name the dominant DOF of an eigenvector, or "Mixed" when unclear."""
-    mags = np.abs(np.asarray(vector, dtype=complex))
-    if float(np.max(mags)) == 0.0:
-        raise ZeroVectorError("cannot classify a zero eigenvector")
-    order = np.argsort(mags, kind="stable")
-    top = int(order[-1])
-    second = float(mags[order[-2]])
-    largest = float(mags[top])
-    ratio = math.inf if second == 0.0 else largest / second
-    dominant = labels[top] if ratio >= MODE_RATIO_THRESHOLD else "Mixed"
-    return ModeMarker(dominant=dominant, ratio=ratio)
+    """Name the dominant DOF of an eigenvector, or "Mixed" when unclear
+    (the one-vector form of ``classify_mode_stack``)."""
+    (dominant,), (ratio,) = classify_mode_stack(np.asarray(vector)[None],
+                                                labels)
+    return ModeMarker(dominant=dominant, ratio=float(ratio))
 
 
 def detect_asymptote(branch: Branch, grid: KGrid) -> bool:
@@ -172,26 +199,59 @@ def _greedy_overlap_match(overlap: np.ndarray, omegas_new: np.ndarray):
     exact degeneracies.
     """
     n = overlap.shape[0]
-    entries = sorted(
-        ((float(overlap[r, c]), r, c) for r in range(n) for c in range(n)),
-        key=lambda e: (-e[0], float(omegas_new[e[2]]), e[1], e[2]))
-    perm = [-1] * n
-    used_cols = set()
-    assigned = 0
-    for _, r, c in entries:
-        if perm[r] != -1 or c in used_cols:
-            continue
-        perm[r] = c
-        used_cols.add(c)
-        assigned += 1
-        if assigned == n:
-            break
+    perm, used_cols = [-1] * n, set()
+    for *_, r, c in sorted((-float(overlap[r, c]), float(omegas_new[c]), r, c)
+                           for r in range(n) for c in range(n)):
+        if perm[r] == -1 and c not in used_cols:
+            perm[r] = c
+            used_cols.add(c)
     return perm
 
 
+def _continue_branches(overlap: np.ndarray, omegas: np.ndarray):
+    """columns[j, b]: the eigenpair of k_j that continues branch b.
+
+    The greedy match of every step is found at once on the unpermuted
+    overlaps.  Unless another available entry ties a free greedy choice in
+    overlap and new frequency, it does not depend on the branch order, and
+    runs of such steps compose by a prefix scan.  A tied step runs
+    ``_greedy_overlap_match`` on the overlaps in branch order.
+    """
+    n = len(overlap)
+    key = np.stack([overlap.reshape(n, 9), np.tile(omegas[1:], 3)])
+    order = np.lexsort((key[1], -key[0]))
+    key = np.take_along_axis(key, order[None], axis=-1)
+    rows, cols = np.divmod(order, 3)
+    # choice 1 is sorted first, choice 2 is the first of the four entries
+    # outside its row and column; each is compared with the next available
+    free = np.nonzero((rows != rows[:, :1]) & (cols != cols[:, :1]))[1]
+    at = np.c_[np.zeros(n, dtype=int), free[::4]]
+    after = np.c_[np.ones(n, dtype=int), free[1::4]]
+    tied = (np.take_along_axis(key, at[None], axis=-1)
+            == np.take_along_axis(key, after[None], axis=-1))
+    tied = tied.all(axis=0).any(axis=-1) | ~np.isfinite(key).all(axis=(0, 2))
+    r, c = np.take_along_axis(rows, at, -1), np.take_along_axis(cols, at, -1)
+    maps = np.empty((n, 3), dtype=int)      # the third pair is forced
+    np.put_along_axis(maps, np.c_[r, 3 - r.sum(axis=1)],
+                      np.c_[c, 3 - c.sum(axis=1)], axis=-1)
+    columns = np.empty((n + 1, 3), dtype=int)
+    columns[0] = np.arange(3)
+    start = 0
+    for stop in [*(np.flatnonzero(tied) + 1).tolist(), n + 1]:
+        scan, shift = maps[start:stop - 1].copy(), 1
+        while shift < len(scan):
+            scan[shift:] = np.take_along_axis(scan[shift:], scan[:-shift], -1)
+            shift *= 2
+        columns[start + 1:stop] = scan[:, columns[start]]
+        if stop <= n:
+            columns[stop] = _greedy_overlap_match(
+                overlap[stop - 1][columns[stop - 1]], omegas[stop])
+        start = stop
+    return columns
+
+
 def _acoustic_threshold(omega0s) -> float:
-    scale = max(float(np.max(omega0s)), 1.0)
-    return 1e-6 * scale
+    return 1e-6 * max(float(np.max(omega0s)), 1.0)
 
 
 def _label_branches(block: WaveBlock, omega0s, vectors0, labels):
@@ -218,16 +278,18 @@ def _label_branches(block: WaveBlock, omega0s, vectors0, labels):
         return names
 
     prefix = "L" if block is WaveBlock.LONGITUDINAL else "T"
-    optic_rank = 0
-    acoustic_seen = False
-    for i in sorted(range(n), key=lambda j: float(omega0s[j])):
-        if not acoustic_seen and float(omega0s[i]) <= tol:
-            names[i] = f"{prefix}A"
-            acoustic_seen = True
-        else:
-            optic_rank += 1
-            names[i] = f"{prefix}O{optic_rank}"
+    ranked = sorted(range(n), key=lambda j: float(omega0s[j]))
+    # only the lowest branch can be acoustic; the others are numbered
+    acoustic = float(omega0s[ranked[0]]) <= tol
+    for rank, i in enumerate(ranked, start=0 if acoustic else 1):
+        names[i] = f"{prefix}O{rank}" if rank else f"{prefix}A"
     return names
+
+
+def _located(exc, model: ModelKind, block: WaveBlock, k: np.ndarray):
+    """``exc`` again, its message prefixed by the model, block and k."""
+    return type(exc)(f"{model.value}, {block.value} block, "
+                     f"k = {k[exc.index]:g} rad/m: {exc}", exc.index)
 
 
 def sweep(model: ModelKind, elastic: ElasticParams, inertia: InertiaParams,
@@ -235,43 +297,40 @@ def sweep(model: ModelKind, elastic: ElasticParams, inertia: InertiaParams,
           transverse_axis: int = 2) -> DispersionCurve:
     """Dispersion branches of one block over a wavenumber grid.
 
-    The block pencils of the whole grid are solved as one stack; adjacent
-    eigenpairs are then joined by greedy maximal overlap |v_prev^H M v_new|.
-    A solver failure is re-raised with the model, block and k added.
+    The block pencils of the whole grid are solved as one stack, adjacent
+    eigenpairs are joined by greedy maximal overlap |v_prev^H M v_new| for
+    all steps at once (sequentially only at exact ties), and the modes are
+    classified in one pass.  A solver failure or a zero eigenvector is
+    re-raised with the model, block and k added.
     """
     bs = block_for(model, elastic, inertia, block, transverse_axis)
     k = grid.values
-    n_k = len(grid)
     masses = bs.mass_at(k)
     try:
         sol = general_eig_stack(bs.stiffness_at(k), masses)
     except EigenSolveError as exc:
-        raise type(exc)(f"{model.value}, {block.value} block, "
-                        f"k = {k[exc.index]:g} rad/m: {exc}",
-                        exc.index) from exc
+        raise _located(exc, model, block, k) from exc
     omegas_raw = np.sqrt(sol.omega_sq)
     # overlap[j - 1, r, c] = |v_r(k_{j-1})^H M(k_j) v_c(k_j)|, unpermuted
     overlap = np.abs(np.conj(np.swapaxes(sol.vectors[:-1], 1, 2))
                      @ (masses[1:] @ sol.vectors[1:]))
 
-    # columns[j, b] is the eigenpair of k_j that continues branch b
-    columns = np.empty((n_k, 3), dtype=int)
-    columns[0] = np.arange(3)
-    for j in range(1, n_k):
-        columns[j] = _greedy_overlap_match(overlap[j - 1][columns[j - 1]],
-                                           omegas_raw[j])
+    columns = _continue_branches(overlap, omegas_raw)
     omegas = np.take_along_axis(omegas_raw, columns, axis=1)
     vectors = np.take_along_axis(sol.vectors, columns[:, None, :], axis=2)
 
     names = _label_branches(block, omegas[0], vectors[0], bs.labels)
-
-    branches = []
-    for b in range(3):
-        modes = tuple(classify_mode(vectors[j, :, b], bs.labels)
-                      for j in range(n_k))
-        branches.append(Branch(label=names[b], omegas=omegas[:, b].copy(),
-                               vectors=vectors[:, :, b].copy(), modes=modes))
-    branches = tuple(branches)
+    try:
+        dominant, ratio = classify_mode_stack(np.swapaxes(vectors, 1, 2),
+                                              bs.labels)
+    except ZeroVectorError as exc:
+        raise _located(exc, model, block, k) from exc
+    branches = tuple(
+        Branch(label=names[b], omegas=omegas[:, b].copy(),
+               vectors=vectors[:, :, b].copy(),
+               modes=tuple(map(ModeMarker, dominant[:, b].tolist(),
+                               ratio[:, b].tolist())))
+        for b in range(3))
 
     tol = _acoustic_threshold(omegas[0])
     cut = tuple(Cutoff(omega=float(omegas[0, b]), acoustic=False,
@@ -302,11 +361,9 @@ def cutoffs(model: ModelKind, elastic: ElasticParams,
         sol = general_eig(bs.stiffness_at(0.0), bs.mass_at(0.0))
         omega0 = np.sqrt(sol.omega_sq)
         tol = _acoustic_threshold(omega0)
-        entries = []
-        for i in range(3):
-            dof = bs.labels[int(np.argmax(np.abs(sol.vectors[:, i])))]
-            acoustic = bool(omega0[i] <= tol and block is not WaveBlock.UNCOUPLED)
-            entries.append(Cutoff(omega=float(omega0[i]), acoustic=acoustic,
-                                  mode=dof))
-        out[block] = tuple(entries)
+        out[block] = tuple(
+            Cutoff(omega=float(omega0[i]), acoustic=bool(
+                omega0[i] <= tol and block is not WaveBlock.UNCOUPLED),
+                mode=bs.labels[int(np.argmax(np.abs(sol.vectors[:, i])))])
+            for i in range(3))
     return out

@@ -6,6 +6,8 @@ cubic coefficients are recovered from the Vandermonde system, and the three
 real roots come out of the closed-form trigonometric solution.  The gap
 finder at the end marks a boolean array with one entry per frequency bin,
 the direct form of the interval union that the production code computes.
+The branch continuation and the mode classifier are the plain per-step and
+per-vector loops that the production code replaces by array passes.
 """
 
 import math
@@ -108,3 +110,43 @@ def binned_coverage(branches, omega_ceiling, delta_omega, min_gap_width):
                 gaps.append((lo, hi))
             start = None
     return gaps, int(np.count_nonzero(bins)), owners
+
+
+def greedy_continuation(overlap, omegas):
+    """Branch order of a sweep by sequential greedy overlap matching.
+
+    ``overlap[j - 1][p, c]`` is the overlap of eigenpair p at step j - 1
+    with eigenpair c at step j, and ``omegas[j]`` the frequencies of step
+    j.  At every step the overlaps are reordered by branch, and entries are
+    taken by descending overlap, then ascending new frequency, branch and
+    column, skipping taken branches and columns.  Returns columns[j][b],
+    the eigenpair of step j that continues branch b.
+    """
+    n = len(omegas[0])
+    columns = [list(range(n))]
+    for j in range(1, len(omegas)):
+        prev = columns[-1]
+        entries = sorted((-float(overlap[j - 1][prev[b]][c]),
+                          float(omegas[j][c]), b, c)
+                         for b in range(n) for c in range(n))
+        new = [None] * n
+        for _, _, b, c in entries:
+            if new[b] is None and c not in new:
+                new[b] = c
+        columns.append(new)
+    return columns
+
+
+def classify_vector(vector, labels, threshold):
+    """(dominant, ratio) of one eigenvector, one component at a time.
+
+    The dominant label is the component of largest magnitude, the last one
+    among equals; it is "Mixed" when the largest magnitude is less than
+    ``threshold`` times the second largest.  The ratio is inf when the
+    second largest is zero.
+    """
+    mags = [abs(complex(v)) for v in vector]
+    top = max(range(len(mags)), key=lambda i: (mags[i], i))
+    second = max(m for i, m in enumerate(mags) if i != top)
+    ratio = math.inf if second == 0.0 else mags[top] / second
+    return (labels[top] if ratio >= threshold else "Mixed"), ratio

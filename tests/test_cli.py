@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import mmbands.dispersion
 from mmbands.cli import run
 
 from conftest import (MU_E_MPA, LAMBDA_E_MPA, MU_C_MPA, MU_MICRO_MPA,
@@ -193,6 +194,36 @@ class TestGapsCommand:
         assert a == b
 
 
+class TestZeroCharacteristicLength:
+    """L_c = 0 is admissible; the default grid then scales by sqrt(eta/rho)."""
+
+    MODELS = ["relaxed-curl", "relaxed-div-curl", "relaxed-div",
+              "mindlin-eringen", "internal-variable"]
+
+    def test_gaps_of_every_model_equal_internal_variable(self, capsys):
+        # without a curvature term all five variants are the internal-
+        # variable model, which ignores L_c
+        assert run(["gaps", "--config", DEMO_CONFIG,
+                    "--model", "internal-variable"]) == 0
+        reference = json.loads(capsys.readouterr().out)
+        assert reference.pop("model") == "internal-variable"
+        assert reference["n_gaps"] == 3
+        for model in self.MODELS:
+            assert run(["gaps", "--config", DEMO_CONFIG, "--l-c", "0",
+                        "--model", model]) == 0
+            data = json.loads(capsys.readouterr().out)
+            assert data.pop("model") == model
+            assert data == reference
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_disperse_succeeds(self, tmp_path, model):
+        code, text = run_to_file(tmp_path, "disp.csv",
+                                 ["disperse", "--config", DEMO_CONFIG,
+                                  "--l-c", "0", "--model", model])
+        assert code == 0
+        assert len(text.splitlines()) == 1 + 3 * 3 * 400
+
+
 class TestModesCommand:
     def test_acoustic_branch_modes(self, tmp_path, config_file):
         argv = ["modes", "--config", config_file, "--block", "longitudinal",
@@ -279,6 +310,24 @@ class TestErrorPaths:
 
     def test_missing_config_file(self):
         assert run(["gaps", "--config", "/nonexistent/file.cfg"]) == 2
+
+    def test_zero_eigenvector_is_a_numerical_failure(self, monkeypatch,
+                                                     capsys):
+        solve = mmbands.dispersion.general_eig_stack
+
+        def zero_column_solve(k_stack, m_stack):
+            sol = solve(k_stack, m_stack)
+            sol.vectors[3, :, 0] = 0.0
+            return sol
+
+        monkeypatch.setattr(mmbands.dispersion, "general_eig_stack",
+                            zero_column_solve)
+        code = run(["disperse", "--config", DEMO_CONFIG,
+                    "--grid-points", "60"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: relaxed-curl, ")
+        assert "zero eigenvector" in err
 
     @pytest.mark.parametrize("flag, value", [
         ("--delta-omega", "0"), ("--omega-ceiling", "0"),

@@ -1,12 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import mmbands.dispersion
+from mmbands.assembly import block_for
 from mmbands.core import ElasticParams, ModelKind, WaveBlock, homogenize
-from mmbands.dispersion import (Branch, DegenerateGridError, KGrid,
-                                ZeroVectorError, classify_mode, cutoffs,
-                                default_grid, detect_asymptote, sweep)
-from mmbands.eigensolve import NotPositiveDefiniteError
+from mmbands.dispersion import (MODE_RATIO_THRESHOLD, Branch,
+                                DegenerateGridError, KGrid, ZeroVectorError,
+                                _continue_branches, classify_mode,
+                                classify_mode_stack, cutoffs, default_grid,
+                                detect_asymptote, sweep)
+from mmbands.eigensolve import NotPositiveDefiniteError, general_eig_stack
+
+from oracles import classify_vector, greedy_continuation
 
 ALL_MODELS = list(ModelKind)
 ALL_BLOCKS = [WaveBlock.LONGITUDINAL, WaveBlock.TRANSVERSE,
@@ -52,6 +59,18 @@ class TestKGrid:
         assert grid.k_max == pytest.approx(100.0 / ref_elastic.L_c)
         assert len(grid) == 400
 
+    def test_default_grid_without_length_uses_inertia(self, ref_elastic,
+                                                      inertia_on):
+        assert default_grid(ref_elastic, inertia_on).k_max == \
+            default_grid(ref_elastic).k_max
+        no_length = replace(ref_elastic, L_c=0.0)
+        grid = default_grid(no_length, inertia_on, points=120)
+        length = np.sqrt(inertia_on.eta / inertia_on.rho)
+        assert grid.k_max == pytest.approx(100.0 / length)
+        assert len(grid) == 120
+        with pytest.raises(DegenerateGridError, match="L_c = 0"):
+            default_grid(no_length)
+
 
 class TestClassifyMode:
     LABELS = ("u1", "P_S", "P_D")
@@ -80,6 +99,49 @@ class TestClassifyMode:
         for _ in range(30):
             v = rng.normal(size=3) + 1j * rng.normal(size=3)
             assert classify_mode(v, self.LABELS).ratio >= 1.0
+
+    def test_stack_matches_per_vector_oracle(self):
+        rng = np.random.default_rng(17)
+        edge_cases = np.array([
+            [0.5, 0.5, 0.1],            # equal top magnitudes
+            [0.0, 0.3, -0.3j],          # equal top magnitudes, no third
+            [0.0, 0.0, 2.0j],           # zero second component
+            [1.25, 1.0, 0.0],           # ratio exactly at the threshold
+            [1.0, -1.25j, 0.5],
+            [0.7, 0.68, 0.1],           # just below the threshold
+        ])
+        # magnitudes from a few values and exact phases: ties everywhere
+        ties = (rng.choice([0.0, 0.8, 1.0, 1.25], size=(200, 3))
+                * rng.choice([1, -1, 1j, -1j], size=(200, 3)))
+        ties = ties[np.abs(ties).max(axis=1) > 0.0]
+        generic = rng.normal(size=(200, 3)) + 1j * rng.normal(size=(200, 3))
+        vectors = np.concatenate([edge_cases, ties, generic])
+        names, ratios = classify_mode_stack(vectors, self.LABELS)
+        assert names.shape == ratios.shape == (len(vectors),)
+        exact = len(edge_cases) + len(ties)
+        for i, v in enumerate(vectors):
+            name, ratio = classify_vector(v, self.LABELS, MODE_RATIO_THRESHOLD)
+            assert names[i] == name
+            # the oracle's complex abs may round differently from numpy's
+            # unless the magnitudes are exact, as they are for the ties
+            assert ratios[i] == (ratio if i < exact
+                                 else pytest.approx(ratio, rel=1e-15))
+            marker = classify_mode(v, self.LABELS)
+            assert (marker.dominant, marker.ratio) == (names[i], ratios[i])
+        assert (names[3], ratios[3]) == ("u1", MODE_RATIO_THRESHOLD)
+        assert names[0] == "Mixed" and ratios[2] == np.inf
+        # a stack of any leading shape gives the same markers
+        stacked = classify_mode_stack(vectors[:204].reshape(68, 3, 3),
+                                      self.LABELS)
+        assert np.array_equal(stacked[0].reshape(-1), names[:204])
+        assert np.array_equal(stacked[1].reshape(-1), ratios[:204])
+
+    def test_stack_zero_vector_names_its_index(self):
+        vectors = np.ones((6, 3, 3))
+        vectors[4, 1] = 0.0
+        with pytest.raises(ZeroVectorError) as info:
+            classify_mode_stack(vectors, self.LABELS)
+        assert info.value.index == 4
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)
@@ -401,3 +463,70 @@ def test_sweep_error_names_model_block_and_k(monkeypatch, ref_elastic,
     assert f"k = {grid.values[7]:g} rad/m" in message
     assert "pencil 7" in message
     assert info.value.index == 7
+
+
+def test_sweep_zero_vector_names_model_block_and_k(monkeypatch, ref_elastic,
+                                                   inertia_on):
+    solve = mmbands.dispersion.general_eig_stack
+
+    def zero_column_solve(k_stack, m_stack):
+        sol = solve(k_stack, m_stack)
+        sol.vectors[7, :, 1] = 0.0
+        return sol
+
+    monkeypatch.setattr(mmbands.dispersion, "general_eig_stack",
+                        zero_column_solve)
+    grid = KGrid.linear(1.0e5, 60)
+    with pytest.raises(ZeroVectorError) as info:
+        sweep(ModelKind.RELAXED_DIV, ref_elastic, inertia_on,
+              WaveBlock.LONGITUDINAL, grid)
+    message = str(info.value)
+    assert "relaxed-div, longitudinal block" in message
+    assert f"k = {grid.values[7]:g} rad/m" in message
+    assert "zero eigenvector" in message
+    assert info.value.index == 7
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+@pytest.mark.parametrize("block", ALL_BLOCKS)
+@pytest.mark.parametrize("inertia", ["inertia_off", "inertia_on"])
+def test_branch_order_matches_sequential_oracle(model, block, inertia,
+                                                ref_elastic, request,
+                                                monkeypatch):
+    inertia = request.getfixturevalue(inertia)
+    grid = default_grid(ref_elastic)
+    bs = block_for(model, ref_elastic, inertia, block)
+    masses = bs.mass_at(grid.values)
+    sol = general_eig_stack(bs.stiffness_at(grid.values), masses)
+    omegas, vectors = np.sqrt(sol.omega_sq), sol.vectors
+    overlap = np.abs(np.conj(np.swapaxes(vectors[:-1], 1, 2))
+                     @ (masses[1:] @ vectors[1:]))
+    columns = np.array(greedy_continuation(overlap, omegas))
+
+    match = mmbands.dispersion._greedy_overlap_match
+    tied_steps = []
+    monkeypatch.setattr(mmbands.dispersion, "_greedy_overlap_match",
+                        lambda *a: tied_steps.append(1) or match(*a))
+    curve = sweep(model, ref_elastic, inertia, block, grid)
+    rows = np.arange(len(grid))
+    for b, branch in enumerate(curve.branches):
+        assert np.array_equal(branch.omegas, omegas[rows, columns[:, b]])
+        assert np.array_equal(branch.vectors, vectors[rows, :, columns[:, b]])
+    # the uncoupled block has an exact double root, so its greedy choice
+    # ties at every step; the coupled blocks never tie
+    expected = len(grid) - 1 if block is WaveBlock.UNCOUPLED else 0
+    assert len(tied_steps) == expected
+
+
+def test_continuation_matches_oracle_at_engineered_ties():
+    rng = np.random.default_rng(23)
+    for _ in range(60):
+        n_k = int(rng.integers(2, 80))
+        overlap = rng.random((n_k - 1, 3, 3))
+        omegas = np.sort(rng.random((n_k, 3)), axis=1)
+        # a few values make ties in overlap and in frequency common
+        tied = rng.random(n_k - 1) < rng.random()
+        overlap[tied] = rng.choice([0.0, 0.5, 1.0], size=(tied.sum(), 3, 3))
+        omegas[1:][tied] = rng.choice([1.0, 2.0], size=(tied.sum(), 3))
+        expected = greedy_continuation(overlap, omegas)
+        assert np.array_equal(_continue_branches(overlap, omegas), expected)
