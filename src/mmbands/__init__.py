@@ -17,9 +17,9 @@ from .core import (ElasticParams, InertiaParams, InvariantCheck, MacroParams,
                    ModelKind, ValidationReport, WaveBlock, homogenize,
                    validate)
 from .dispersion import (Branch, Cutoff, DegenerateGridError,
-                         DispersionCurve, KGrid, ModeMarker, ZeroVectorError,
-                         classify_mode, classify_mode_stack, cutoffs,
-                         default_grid, detect_asymptote, sweep)
+                         DispersionCurve, KGrid, ZeroVectorError,
+                         classify_mode_stack, cutoffs, default_grid,
+                         detect_asymptote, sweep)
 from .eigensolve import (EigenSolution, EigenSolveError,
                          NegativeEigenvalueError, NotHermitianError,
                          NotPositiveDefiniteError, general_eig,
@@ -36,8 +36,8 @@ __all__ = [
     "ElasticParams", "InertiaParams", "InvariantCheck", "MacroParams",
     "ModelKind", "ValidationReport", "WaveBlock", "homogenize", "validate",
     "Branch", "Cutoff", "DegenerateGridError", "DispersionCurve", "KGrid",
-    "ModeMarker", "ZeroVectorError", "classify_mode", "classify_mode_stack",
-    "cutoffs", "default_grid", "detect_asymptote", "sweep",
+    "ZeroVectorError", "classify_mode_stack", "cutoffs", "default_grid",
+    "detect_asymptote", "sweep",
     "EigenSolution", "EigenSolveError", "NegativeEigenvalueError",
     "NotHermitianError", "NotPositiveDefiniteError", "general_eig",
     "general_eig_stack",

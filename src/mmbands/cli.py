@@ -247,9 +247,8 @@ def _sweep_all_blocks(cfg: RunConfig):
 
 def _branch_columns(branch, scale):
     """omega, dominant_mode and ratio columns of one branch, as lists."""
-    return ((branch.omegas * scale).tolist(),
-            [m.dominant for m in branch.modes],
-            [m.ratio for m in branch.modes])
+    return ((branch.omegas * scale).tolist(), branch.dominant.tolist(),
+            branch.ratio.tolist())
 
 
 def _cmd_disperse(cfg: RunConfig, args, err) -> int:

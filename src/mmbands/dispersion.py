@@ -5,10 +5,13 @@ wavenumbers and strings the eigenpairs into continuous branches by maximal
 mass-weighted eigenvector overlap between adjacent grid points, so branches
 keep their physical identity through avoided crossings.  The matches of all
 steps come from one array pass (sequential only where a greedy choice ties
-exactly), and the dominant DOF of every sample from one more.  Labels are
-decided once, at k = 0: the branch with omega(0) = 0 is acoustic, the optic
-branches are named by ascending cut-off (coupled blocks) or by their
-dominant micro mode (uncoupled block).
+exactly), and the dominant DOF of every sample from one more; a branch
+stores them as arrays (``dominant``, ``ratio``) next to its frequencies.
+Labels are decided once, at k = 0: the lowest coupled branch is acoustic
+when omega(0) = 0, the optic branches are named by ascending cut-off
+(coupled blocks) or by their dominant micro mode (uncoupled block).
+``cutoffs`` applies the same labels to its k = 0 solve, so a cut-off is
+acoustic exactly when its branch is LA or TA.
 """
 
 from __future__ import annotations
@@ -91,30 +94,24 @@ def default_grid(elastic: ElasticParams,
 
 
 @dataclass(frozen=True)
-class ModeMarker:
-    """Dominant vibration mode of one eigenvector sample.
-
-    ``dominant`` is one of the block's DOF names, or "Mixed" when the two
-    largest components are closer than the ratio threshold.
-    """
-
-    dominant: str
-    ratio: float
-
-
-@dataclass(frozen=True)
 class Branch:
-    """One continued dispersion branch omega(k) with its eigenvectors."""
+    """One continued dispersion branch omega(k) with its eigenvectors.
+
+    ``dominant[j]`` is the DOF name that dominates sample j, or "Mixed"
+    when its two largest components are closer than the ratio threshold;
+    ``ratio[j]`` is the ratio of those two magnitudes.
+    """
 
     label: str
     omegas: np.ndarray
     vectors: np.ndarray          # shape (n_k, 3), block-basis components
-    modes: tuple[ModeMarker, ...]
+    dominant: np.ndarray         # shape (n_k,), object array of names
+    ratio: np.ndarray            # shape (n_k,)
 
 
 @dataclass(frozen=True)
 class Cutoff:
-    """A k = 0 frequency of one block; acoustic branches have omega = 0."""
+    """A k = 0 frequency of one block; acoustic when its branch is LA/TA."""
 
     omega: float
     acoustic: bool
@@ -128,7 +125,6 @@ class DispersionCurve:
     block: WaveBlock
     grid: KGrid
     branches: tuple[Branch, Branch, Branch]
-    cutoffs: tuple[Cutoff, ...]
     asymptote_flags: tuple[bool, bool, bool]
     model: ModelKind
     elastic: ElasticParams
@@ -144,11 +140,12 @@ def classify_mode_stack(vectors, labels):
 
     Returns names (a label, or "Mixed" below ``MODE_RATIO_THRESHOLD``) and
     the ratios of the two largest magnitudes (inf if the second is 0), each
-    shaped like the leading axes.  A zero vector raises ZeroVectorError
-    with its position along the first axis as ``index``.
+    shaped like the leading axes (0-d for one vector).  A zero vector
+    raises ZeroVectorError with its position along the first axis (0 for
+    one vector) as ``index``.
     """
     mags = np.abs(np.asarray(vectors, dtype=complex))
-    zero = np.nonzero(np.max(mags, axis=-1) == 0.0)[0]
+    zero = np.nonzero(np.atleast_1d(np.max(mags, axis=-1) == 0.0))[0]
     if zero.size:
         raise ZeroVectorError(f"cannot classify a zero eigenvector "
                               f"(stack index {zero[0]})", int(zero[0]))
@@ -160,15 +157,7 @@ def classify_mode_stack(vectors, labels):
                           where=second != 0.0)
     names = np.array(["Mixed", *labels], dtype=object)
     return names[np.where(ratio >= MODE_RATIO_THRESHOLD,
-                          order[..., -1] + 1, 0)], ratio
-
-
-def classify_mode(vector, labels) -> ModeMarker:
-    """Name the dominant DOF of an eigenvector, or "Mixed" when unclear
-    (the one-vector form of ``classify_mode_stack``)."""
-    (dominant,), (ratio,) = classify_mode_stack(np.asarray(vector)[None],
-                                                labels)
-    return ModeMarker(dominant=dominant, ratio=float(ratio))
+                          order[..., -1] + 1, 0), ...], ratio
 
 
 def detect_asymptote(branch: Branch, grid: KGrid) -> bool:
@@ -250,20 +239,16 @@ def _continue_branches(overlap: np.ndarray, omegas: np.ndarray):
     return columns
 
 
-def _acoustic_threshold(omega0s) -> float:
-    return 1e-6 * max(float(np.max(omega0s)), 1.0)
-
-
 def _label_branches(block: WaveBlock, omega0s, vectors0, labels):
     """Branch names decided at k = 0.
 
-    Coupled blocks: the zero-frequency branch is acoustic (LA/TA) and the
-    optic branches are numbered by ascending cut-off.  The uncoupled block
-    is named by the dominant micro mode: symmetric shear (TSO), rotational
-    (TRO) or constant-volume (TCVO).
+    Coupled blocks: the lowest branch is acoustic (LA/TA) when its omega(0)
+    is at most 1e-6 * max(top cut-off, 1 rad/s); the others are optic,
+    numbered by ascending cut-off.  The uncoupled block is named by the
+    dominant micro mode: symmetric shear (TSO), rotational (TRO) or
+    constant-volume (TCVO).
     """
     n = len(omega0s)
-    tol = _acoustic_threshold(omega0s)
     names = [""] * n
     if block is WaveBlock.UNCOUPLED:
         by_dof = {"P_(23)": "TSO", "P_[23]": "TRO", "P_V": "TCVO"}
@@ -280,7 +265,8 @@ def _label_branches(block: WaveBlock, omega0s, vectors0, labels):
     prefix = "L" if block is WaveBlock.LONGITUDINAL else "T"
     ranked = sorted(range(n), key=lambda j: float(omega0s[j]))
     # only the lowest branch can be acoustic; the others are numbered
-    acoustic = float(omega0s[ranked[0]]) <= tol
+    acoustic = (float(omega0s[ranked[0]])
+                <= 1e-6 * max(float(np.max(omega0s)), 1.0))
     for rank, i in enumerate(ranked, start=0 if acoustic else 1):
         names[i] = f"{prefix}O{rank}" if rank else f"{prefix}A"
     return names
@@ -327,43 +313,35 @@ def sweep(model: ModelKind, elastic: ElasticParams, inertia: InertiaParams,
         raise _located(exc, model, block, k) from exc
     branches = tuple(
         Branch(label=names[b], omegas=omegas[:, b].copy(),
-               vectors=vectors[:, :, b].copy(),
-               modes=tuple(map(ModeMarker, dominant[:, b].tolist(),
-                               ratio[:, b].tolist())))
+               vectors=vectors[:, :, b].copy(), dominant=dominant[:, b],
+               ratio=ratio[:, b])
         for b in range(3))
-
-    tol = _acoustic_threshold(omegas[0])
-    cut = tuple(Cutoff(omega=float(omegas[0, b]), acoustic=False,
-                       mode=branches[b].modes[0].dominant)
-                for b in range(3)
-                if block is WaveBlock.UNCOUPLED or float(omegas[0, b]) > tol)
 
     flags = tuple(detect_asymptote(br, grid) for br in branches)
     return DispersionCurve(
-        block=block, grid=grid, branches=branches, cutoffs=cut,
-        asymptote_flags=flags, model=model, elastic=elastic,
-        inertia=inertia, transverse_axis=transverse_axis)
+        block=block, grid=grid, branches=branches, asymptote_flags=flags,
+        model=model, elastic=elastic, inertia=inertia,
+        transverse_axis=transverse_axis)
 
 
 def cutoffs(model: ModelKind, elastic: ElasticParams,
             inertia: InertiaParams) -> dict[WaveBlock, tuple[Cutoff, ...]]:
-    """All k = 0 frequencies per block, ascending, acoustic zeros tagged.
+    """All k = 0 frequencies per block, ascending.
 
-    The gradient micro-inertiae scale with k^2 and therefore cannot move
-    these values; they depend on the constitutive moduli and the free
+    A cut-off is acoustic exactly when ``sweep`` would name its branch LA
+    or TA.  The gradient micro-inertiae scale with k^2 and therefore cannot
+    move these values; they depend on the constitutive moduli and the free
     micro-inertia only.
     """
     out: dict[WaveBlock, tuple[Cutoff, ...]] = {}
     blocks = block_decompose(assemble_full(model, elastic, inertia))
     # blocks[2] is the x3 transverse block, identical to blocks[1]
     for bs in (blocks[0], blocks[1], blocks[3]):
-        block = bs.block
         sol = general_eig(bs.stiffness_at(0.0), bs.mass_at(0.0))
         omega0 = np.sqrt(sol.omega_sq)
-        tol = _acoustic_threshold(omega0)
-        out[block] = tuple(
-            Cutoff(omega=float(omega0[i]), acoustic=bool(
-                omega0[i] <= tol and block is not WaveBlock.UNCOUPLED),
-                mode=bs.labels[int(np.argmax(np.abs(sol.vectors[:, i])))])
-            for i in range(3))
+        names = _label_branches(bs.block, omega0, sol.vectors, bs.labels)
+        out[bs.block] = tuple(
+            Cutoff(omega=float(omega), acoustic=name in ("LA", "TA"),
+                   mode=bs.labels[int(np.argmax(np.abs(vector)))])
+            for omega, name, vector in zip(omega0, names, sol.vectors.T))
     return out

@@ -9,8 +9,8 @@ from mmbands.bandgap import (COMPLETE, FrequencyAxisError,
                              default_omega_ceiling, detect_gaps,
                              gaps_from_coverage)
 from mmbands.core import InertiaParams, ModelKind, WaveBlock
-from mmbands.dispersion import (Branch, DispersionCurve, KGrid, ModeMarker,
-                                sweep, default_grid)
+from mmbands.dispersion import (Branch, DispersionCurve, KGrid, sweep,
+                                default_grid)
 
 from conftest import RHO, ETA
 from oracles import binned_coverage
@@ -27,10 +27,11 @@ def synthetic_curve(omegas_per_branch, flags, elastic, inertia,
     branches = tuple(
         Branch(label=f"B{i}", omegas=np.asarray(om, dtype=float),
                vectors=np.zeros((len(om), 3), dtype=complex),
-               modes=tuple(ModeMarker("Mixed", 1.0) for _ in om))
+               dominant=np.full(len(om), "Mixed", dtype=object),
+               ratio=np.ones(len(om)))
         for i, om in enumerate(omegas_per_branch))
     return DispersionCurve(block=block, grid=grid, branches=branches,
-                           cutoffs=(), asymptote_flags=flags, model=model,
+                           asymptote_flags=flags, model=model,
                            elastic=elastic, inertia=inertia)
 
 

@@ -77,6 +77,16 @@ class TestCutoffsCommand:
         assert lon[0]["acoustic"] is True and lon[0]["omega"] == 0.0
         assert lon[2]["omega"] == pytest.approx(4.5826e5, rel=1e-4)
 
+    def test_micro_rotation_not_acoustic_at_zero_mu_c(self, tmp_path):
+        code, text = run_to_file(tmp_path, "cut.json",
+                                 ["cutoffs", "--config", DEMO_CONFIG,
+                                  "--mu-c", "0"])
+        assert code == 0
+        tra = json.loads(text)["blocks"]["transverse"]
+        rotation = [c for c in tra if c["mode"] == "P_[12]"]
+        assert len(rotation) == 1 and rotation[0]["acoustic"] is False
+        assert [c["mode"] for c in tra if c["acoustic"]] == ["u2"]
+
     def test_hertz_flag(self, tmp_path, config_file):
         _, rad = run_to_file(tmp_path, "a.json",
                              ["cutoffs", "--config", config_file])

@@ -5,12 +5,13 @@ import pytest
 
 import mmbands.dispersion
 from mmbands.assembly import block_for
-from mmbands.core import ElasticParams, ModelKind, WaveBlock, homogenize
+from mmbands.core import (ElasticParams, InertiaParams, ModelKind, WaveBlock,
+                          homogenize, validate)
 from mmbands.dispersion import (MODE_RATIO_THRESHOLD, Branch,
                                 DegenerateGridError, KGrid, ZeroVectorError,
-                                _continue_branches, classify_mode,
-                                classify_mode_stack, cutoffs, default_grid,
-                                detect_asymptote, sweep)
+                                _continue_branches, classify_mode_stack,
+                                cutoffs, default_grid, detect_asymptote,
+                                sweep)
 from mmbands.eigensolve import NotPositiveDefiniteError, general_eig_stack
 
 from oracles import classify_vector, greedy_continuation
@@ -18,6 +19,22 @@ from oracles import classify_vector, greedy_continuation
 ALL_MODELS = list(ModelKind)
 ALL_BLOCKS = [WaveBlock.LONGITUDINAL, WaveBlock.TRANSVERSE,
               WaveBlock.UNCOUPLED]
+
+
+def admissible_set(seed, mu_c_zero):
+    """Seeded moduli over three decades, lambdas of either sign (3*lambda
+    + 2*mu > 0), L_c from 0.1 to 10 mm and gradient inertiae on or off."""
+    rng = np.random.default_rng(seed)
+    mu_e, mu_c, mu_micro = 10.0 ** rng.uniform(7.0, 10.0, size=3)
+    elastic = ElasticParams(
+        mu_e=mu_e, lambda_e=mu_e * rng.uniform(-0.6, 2.0),
+        mu_c=0.0 if mu_c_zero else mu_c, mu_micro=mu_micro,
+        lambda_micro=mu_micro * rng.uniform(-0.6, 2.0),
+        L_c=10.0 ** rng.uniform(-4.0, -2.0))
+    inertia = InertiaParams(rho=rng.uniform(1.0e3, 1.0e4),
+                            eta=10.0 ** rng.uniform(-3.0, -1.0))
+    eta_bar = float(rng.choice([0.0, inertia.eta]))
+    return elastic, inertia.with_eta_bar(eta_bar)
 
 
 def shear_cutoff(el, inertia):
@@ -75,30 +92,37 @@ class TestKGrid:
 class TestClassifyMode:
     LABELS = ("u1", "P_S", "P_D")
 
+    def classify_one(self, vector):
+        """(dominant, ratio) of one bare (3,) vector, whose results are 0-d."""
+        name, ratio = classify_mode_stack(vector, self.LABELS)
+        assert name.shape == ratio.shape == ()
+        return name.item(), ratio.item()
+
     def test_pure_mode(self):
-        marker = classify_mode(np.array([1.0, 0.0, 0.0]), self.LABELS)
-        assert marker.dominant == "u1"
-        assert marker.ratio == np.inf
+        dominant, ratio = self.classify_one(np.array([1.0, 0.0, 0.0]))
+        assert dominant == "u1"
+        assert ratio == np.inf
 
     def test_mixed_below_threshold(self):
-        marker = classify_mode(np.array([0.7, 0.68, 0.1]), self.LABELS)
-        assert marker.dominant == "Mixed"
-        assert marker.ratio == pytest.approx(0.7 / 0.68)
+        dominant, ratio = self.classify_one(np.array([0.7, 0.68, 0.1]))
+        assert dominant == "Mixed"
+        assert ratio == pytest.approx(0.7 / 0.68)
 
     def test_clear_dominance(self):
-        marker = classify_mode(np.array([0.1, 0.9j, 0.2]), self.LABELS)
-        assert marker.dominant == "P_S"
-        assert marker.ratio >= 1.25
+        dominant, ratio = self.classify_one(np.array([0.1, 0.9j, 0.2]))
+        assert dominant == "P_S"
+        assert ratio >= 1.25
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(ZeroVectorError):
-            classify_mode(np.zeros(3), self.LABELS)
+        with pytest.raises(ZeroVectorError) as info:
+            classify_mode_stack(np.zeros(3), self.LABELS)
+        assert info.value.index == 0
 
     def test_ratio_at_least_one(self):
         rng = np.random.default_rng(5)
         for _ in range(30):
             v = rng.normal(size=3) + 1j * rng.normal(size=3)
-            assert classify_mode(v, self.LABELS).ratio >= 1.0
+            assert self.classify_one(v)[1] >= 1.0
 
     def test_stack_matches_per_vector_oracle(self):
         rng = np.random.default_rng(17)
@@ -126,8 +150,7 @@ class TestClassifyMode:
             # unless the magnitudes are exact, as they are for the ties
             assert ratios[i] == (ratio if i < exact
                                  else pytest.approx(ratio, rel=1e-15))
-            marker = classify_mode(v, self.LABELS)
-            assert (marker.dominant, marker.ratio) == (names[i], ratios[i])
+            assert self.classify_one(v) == (names[i], ratios[i])
         assert (names[3], ratios[3]) == ("u1", MODE_RATIO_THRESHOLD)
         assert names[0] == "Mixed" and ratios[2] == np.inf
         # a stack of any leading shape gives the same markers
@@ -200,6 +223,39 @@ class TestCutoffs:
                     assert b.omega == 0.0
                 else:
                     assert abs(a.omega - b.omega) <= 1e-12 * a.omega
+
+    def test_optic_cutoff_cardinality(self, ref_elastic, inertia_off):
+        table = cutoffs(ModelKind.RELAXED_CURL, ref_elastic, inertia_off)
+        optic = [c for c in table[WaveBlock.LONGITUDINAL] if not c.acoustic]
+        assert len(optic) == 2                # the two nonzero optic starts
+        assert all(c.omega > 0.0 for c in optic)
+        assert len(table[WaveBlock.UNCOUPLED]) == 3
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_one_acoustic_transverse_cutoff_at_zero_mu_c(
+            self, model, ref_elastic, inertia_off):
+        # mu_c = 0 leaves the micro-rotation P_[12] at omega(0) = 0 as well,
+        # but it starts the optic branch TO1; only u2 is acoustic
+        table = cutoffs(model, replace(ref_elastic, mu_c=0.0), inertia_off)
+        tra = table[WaveBlock.TRANSVERSE]
+        assert [c.mode for c in tra if c.acoustic] == ["u2"]
+        assert [c.mode for c in tra if c.omega < 1.0] == ["u2", "P_[12]"]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_acoustic_flags_follow_sweep_labels(self, seed):
+        elastic, inertia = admissible_set(seed, mu_c_zero=seed % 2 == 0)
+        assert validate(elastic, inertia).ok
+        grid = default_grid(elastic, inertia, points=60)
+        for model in ALL_MODELS:
+            table = cutoffs(model, elastic, inertia)
+            for block in ALL_BLOCKS:
+                curve = sweep(model, elastic, inertia, block, grid)
+                # sweep keeps the ascending k = 0 order of the cut-offs
+                assert [c.acoustic for c in table[block]] == [
+                    b.label in ("LA", "TA") for b in curve.branches]
+                assert [c.omega for c in table[block]] == pytest.approx(
+                    [float(b.omegas[0]) for b in curve.branches],
+                    rel=1e-12, abs=1e-6)
 
     @pytest.mark.parametrize("model", ALL_MODELS)
     def test_cutoffs_shared_across_models(self, model, ref_elastic,
@@ -274,7 +330,9 @@ class TestAsymptotes:
     def test_constant_branch_is_asymptotic(self):
         grid = KGrid.linear(1.0e5, 60)
         branch = Branch(label="X", omegas=np.full(60, 1.0e5),
-                        vectors=np.zeros((60, 3), dtype=complex), modes=())
+                        vectors=np.zeros((60, 3), dtype=complex),
+                        dominant=np.full(60, "Mixed", dtype=object),
+                        ratio=np.ones(60))
         assert detect_asymptote(branch, grid) is True
 
     def test_top_decade_sampling_required(self):
@@ -282,7 +340,9 @@ class TestAsymptotes:
                                  np.array([1.0e5])])
         grid = KGrid(values=values)
         branch = Branch(label="X", omegas=np.full(56, 1.0),
-                        vectors=np.zeros((56, 3), dtype=complex), modes=())
+                        vectors=np.zeros((56, 3), dtype=complex),
+                        dominant=np.full(56, "Mixed", dtype=object),
+                        ratio=np.ones(56))
         with pytest.raises(DegenerateGridError):
             detect_asymptote(branch, grid)
 
@@ -378,8 +438,7 @@ class TestSweepInvariants:
             assert np.max(np.abs(bb.omegas - np.sqrt(c) * ba.omegas)
                           / denom) < 1e-9
             assert ba.label == bb.label
-            assert [m.dominant for m in ba.modes] == \
-                   [m.dominant for m in bb.modes]
+            assert np.array_equal(ba.dominant, bb.dominant)
 
     def test_internal_variable_ignores_characteristic_length(
             self, ref_elastic, inertia_on):
@@ -415,16 +474,6 @@ class TestSweepInvariants:
                 rates = np.abs(np.diff(branch.omegas)) / dk
                 assert np.max(rates) <= c_bound
 
-    def test_cutoffs_field_cardinality(self, ref_elastic, inertia_off):
-        grid = KGrid.linear(5.0e4, 60)
-        lon = sweep(ModelKind.RELAXED_CURL, ref_elastic, inertia_off,
-                    WaveBlock.LONGITUDINAL, grid)
-        unc = sweep(ModelKind.RELAXED_CURL, ref_elastic, inertia_off,
-                    WaveBlock.UNCOUPLED, grid)
-        assert len(lon.cutoffs) == 2          # the two nonzero optic starts
-        assert all(c.omega > 0.0 for c in lon.cutoffs)
-        assert len(unc.cutoffs) == 3
-
     def test_branch_labels(self, ref_elastic, inertia_off):
         grid = KGrid.linear(5.0e4, 60)
         lon = sweep(ModelKind.RELAXED_CURL, ref_elastic, inertia_off,
@@ -442,7 +491,7 @@ class TestSweepInvariants:
         grid = KGrid.linear(5.0e4, 60)
         lon = sweep(ModelKind.RELAXED_CURL, ref_elastic, inertia_off,
                     WaveBlock.LONGITUDINAL, grid)
-        starts = {b.label: b.modes[0].dominant for b in lon.branches}
+        starts = {b.label: b.dominant[0] for b in lon.branches}
         assert starts["LO1"] == "P_D"
         assert starts["LO2"] == "P_S"
 
@@ -516,6 +565,46 @@ def test_branch_order_matches_sequential_oracle(model, block, inertia,
     # ties at every step; the coupled blocks never tie
     expected = len(grid) - 1 if block is WaveBlock.UNCOUPLED else 0
     assert len(tied_steps) == expected
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+@pytest.mark.parametrize("block", ALL_BLOCKS)
+@pytest.mark.parametrize("inertia", ["inertia_off", "inertia_on"])
+def test_sweep_modes_match_per_vector_oracle(model, block, inertia,
+                                             ref_elastic, request):
+    inertia = request.getfixturevalue(inertia)
+    curve = sweep(model, ref_elastic, inertia, block,
+                  default_grid(ref_elastic))
+    assert_modes_match_oracle(
+        curve, block_for(model, ref_elastic, inertia, block).labels)
+
+
+@pytest.mark.parametrize("block", ALL_BLOCKS)
+def test_sweep_modes_follow_permuted_continuation(block, ref_elastic,
+                                                  inertia_on, monkeypatch):
+    # on the reference set every branch keeps its k = 0 eigen-index, so a
+    # continuation that rotates the branches at every step is what tells
+    # the modes of the continued vectors from those of the raw solve
+    def rotating(overlap, omegas):
+        return (np.arange(len(omegas))[:, None] + np.arange(3)) % 3
+
+    monkeypatch.setattr(mmbands.dispersion, "_continue_branches", rotating)
+    curve = sweep(ModelKind.RELAXED_CURL, ref_elastic, inertia_on, block,
+                  default_grid(ref_elastic, points=60))
+    assert_modes_match_oracle(curve, block_for(
+        ModelKind.RELAXED_CURL, ref_elastic, inertia_on, block).labels)
+
+
+def assert_modes_match_oracle(curve, labels):
+    for branch in curve.branches:
+        assert branch.dominant.shape == branch.ratio.shape == (
+            len(curve.grid),)
+        names, ratios = zip(*(classify_vector(v, labels, MODE_RATIO_THRESHOLD)
+                              for v in branch.vectors))
+        assert branch.dominant.tolist() == list(names)
+        # exact, or rel 1e-15 where Python's complex abs rounds differently
+        # from numpy's; equal infinities compare equal
+        np.testing.assert_allclose(branch.ratio, ratios, rtol=1e-15, atol=0)
 
 
 def test_continuation_matches_oracle_at_engineered_ties():
