@@ -8,7 +8,7 @@ labeled dispersion branches and reports per-block and complete band-gaps.
 
 from .assembly import (BlockLeakageError, BlockSystem, FullSystem,
                        assemble_full, block_basis, block_decompose,
-                       block_for, DOF_NAMES)
+                       block_for, model_blocks, DOF_NAMES)
 from .bandgap import (COMPLETE, CoverageMap, FrequencyAxisError, Gap,
                       GapReport, InconsistentInputsError, coverage,
                       default_omega_ceiling, detect_gaps,
@@ -29,7 +29,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlockLeakageError", "BlockSystem", "FullSystem", "assemble_full",
-    "block_basis", "block_decompose", "block_for", "DOF_NAMES",
+    "block_basis", "block_decompose", "block_for", "model_blocks",
+    "DOF_NAMES",
     "COMPLETE", "CoverageMap", "FrequencyAxisError", "Gap", "GapReport",
     "InconsistentInputsError", "coverage", "default_omega_ceiling",
     "detect_gaps", "gaps_from_coverage",

@@ -15,15 +15,21 @@ applying the constitutive maps to unit excitations of each degree of
 freedom, so the code below mirrors the strong-form equations instead of
 hand-expanded component formulas.
 
-An orthonormal change of basis splits the 12x12 system exactly into four
-3x3 blocks: longitudinal (u1 with the spherical/deviatoric-diagonal micro
+A unitary change of basis splits the 12x12 system exactly into four 3x3
+blocks: longitudinal (u1 with the spherical/deviatoric-diagonal micro
 modes), two transverse copies (u_xi with the symmetric/skew 1-xi micro
 shears) and one block of micro modes that never couples to displacement.
+The basis takes u in quadrature (a factor i: u lags P by a quarter
+period).  As K1 is imaginary and couples only u with P, and the other
+matrices are real without u-P entries, every block is real symmetric.
+The system is linear in eleven coefficients, so ``model_blocks`` contracts
+them with per-model unit tensors built once from ``assemble_full``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,12 +45,15 @@ _SQRT2 = np.sqrt(2.0)
 _SQRT3 = np.sqrt(3.0)
 _SQRT6 = np.sqrt(6.0)
 
-# off-block magnitude, relative to the matrix maximum, that fails the split
+# off-block or imaginary magnitude, relative to the matrix maximum, that fails
 LEAK_REL_TOL = 1e-12
+
+_MATRICES = ("M0", "M2", "K0", "K1", "K2")
+_STIFFNESS = np.array([[[name[0] == "K"]] for name in _MATRICES])
 
 
 class BlockLeakageError(Exception):
-    """Transformed system has off-block entries above tolerance."""
+    """Transformed system has off-block or imaginary entries above tolerance."""
 
 
 def _sym(x):
@@ -167,7 +176,7 @@ class FullSystem(_KPolynomial):
 
 @dataclass(frozen=True)
 class BlockSystem(_KPolynomial):
-    """One 3x3 diagonal block of the transformed system."""
+    """One 3x3 diagonal block of the transformed system (real, float64)."""
 
     block: WaveBlock
     labels: tuple[str, str, str]
@@ -224,35 +233,28 @@ def assemble_full(model: ModelKind, elastic: ElasticParams,
 
 
 def _build_block_basis() -> tuple[np.ndarray, tuple]:
-    """Rows of the orthonormal change of basis, grouped by block.
+    """Rows of the unitary change of basis, grouped by block.
 
-    The micro-distortion is re-expressed through its spherical part P_S,
-    the diagonal deviatoric combinations P_D and P_V, and the symmetric /
-    skew off-diagonal pairs P_(ij) / P_[ij]; the normalizations make the
-    matrix unitary so eigenvector components stay comparable across DOFs.
+    The displacement enters in quadrature (coefficient i), the
+    micro-distortion through its spherical part P_S, the diagonal
+    deviatoric combinations P_D and P_V, and the symmetric / skew
+    off-diagonal pairs P_(ij) / P_[ij]; the normalizations make the matrix
+    unitary so eigenvector components stay comparable across DOFs.
     """
     def unit(coeffs):
-        row = np.zeros(12)
-        for name, c in coeffs.items():
-            row[DOF_NAMES.index(name)] = c
-        return row
+        return np.array([coeffs.get(name, 0) for name in DOF_NAMES], complex)
 
     blocks = (
         (WaveBlock.LONGITUDINAL, ("u1", "P_S", "P_D"), (
-            unit({"u1": 1.0}),
+            unit({"u1": 1j}),
             unit({"P11": 1 / _SQRT3, "P22": 1 / _SQRT3, "P33": 1 / _SQRT3}),
             unit({"P11": 2 / _SQRT6, "P22": -1 / _SQRT6, "P33": -1 / _SQRT6}),
         )),
-        (WaveBlock.TRANSVERSE, ("u2", "P_(12)", "P_[12]"), (
-            unit({"u2": 1.0}),
-            unit({"P12": 1 / _SQRT2, "P21": 1 / _SQRT2}),
-            unit({"P12": 1 / _SQRT2, "P21": -1 / _SQRT2}),
-        )),
-        (WaveBlock.TRANSVERSE, ("u3", "P_(13)", "P_[13]"), (
-            unit({"u3": 1.0}),
-            unit({"P13": 1 / _SQRT2, "P31": 1 / _SQRT2}),
-            unit({"P13": 1 / _SQRT2, "P31": -1 / _SQRT2}),
-        )),
+        *((WaveBlock.TRANSVERSE, (f"u{a}", f"P_(1{a})", f"P_[1{a}]"), (
+            unit({f"u{a}": 1j}),
+            unit({f"P1{a}": 1 / _SQRT2, f"P{a}1": 1 / _SQRT2}),
+            unit({f"P1{a}": 1 / _SQRT2, f"P{a}1": -1 / _SQRT2}),
+        )) for a in "23"),
         (WaveBlock.UNCOUPLED, ("P_(23)", "P_[23]", "P_V"), (
             unit({"P23": 1 / _SQRT2, "P32": 1 / _SQRT2}),
             unit({"P23": 1 / _SQRT2, "P32": -1 / _SQRT2}),
@@ -265,39 +267,74 @@ def _build_block_basis() -> tuple[np.ndarray, tuple]:
 
 _BLOCK_T, _BLOCK_META = _build_block_basis()
 _OFF_BLOCK = np.kron(np.eye(4), np.ones((3, 3))) == 0.0
+_BLOCKS = np.arange(4)
 
 
 def block_basis() -> np.ndarray:
-    """The 12x12 orthonormal block transformation (rows are new variables)."""
+    """The 12x12 unitary block transformation (rows are new variables)."""
     return _BLOCK_T.copy()
 
 
-def block_decompose(system: FullSystem) -> tuple[BlockSystem, ...]:
-    """Split the full system into its four exact 3x3 diagonal blocks.
+def _split(transformed: np.ndarray) -> tuple[BlockSystem, ...]:
+    """The four real blocks of the (5, 12, 12) block-basis M0..K2.
 
-    Every coefficient matrix is conjugated with the block basis; any
-    off-block entry larger than ``LEAK_REL_TOL`` times the matrix maximum
-    signals an assembly inconsistency and raises BlockLeakageError.
+    An off-block or imaginary entry above ``LEAK_REL_TOL`` times its
+    matrix's largest magnitude raises BlockLeakageError naming the matrix.
     """
-    t = _BLOCK_T
-    transformed = {}
-    for name in ("M0", "M2", "K0", "K1", "K2"):
-        a = t @ getattr(system, name) @ t.conj().T
-        scale = float(np.max(np.abs(a)))
-        if scale > 0.0:
-            leak = float(np.max(np.abs(a[_OFF_BLOCK])))
-            if leak > LEAK_REL_TOL * scale:
-                raise BlockLeakageError(
-                    f"{name} off-block magnitude {leak:g} exceeds "
-                    f"{LEAK_REL_TOL:g} * {scale:g}")
-        transformed[name] = a
+    mags = np.abs(transformed)
+    scale = mags.max(axis=(1, 2))
+    for what, worst in (
+            ("off-block magnitude", np.where(_OFF_BLOCK, mags, 0.0)),
+            ("imaginary part", np.abs(transformed.imag))):
+        worst = worst.max(axis=(1, 2))
+        bad = np.flatnonzero(worst > LEAK_REL_TOL * scale)
+        if bad.size:
+            i = bad[0]
+            raise BlockLeakageError(
+                f"{_MATRICES[i]} {what} {worst[i]:g} exceeds "
+                f"{LEAK_REL_TOL:g} * {scale[i]:g}")
+    # diagonal[b, m] is the 3x3 block b of matrix m
+    diagonal = transformed.real.reshape(5, 4, 3, 4, 3)[:, _BLOCKS, :, _BLOCKS]
+    return tuple(BlockSystem(block=kind, labels=labels,
+                             **dict(zip(_MATRICES, diagonal[b])))
+                 for b, (kind, labels) in enumerate(_BLOCK_META))
 
-    out = []
-    for b, (kind, labels) in enumerate(_BLOCK_META):
-        sl = slice(3 * b, 3 * b + 3)
-        out.append(BlockSystem(block=kind, labels=labels, **{
-            name: a[sl, sl].copy() for name, a in transformed.items()}))
-    return tuple(out)
+
+def _stacked(system: FullSystem) -> np.ndarray:
+    return np.array([getattr(system, name) for name in _MATRICES])
+
+
+def block_decompose(system: FullSystem) -> tuple[BlockSystem, ...]:
+    """Split the full system into its four exact 3x3 diagonal blocks."""
+    return _split(_BLOCK_T @ _stacked(system) @ _BLOCK_T.conj().T)
+
+
+@functools.cache
+def _unit_tensor(model: ModelKind) -> np.ndarray:
+    """(11, 5, 12, 12): block-basis M0..K2 at each unit coefficient.
+
+    The coefficients are the five moduli, mu_e L_c^2, rho, eta and the
+    eta_bar.  The stiffness takes only the moduli and the mass only the
+    inertiae, so assembly c gives the stiffness of modulus c and the mass
+    of inertia c; mu_e L_c^2 is unit mu_e at L_c = 1 minus L_c = 0 (exact).
+    """
+    pairs = [(ElasticParams(*row, L_c=0.0), InertiaParams(*row))
+             for row in np.eye(5)]
+    pairs.append((replace(pairs[0][0], L_c=1.0), InertiaParams(0.0, 0.0)))
+    full = np.array([_stacked(assemble_full(model, *pair)) for pair in pairs])
+    full[5] -= full[0] * _STIFFNESS
+    units = np.concatenate([full * _STIFFNESS, full[:5] * ~_STIFFNESS])
+    return _BLOCK_T @ units @ _BLOCK_T.conj().T
+
+
+def model_blocks(model: ModelKind, elastic: ElasticParams,
+                 inertia: InertiaParams) -> tuple[BlockSystem, ...]:
+    """``block_decompose(assemble_full(...))`` as one tensor contraction."""
+    el, inr = elastic, inertia
+    coefficients = [el.mu_e, el.lambda_e, el.mu_c, el.mu_micro,
+                    el.lambda_micro, el.mu_e * el.L_c ** 2, inr.rho, inr.eta,
+                    inr.eta_bar_1, inr.eta_bar_2, inr.eta_bar_3]
+    return _split(np.tensordot(coefficients, _unit_tensor(model), axes=1))
 
 
 def block_for(model: ModelKind, elastic: ElasticParams, inertia: InertiaParams,
@@ -307,7 +344,7 @@ def block_for(model: ModelKind, elastic: ElasticParams, inertia: InertiaParams,
     ``transverse_axis`` selects which of the two identical transverse blocks
     (polarization along x2 or x3) is returned.
     """
-    blocks = block_decompose(assemble_full(model, elastic, inertia))
+    blocks = model_blocks(model, elastic, inertia)
     if block is WaveBlock.LONGITUDINAL:
         return blocks[0]
     if block is WaveBlock.TRANSVERSE:

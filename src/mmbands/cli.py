@@ -122,9 +122,7 @@ def _parse_scalar(key: str, raw: str):
             return False
         raise ConfigError(f"key {key}: expected a boolean, got {raw!r}")
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        return float(raw)
+        return (int if key in _INT_KEYS else float)(raw)
     except ValueError:
         raise ConfigError(f"key {key}: expected a number, got {raw!r}")
 
@@ -328,11 +326,9 @@ def _cmd_sweep_param(cfg: RunConfig, args, err) -> int:
         except ValueError:
             raise ConfigError(f"--values: expected comma-separated numbers")
     elif args.range:
-        parts = args.range.split(":")
-        if len(parts) != 3:
-            raise ConfigError("--range: expected lo:hi:count")
         try:
-            lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+            lo, hi, count = args.range.split(":")
+            lo, hi, count = float(lo), float(hi), int(count)
         except ValueError:
             raise ConfigError("--range: expected lo:hi:count")
         if count < 2:
@@ -513,15 +509,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "micromorphic media")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for name, helptext in (
-            ("homogenize", "effective macroscopic constants (JSON)"),
-            ("cutoffs", "k = 0 frequencies per block (JSON)"),
-            ("disperse", "dispersion branches of all blocks (CSV)"),
-            ("gaps", "band-gap report (JSON)"),
-            ("modes", "mode markers along one branch (CSV)"),
-            ("sweep-param", "gap counts over a parameter range (CSV)"),
-            ("plot", "three-panel dispersion diagram (SVG)")):
+    for name, handler, helptext in (
+            ("homogenize", _cmd_homogenize,
+             "effective macroscopic constants (JSON)"),
+            ("cutoffs", _cmd_cutoffs, "k = 0 frequencies per block (JSON)"),
+            ("disperse", _cmd_disperse,
+             "dispersion branches of all blocks (CSV)"),
+            ("gaps", _cmd_gaps, "band-gap report (JSON)"),
+            ("modes", _cmd_modes, "mode markers along one branch (CSV)"),
+            ("sweep-param", _cmd_sweep_param,
+             "gap counts over a parameter range (CSV)"),
+            ("plot", _cmd_plot, "three-panel dispersion diagram (SVG)")):
         sub = subs.add_parser(name, help=helptext)
+        sub.set_defaults(handler=handler)
         _add_common_flags(sub)
         if name == "gaps":
             sub.add_argument("--block",
@@ -540,17 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "homogenize": _cmd_homogenize,
-    "cutoffs": _cmd_cutoffs,
-    "disperse": _cmd_disperse,
-    "gaps": _cmd_gaps,
-    "modes": _cmd_modes,
-    "sweep-param": _cmd_sweep_param,
-    "plot": _cmd_plot,
-}
-
-
 def run(argv) -> int:
     parser = build_parser()
     try:
@@ -561,7 +550,7 @@ def run(argv) -> int:
     err = sys.stderr
     try:
         cfg = build_config(args)
-        return _COMMANDS[args.command](cfg, args, err)
+        return args.handler(cfg, args, err)
     except (ConfigError, DegenerateGridError, FrequencyAxisError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_CONFIG

@@ -158,8 +158,7 @@ def validate(elastic: ElasticParams, inertia: InertiaParams) -> ValidationReport
     checks = []
 
     def check(name, passed, detail=""):
-        message = "" if passed else detail
-        checks.append(InvariantCheck(name=name, passed=passed, message=message))
+        checks.append(InvariantCheck(name, passed, "" if passed else detail))
 
     check("mu_e > 0", elastic.mu_e > 0.0)
     check("mu_micro > 0", elastic.mu_micro > 0.0)

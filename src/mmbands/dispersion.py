@@ -7,9 +7,10 @@ keep their physical identity through avoided crossings.  The matches of all
 steps come from one array pass (sequential only where a greedy choice ties
 exactly), and the dominant DOF of every sample from one more; a branch
 stores them as arrays (``dominant``, ``ratio``) next to its frequencies.
-Labels are decided once, at k = 0: the lowest coupled branch is acoustic
-when omega(0) = 0, the optic branches are named by ascending cut-off
-(coupled blocks) or by their dominant micro mode (uncoupled block).
+Labels are decided once, at k = 0: the most displacement-like coupled
+branch at omega(0) = 0 is acoustic, the optic branches are named by
+ascending cut-off (coupled blocks) or by their dominant micro mode
+(uncoupled block).
 ``cutoffs`` applies the same labels to its k = 0 solve, so a cut-off is
 acoustic exactly when its branch is LA or TA.
 """
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import assemble_full, block_decompose, block_for
+from .assembly import block_for, model_blocks
 from .core import ElasticParams, InertiaParams, ModelKind, WaveBlock
 from .eigensolve import EigenSolveError, general_eig, general_eig_stack
 
@@ -144,7 +145,7 @@ def classify_mode_stack(vectors, labels):
     raises ZeroVectorError with its position along the first axis (0 for
     one vector) as ``index``.
     """
-    mags = np.abs(np.asarray(vectors, dtype=complex))
+    mags = np.abs(np.asarray(vectors))
     zero = np.nonzero(np.atleast_1d(np.max(mags, axis=-1) == 0.0))[0]
     if zero.size:
         raise ZeroVectorError(f"cannot classify a zero eigenvector "
@@ -168,8 +169,7 @@ def detect_asymptote(branch: Branch, grid: KGrid) -> bool:
     horizontal asymptote.  Needs >= 10 samples in the top decade of the grid.
     """
     k = grid.values
-    in_top_decade = int(np.count_nonzero(k >= 0.1 * grid.k_max))
-    if in_top_decade < 10:
+    if np.count_nonzero(k >= 0.1 * grid.k_max) < 10:
         raise DegenerateGridError(
             "asymptote detection needs >= 10 samples in the top decade")
     omega_end = float(branch.omegas[-1])
@@ -240,36 +240,35 @@ def _continue_branches(overlap: np.ndarray, omegas: np.ndarray):
 
 
 def _label_branches(block: WaveBlock, omega0s, vectors0, labels):
-    """Branch names decided at k = 0.
+    """Eigenpair indices in branch order, and their names, from k = 0.
 
-    Coupled blocks: the lowest branch is acoustic (LA/TA) when its omega(0)
-    is at most 1e-6 * max(top cut-off, 1 rad/s); the others are optic,
-    numbered by ascending cut-off.  The uncoupled block is named by the
-    dominant micro mode: symmetric shear (TSO), rotational (TRO) or
-    constant-volume (TCVO).
+    Coupled blocks: of the eigenpairs with omega(0) <= 1e-6 * max(top
+    cut-off, 1 rad/s), the most displacement-like is acoustic (LA/TA) and
+    first, whatever the solver's order at an exact tie (mu_c = 0); the
+    others are optic, by ascending cut-off.  The uncoupled block keeps the
+    solver's order and is named by the dominant micro mode: symmetric shear
+    (TSO), rotational (TRO) or constant-volume (TCVO).
     """
     n = len(omega0s)
-    names = [""] * n
+    order = list(range(n))
     if block is WaveBlock.UNCOUPLED:
         by_dof = {"P_(23)": "TSO", "P_[23]": "TRO", "P_V": "TCVO"}
-        taken = set()
-        for i in range(n):
-            dof = labels[int(np.argmax(np.abs(vectors0[:, i])))]
-            name = by_dof.get(dof, f"U{i + 1}")
-            if name in taken:
-                name = f"U{i + 1}"
-            taken.add(name)
-            names[i] = name
-        return names
+        names = []
+        for i in order:
+            name = by_dof.get(labels[int(np.argmax(np.abs(vectors0[:, i])))])
+            names.append(f"U{i + 1}" if name in (None, *names) else name)
+        return order, names
 
     prefix = "L" if block is WaveBlock.LONGITUDINAL else "T"
-    ranked = sorted(range(n), key=lambda j: float(omega0s[j]))
-    # only the lowest branch can be acoustic; the others are numbered
-    acoustic = (float(omega0s[ranked[0]])
-                <= 1e-6 * max(float(np.max(omega0s)), 1.0))
-    for rank, i in enumerate(ranked, start=0 if acoustic else 1):
-        names[i] = f"{prefix}O{rank}" if rank else f"{prefix}A"
-    return names
+    order.sort(key=lambda j: float(omega0s[j]))
+    zero = [j for j in order
+            if omega0s[j] <= 1e-6 * max(float(np.max(omega0s)), 1.0)]
+    if zero:
+        order.remove(acoustic := max(zero, key=lambda j: abs(vectors0[0, j])))
+        order.insert(0, acoustic)
+    first = 0 if zero else 1
+    return order, [f"{prefix}O{rank}" if rank else f"{prefix}A"
+                   for rank in range(first, first + n)]
 
 
 def _located(exc, model: ModelKind, block: WaveBlock, k: np.ndarray):
@@ -301,11 +300,12 @@ def sweep(model: ModelKind, elastic: ElasticParams, inertia: InertiaParams,
     overlap = np.abs(np.conj(np.swapaxes(sol.vectors[:-1], 1, 2))
                      @ (masses[1:] @ sol.vectors[1:]))
 
-    columns = _continue_branches(overlap, omegas_raw)
+    order, names = _label_branches(block, omegas_raw[0], sol.vectors[0],
+                                   bs.labels)
+    columns = _continue_branches(overlap, omegas_raw)[:, order]
     omegas = np.take_along_axis(omegas_raw, columns, axis=1)
     vectors = np.take_along_axis(sol.vectors, columns[:, None, :], axis=2)
 
-    names = _label_branches(block, omegas[0], vectors[0], bs.labels)
     try:
         dominant, ratio = classify_mode_stack(np.swapaxes(vectors, 1, 2),
                                               bs.labels)
@@ -326,7 +326,7 @@ def sweep(model: ModelKind, elastic: ElasticParams, inertia: InertiaParams,
 
 def cutoffs(model: ModelKind, elastic: ElasticParams,
             inertia: InertiaParams) -> dict[WaveBlock, tuple[Cutoff, ...]]:
-    """All k = 0 frequencies per block, ascending.
+    """All k = 0 frequencies per block, ascending, in ``sweep``'s order.
 
     A cut-off is acoustic exactly when ``sweep`` would name its branch LA
     or TA.  The gradient micro-inertiae scale with k^2 and therefore cannot
@@ -334,14 +334,15 @@ def cutoffs(model: ModelKind, elastic: ElasticParams,
     micro-inertia only.
     """
     out: dict[WaveBlock, tuple[Cutoff, ...]] = {}
-    blocks = block_decompose(assemble_full(model, elastic, inertia))
+    blocks = model_blocks(model, elastic, inertia)
     # blocks[2] is the x3 transverse block, identical to blocks[1]
     for bs in (blocks[0], blocks[1], blocks[3]):
         sol = general_eig(bs.stiffness_at(0.0), bs.mass_at(0.0))
         omega0 = np.sqrt(sol.omega_sq)
-        names = _label_branches(bs.block, omega0, sol.vectors, bs.labels)
+        order, names = _label_branches(bs.block, omega0, sol.vectors,
+                                       bs.labels)
         out[bs.block] = tuple(
-            Cutoff(omega=float(omega), acoustic=name in ("LA", "TA"),
-                   mode=bs.labels[int(np.argmax(np.abs(vector)))])
-            for omega, name, vector in zip(omega0, names, sol.vectors.T))
+            Cutoff(omega=float(omega0[i]), acoustic=name in ("LA", "TA"),
+                   mode=bs.labels[int(np.argmax(np.abs(sol.vectors[:, i])))])
+            for i, name in zip(order, names))
     return out

@@ -9,7 +9,7 @@ vectorised pass of numpy's LAPACK drivers:
 2. a Cholesky factor M_eq = L L^H reduces it to the standard Hermitian
    problem L^-1 K_eq L^-H;
 3. ``np.linalg.eigh`` diagonalizes that, and the eigenvectors are carried
-   back through D L^-H.
+   back through D L^-H, in real arithmetic for real input.
 
 LAPACK's Hermitian driver returns orthonormal eigenvectors at exact
 degeneracies as well, such as the transverse double roots of isotropic
@@ -63,15 +63,11 @@ class EigenSolution:
 
     Attributes:
         omega_sq: real eigenvalues [rad^2/s^2], ascending, ties allowed
-        vectors: complex eigenvectors as columns, M-orthonormal (v^H M v = 1)
+        vectors: M-orthonormal eigenvectors as columns, real for real input
     """
 
     omega_sq: np.ndarray
     vectors: np.ndarray
-
-
-def _first(mask: np.ndarray) -> int:
-    return int(np.argmax(mask))
 
 
 def _conj_t(a: np.ndarray) -> np.ndarray:
@@ -83,7 +79,7 @@ def _assert_hermitian(a: np.ndarray, name: str) -> None:
     deviation = np.linalg.norm(a - _conj_t(a), axis=(-2, -1))
     bad = deviation > HERMITIAN_REL_TOL * scale
     if bad.any():
-        i = _first(bad)
+        i = int(np.argmax(bad))
         raise NotHermitianError(
             f"{name} of pencil {i} deviates from its conjugate transpose "
             f"by more than {HERMITIAN_REL_TOL:g} relative", i)
@@ -99,17 +95,17 @@ def general_eig_stack(k_stack: np.ndarray,
     a positive semidefinite K) are clamped to zero; negatives beyond
     ``CLAMP_REL_TOL * |K| / |M|`` raise NegativeEigenvalueError.  Every
     error names the index of the first failing pencil and the quantity that
-    failed, and carries that index as ``index``.
+    failed, and carries that index as ``index``.  Real stacks stay real.
     """
-    k_stack = np.asarray(k_stack, dtype=complex)
-    m_stack = np.asarray(m_stack, dtype=complex)
+    dtype = np.result_type(np.asarray(k_stack), np.asarray(m_stack), float)
+    k_stack, m_stack = np.asarray(k_stack, dtype), np.asarray(m_stack, dtype)
     _assert_hermitian(k_stack, "stiffness matrix")
     _assert_hermitian(m_stack, "mass matrix")
 
     diag = np.real(np.diagonal(m_stack, axis1=-2, axis2=-1))
     bad = ~(diag > 0.0)
     if bad.any():
-        i, j = np.unravel_index(_first(bad), bad.shape)
+        i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
         raise NotPositiveDefiniteError(
             f"mass matrix of pencil {i} has diagonal entry {diag[i, j]:g} "
             f"at index {j}, which is not positive", int(i))
@@ -130,7 +126,7 @@ def general_eig_stack(k_stack: np.ndarray,
         worst = np.linalg.eigvalsh(m_eq)[:, 0]
         bad = worst <= max(PIVOT_REL_TOL, float(worst.min()))
     if bad.any():
-        i = _first(bad)
+        i = int(np.argmax(bad))
         raise NotPositiveDefiniteError(
             f"equilibrated mass matrix of pencil {i} has {quantity} "
             f"{worst[i]:g}, at or below the floor {PIVOT_REL_TOL:g}", i)
@@ -144,14 +140,14 @@ def general_eig_stack(k_stack: np.ndarray,
                               / np.linalg.norm(m_stack, axis=(-2, -1)))
     bad = w[:, 0] < limit
     if bad.any():
-        i = _first(bad)
+        i = int(np.argmax(bad))
         raise NegativeEigenvalueError(
             f"eigenvalue {w[i, 0]:g} of pencil {i} below "
             f"-{CLAMP_REL_TOL:g} * |K|/|M|", i)
     w = np.where(w < 0.0, 0.0, w)
 
     # back-transform, M-normalize, then rotate each column so its
-    # largest-magnitude component is real positive
+    # largest-magnitude component is real positive (a sign for real input)
     vecs = d[:, :, None] * (_conj_t(lower_inv) @ y)
     norm_sq = np.real(np.sum(np.conj(vecs) * (m_stack @ vecs), axis=-2))
     vecs = vecs / np.sqrt(norm_sq)[:, None, :]

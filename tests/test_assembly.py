@@ -1,11 +1,19 @@
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mmbands.assembly
 from mmbands.assembly import (BlockLeakageError, FullSystem, assemble_full,
                               block_basis, block_decompose, block_for,
                               curl_x1_coefficient, div_x1_coefficient,
-                              DOF_NAMES)
-from mmbands.core import ModelKind, WaveBlock
+                              model_blocks, DOF_NAMES)
+from mmbands.core import (ElasticParams, InertiaParams, ModelKind, WaveBlock,
+                          validate)
 
 ALL_MODELS = list(ModelKind)
 
@@ -293,6 +301,25 @@ class TestBlockDecomposition:
         assert np.all(uncoupled.K1 == 0.0)
         assert np.all(uncoupled.K2 == 0.0)
 
+    @pytest.mark.parametrize("name, i, j, entry", [
+        ("K1", "u2", "P12", 1.0),       # in phase with the displacement
+        ("K0", "P12", "P21", 1.0j),     # imaginary micro-micro coupling
+    ])
+    def test_out_of_quadrature_entry_names_the_matrix(
+            self, ref_elastic, inertia_off, name, i, j, entry):
+        # both entries stay inside the transverse block, so only the
+        # realness check can catch them
+        system = assemble_full(ModelKind.RELAXED_CURL, ref_elastic,
+                               inertia_off)
+        bad = getattr(system, name).copy()
+        i, j = DOF_NAMES.index(i), DOF_NAMES.index(j)
+        size = 1e-6 * float(np.max(np.abs(bad)))
+        bad[i, j] += size * entry
+        bad[j, i] += size * np.conj(entry)
+        corrupted = replace(system, **{name: bad})
+        with pytest.raises(BlockLeakageError, match=f"^{name} imaginary part"):
+            block_decompose(corrupted)
+
     def test_leakage_error_on_corrupted_system(self, ref_elastic, inertia_off):
         system = assemble_full(ModelKind.RELAXED_CURL, ref_elastic,
                                inertia_off)
@@ -303,3 +330,83 @@ class TestBlockDecomposition:
                                K1=system.K1, K2=system.K2)
         with pytest.raises(BlockLeakageError):
             block_decompose(corrupted)
+
+
+def wide_admissible_set(rng, *, mu_c_zero, l_c_zero, eta_bar_on):
+    """Moduli over nine decades, lambdas of either sign (3*lambda + 2*mu
+    > 0), L_c from 10 um to 1 m, and eta_bar / eta up to 1e10."""
+    mu_e, mu_c, mu_micro = 10.0 ** rng.uniform(3.0, 12.0, size=3)
+    elastic = ElasticParams(
+        mu_e=mu_e, lambda_e=mu_e * rng.uniform(-0.6, 2.0),
+        mu_c=0.0 if mu_c_zero else mu_c, mu_micro=mu_micro,
+        lambda_micro=mu_micro * rng.uniform(-0.6, 2.0),
+        L_c=0.0 if l_c_zero else 10.0 ** rng.uniform(-5.0, 0.0))
+    eta = 10.0 ** rng.uniform(-8.0, -1.0)
+    eta_bar = eta * 10.0 ** rng.uniform(-2.0, 10.0, size=3)
+    return elastic, InertiaParams(
+        10.0 ** rng.uniform(0.0, 4.0), eta,
+        *(eta_bar if eta_bar_on else np.zeros(3)))
+
+
+class TestUnitTensors:
+    """The per-model tensors against the assemble-and-split derivation."""
+
+    @pytest.mark.parametrize("eta_bar_on", [False, True])
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_blocks_match_block_decompose(self, model, eta_bar_on):
+        rng = np.random.default_rng([ALL_MODELS.index(model), eta_bar_on])
+        for case in range(12):
+            elastic, inertia = wide_admissible_set(
+                rng, mu_c_zero=case % 3 == 0, l_c_zero=case % 4 == 1,
+                eta_bar_on=eta_bar_on)
+            assert validate(elastic, inertia).ok
+            want = block_decompose(assemble_full(model, elastic, inertia))
+            got = model_blocks(model, elastic, inertia)
+            for b, (g, w) in enumerate(zip(got, want)):
+                assert (g.block, g.labels) == (w.block, w.labels)
+                for name in ("M0", "M2", "K0", "K1", "K2"):
+                    a, ref = getattr(g, name), getattr(w, name)
+                    assert a.dtype == ref.dtype == np.float64
+                    scale = float(np.max(np.abs(ref)))
+                    assert np.max(np.abs(a - ref)) <= 1e-14 * scale, (
+                        case, b, name)
+
+    def test_block_for_picks_from_model_blocks(self, ref_elastic, inertia_on):
+        blocks = model_blocks(ModelKind.RELAXED_DIV, ref_elastic, inertia_on)
+        picks = [(WaveBlock.LONGITUDINAL, 2), (WaveBlock.TRANSVERSE, 2),
+                 (WaveBlock.TRANSVERSE, 3), (WaveBlock.UNCOUPLED, 2)]
+        for want, (block, axis) in zip(blocks, picks):
+            got = block_for(ModelKind.RELAXED_DIV, ref_elastic, inertia_on,
+                            block, axis)
+            assert got.labels == want.labels
+            for name in ("M0", "M2", "K0", "K1", "K2"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    def test_built_once_per_model(self, monkeypatch, ref_elastic, inertia_on):
+        calls = []
+        original = mmbands.assembly.assemble_full
+
+        def counting(model, elastic, inertia):
+            calls.append(model)
+            return original(model, elastic, inertia)
+
+        monkeypatch.setattr(mmbands.assembly, "assemble_full", counting)
+        mmbands.assembly._unit_tensor.cache_clear()
+        model = ModelKind.MINDLIN_ERINGEN
+        block_for(model, ref_elastic, inertia_on, WaveBlock.LONGITUDINAL)
+        built = len(calls)
+        for block in WaveBlock:
+            block_for(model, replace(ref_elastic, mu_c=0.0), inertia_on,
+                      block)
+            model_blocks(model, ref_elastic, inertia_on)
+        assert built > 0 and len(calls) == built
+        assert set(calls) == {model}
+
+    def test_not_built_at_import(self):
+        code = ("import mmbands, mmbands.assembly as a; "
+                "print(a._unit_tensor.cache_info().currsize)")
+        src = str(Path(mmbands.assembly.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True, env=env).stdout
+        assert out.strip() == "0"

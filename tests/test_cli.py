@@ -87,6 +87,21 @@ class TestCutoffsCommand:
         assert len(rotation) == 1 and rotation[0]["acoustic"] is False
         assert [c["mode"] for c in tra if c["acoustic"]] == ["u2"]
 
+    @pytest.mark.parametrize("model", [
+        "relaxed-curl", "relaxed-div-curl", "relaxed-div", "mindlin-eringen",
+        "internal-variable"])
+    def test_micro_rotation_cutoffs_exactly_zero_at_zero_mu_c(
+            self, tmp_path, model):
+        code, text = run_to_file(tmp_path, "cut.json",
+                                 ["cutoffs", "--config", DEMO_CONFIG,
+                                  "--model", model, "--mu-c", "0"])
+        assert code == 0
+        omega = {c["mode"]: c["omega"]
+                 for cuts in json.loads(text)["blocks"].values()
+                 for c in cuts}
+        assert omega["P_[12]"] == 0.0
+        assert omega["P_[23]"] == 0.0
+
     def test_hertz_flag(self, tmp_path, config_file):
         _, rad = run_to_file(tmp_path, "a.json",
                              ["cutoffs", "--config", config_file])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mmbands.dispersion
+import mmbands.eigensolve
 from mmbands.assembly import block_for
 from mmbands.core import (ElasticParams, InertiaParams, ModelKind, WaveBlock,
                           homogenize, validate)
@@ -12,7 +13,8 @@ from mmbands.dispersion import (MODE_RATIO_THRESHOLD, Branch,
                                 _continue_branches, classify_mode_stack,
                                 cutoffs, default_grid, detect_asymptote,
                                 sweep)
-from mmbands.eigensolve import NotPositiveDefiniteError, general_eig_stack
+from mmbands.eigensolve import (EigenSolution, NotPositiveDefiniteError,
+                                general_eig_stack)
 
 from oracles import classify_vector, greedy_continuation
 
@@ -240,6 +242,15 @@ class TestCutoffs:
         tra = table[WaveBlock.TRANSVERSE]
         assert [c.mode for c in tra if c.acoustic] == ["u2"]
         assert [c.mode for c in tra if c.omega < 1.0] == ["u2", "P_[12]"]
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_micro_rotation_cutoffs_exactly_zero_at_zero_mu_c(
+            self, model, ref_elastic, inertia_on):
+        table = cutoffs(model, replace(ref_elastic, mu_c=0.0), inertia_on)
+        omega = {c.mode: c.omega for block in ALL_BLOCKS
+                 for c in table[block]}
+        assert omega["P_[12]"] == 0.0
+        assert omega["P_[23]"] == 0.0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_acoustic_flags_follow_sweep_labels(self, seed):
@@ -512,6 +523,45 @@ def test_sweep_error_names_model_block_and_k(monkeypatch, ref_elastic,
     assert f"k = {grid.values[7]:g} rad/m" in message
     assert "pencil 7" in message
     assert info.value.index == 7
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+def test_acoustic_label_ignores_the_order_of_tied_zero_roots(
+        monkeypatch, model, ref_elastic, inertia_off):
+    # with mu_c = 0, u2 and the micro-rotation P_[12] are an exact double
+    # root at k = 0; swapping the two tied eigenpairs must not move TA
+    elastic = replace(ref_elastic, mu_c=0.0)
+    solve = mmbands.eigensolve.general_eig_stack
+    swaps = []
+
+    def swapped_solve(k_stack, m_stack):
+        sol = solve(k_stack, m_stack)
+        w, v = sol.omega_sq.copy(), sol.vectors.copy()
+        if w[0, 0] == w[0, 1] == 0.0:
+            swaps.append(len(w))
+            w[0] = w[0, [1, 0, 2]]
+            v[0] = v[0][:, [1, 0, 2]]
+        return EigenSolution(omega_sq=w, vectors=v)
+
+    grid = KGrid.linear(1.0e5, 60)
+    results = []
+    for patched in (False, True):
+        if patched:
+            monkeypatch.setattr(mmbands.eigensolve, "general_eig_stack",
+                                swapped_solve)
+            monkeypatch.setattr(mmbands.dispersion, "general_eig_stack",
+                                swapped_solve)
+        curve = sweep(model, elastic, inertia_off, WaveBlock.TRANSVERSE,
+                      grid)
+        table = cutoffs(model, elastic, inertia_off)
+        results.append(([(b.label, b.dominant[0]) for b in curve.branches],
+                        [(c.mode, c.acoustic, c.omega)
+                         for c in table[WaveBlock.TRANSVERSE]]))
+    assert sorted(swaps) == [1, len(grid)]
+    assert results[0] == results[1]
+    branches, cuts = results[1]
+    assert branches[:2] == [("TA", "u2"), ("TO1", "P_[12]")]
+    assert cuts[:2] == [("u2", True, 0.0), ("P_[12]", False, 0.0)]
 
 
 def test_sweep_zero_vector_names_model_block_and_k(monkeypatch, ref_elastic,

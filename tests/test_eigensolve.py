@@ -59,6 +59,32 @@ def test_matches_cubic_oracle_on_200_random_pencils():
     assert_matches_single_solves(stack, ks, ms)
 
 
+def test_real_pencils_agree_with_their_complex_form():
+    # the real parts of the oracle set: Re(G^H G) = Re(G)^T Re(G)
+    # + Im(G)^T Im(G) is PSD, and Re(M) stays PD
+    ks, ms = random_stack(np.random.default_rng(42), 200)
+    ks, ms = ks.real.copy(), ms.real.copy()
+    real = general_eig_stack(ks, ms)
+    cplx = general_eig_stack(ks.astype(complex), ms.astype(complex))
+    assert real.omega_sq.dtype == real.vectors.dtype == np.float64
+    assert cplx.vectors.dtype == np.complex128
+    for i, (k, m) in enumerate(zip(ks, ms)):
+        ref = cubic_pencil_eigenvalues(k, m)
+        scale = np.linalg.norm(k) / np.linalg.norm(m)
+        for got, want in zip(real.omega_sq[i], ref):
+            assert abs(got - want) <= 1e-8 * max(abs(want), scale)
+        assert np.allclose(real.omega_sq[i], cplx.omega_sq[i],
+                           rtol=0.0, atol=1e-12 * scale)
+        assert np.allclose(real.vectors[i], cplx.vectors[i],
+                           rtol=0.0, atol=1e-10)
+
+
+def test_real_stack_gives_float64_vectors():
+    sol = general_eig(np.diag([4, 1, 0]), np.eye(3))
+    assert sol.omega_sq.dtype == sol.vectors.dtype == np.float64
+    assert np.array_equal(sol.vectors, np.eye(3)[:, ::-1])
+
+
 def assert_residuals_and_m_orthonormality(k, m, omega_sq, vectors):
     k_norm, m_norm = np.linalg.norm(k), np.linalg.norm(m)
     for j in range(len(omega_sq)):
