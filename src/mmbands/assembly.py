@@ -18,7 +18,7 @@ hand-expanded component formulas.
 A unitary change of basis splits the 12x12 system exactly into four 3x3
 blocks: longitudinal (u1 with the spherical/deviatoric-diagonal micro
 modes), two transverse copies (u_xi with the symmetric/skew 1-xi micro
-shears) and one block of micro modes that never couples to displacement.
+shears) and one diagonal block of micro modes that couple to nothing.
 The basis takes u in quadrature (a factor i: u lags P by a quarter
 period).  As K1 is imaginary and couples only u with P, and the other
 matrices are real without u-P entries, every block is real symmetric.
@@ -141,12 +141,19 @@ def _unpack(w):
     return w[:3], w[3:].reshape(3, 3)
 
 
+@dataclass(frozen=True)
 class _KPolynomial:
-    """Evaluation of ``M(k) = M0 + k^2 M2`` and ``K(k) = K0 + k K1 + k^2 K2``.
+    """The k-polynomials ``M(k) = M0 + k^2 M2``, ``K(k) = K0 + k K1 + k^2 K2``.
 
     ``k`` is a scalar, giving (n, n) matrices, or a 1-D array of
     wavenumbers, giving an (n_k, n, n) stack with one matrix per entry.
     """
+
+    M0: np.ndarray
+    M2: np.ndarray
+    K0: np.ndarray
+    K1: np.ndarray
+    K2: np.ndarray
 
     def mass_at(self, k) -> np.ndarray:
         k = np.asarray(k, dtype=float)[..., None, None]
@@ -167,12 +174,6 @@ class FullSystem(_KPolynomial):
     displacement and micro-distortion).
     """
 
-    M0: np.ndarray
-    M2: np.ndarray
-    K0: np.ndarray
-    K1: np.ndarray
-    K2: np.ndarray
-
 
 @dataclass(frozen=True)
 class BlockSystem(_KPolynomial):
@@ -180,11 +181,6 @@ class BlockSystem(_KPolynomial):
 
     block: WaveBlock
     labels: tuple[str, str, str]
-    M0: np.ndarray
-    M2: np.ndarray
-    K0: np.ndarray
-    K1: np.ndarray
-    K2: np.ndarray
 
 
 def assemble_full(model: ModelKind, elastic: ElasticParams,
@@ -266,7 +262,8 @@ def _build_block_basis() -> tuple[np.ndarray, tuple]:
 
 
 _BLOCK_T, _BLOCK_META = _build_block_basis()
-_OFF_BLOCK = np.kron(np.eye(4), np.ones((3, 3))) == 0.0
+# the uncoupled modes never couple: that block counts as three 1x1 blocks
+_OFF_BLOCK = np.kron(np.diag([1, 1, 1, 0]), np.ones((3, 3))) + np.eye(12) == 0
 _BLOCKS = np.arange(4)
 
 
@@ -279,7 +276,8 @@ def _split(transformed: np.ndarray) -> tuple[BlockSystem, ...]:
     """The four real blocks of the (5, 12, 12) block-basis M0..K2.
 
     An off-block or imaginary entry above ``LEAK_REL_TOL`` times its
-    matrix's largest magnitude raises BlockLeakageError naming the matrix.
+    matrix's largest magnitude raises BlockLeakageError naming the matrix;
+    smaller ones are dropped, so the uncoupled block is exactly diagonal.
     """
     mags = np.abs(transformed)
     scale = mags.max(axis=(1, 2))
@@ -294,7 +292,8 @@ def _split(transformed: np.ndarray) -> tuple[BlockSystem, ...]:
                 f"{_MATRICES[i]} {what} {worst[i]:g} exceeds "
                 f"{LEAK_REL_TOL:g} * {scale[i]:g}")
     # diagonal[b, m] is the 3x3 block b of matrix m
-    diagonal = transformed.real.reshape(5, 4, 3, 4, 3)[:, _BLOCKS, :, _BLOCKS]
+    diagonal = np.where(_OFF_BLOCK, 0.0, transformed.real).reshape(
+        5, 4, 3, 4, 3)[:, _BLOCKS, :, _BLOCKS]
     return tuple(BlockSystem(block=kind, labels=labels,
                              **dict(zip(_MATRICES, diagonal[b])))
                  for b, (kind, labels) in enumerate(_BLOCK_META))

@@ -76,10 +76,8 @@ class RunConfig:
 
     def elastic(self) -> ElasticParams:
         self.require(_ELASTIC_KEYS)
-        v = self.values
         return ElasticParams.from_engineering(
-            v["mu_e"], v["lambda_e"], v["mu_c"],
-            v["mu_micro"], v["lambda_micro"], v["L_c"])
+            *(self.values[key] for key in _ELASTIC_KEYS))
 
     def inertia(self) -> InertiaParams:
         self.require(("rho", "eta"))
@@ -116,10 +114,8 @@ def _parse_scalar(key: str, raw: str):
         return raw
     if key in _BOOL_KEYS:
         low = raw.lower()
-        if low in ("true", "1", "yes", "on"):
-            return True
-        if low in ("false", "0", "no", "off"):
-            return False
+        if low in ("true", "1", "yes", "on", "false", "0", "no", "off"):
+            return low in ("true", "1", "yes", "on")
         raise ConfigError(f"key {key}: expected a boolean, got {raw!r}")
     try:
         return (int if key in _INT_KEYS else float)(raw)
@@ -255,7 +251,7 @@ def _cmd_disperse(cfg: RunConfig, args, err) -> int:
         return EXIT_VALIDATION
     scale, _ = _omega_scale(args)
     curves, grid = _sweep_all_blocks(cfg)
-    ks = grid.values.tolist()
+    ks = list(map(repr, grid.values.tolist()))  # formatted once, not per row
     rows = chain.from_iterable(
         zip(ks, repeat(block.value), repeat(branch.label),
             *_branch_columns(branch, scale))
@@ -269,10 +265,7 @@ def _cmd_modes(cfg: RunConfig, args, err) -> int:
     elastic, inertia = cfg.elastic(), cfg.inertia()
     if not _check_validation(elastic, inertia, err):
         return EXIT_VALIDATION
-    try:
-        block = WaveBlock(args.block)
-    except ValueError:
-        raise ConfigError(f"unknown block {args.block!r}")
+    block = WaveBlock(args.block)  # argparse admits WaveBlock values only
     model = cfg.model()
     grid = cfg.grid(elastic, inertia)
     curve = sweep(model, elastic, inertia, block, grid)
@@ -341,8 +334,7 @@ def _cmd_sweep_param(cfg: RunConfig, args, err) -> int:
     scale, _ = _omega_scale(args)
     rows = []
     for value in values:
-        run = RunConfig(values=dict(cfg.values))
-        run.values[args.param] = value
+        run = RunConfig(values={**cfg.values, args.param: value})
         model, elastic, inertia = run.model(), run.elastic(), run.inertia()
         if not _check_validation(elastic, inertia, err):
             return EXIT_VALIDATION
@@ -372,23 +364,19 @@ def _clip_to_ceiling(ks, omegas, ceiling):
     Crossing points are interpolated so branches leave the panel at the
     right slope instead of being clamped flat.
     """
-    segments = []
-    current = []
-    for j in range(len(ks)):
-        k, w = float(ks[j]), float(omegas[j])
+    points = list(zip(ks.tolist(), omegas.tolist()))
+    segments, current = [], []
+    for prev, (k, w) in zip([None, *points], points):
         if w <= ceiling:
-            if not current and j > 0 and float(omegas[j - 1]) > ceiling:
-                k0, w0 = float(ks[j - 1]), float(omegas[j - 1])
-                t = (ceiling - w) / (w0 - w)
-                current.append((k + t * (k0 - k), ceiling))
+            if prev is not None and prev[1] > ceiling:
+                t = (ceiling - w) / (prev[1] - w)
+                current.append((k + t * (prev[0] - k), ceiling))
             current.append((k, w))
-        else:
-            if current:
-                k0, w0 = float(ks[j - 1]), float(omegas[j - 1])
-                t = (ceiling - w0) / (w - w0)
-                current.append((k0 + t * (k - k0), ceiling))
-                segments.append(current)
-                current = []
+        elif current:
+            t = (ceiling - prev[1]) / (w - prev[1])
+            current.append((prev[0] + t * (k - prev[0]), ceiling))
+            segments.append(current)
+            current = []
     if current:
         segments.append(current)
     return segments

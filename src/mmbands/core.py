@@ -72,14 +72,9 @@ class ElasticParams:
     def from_engineering(cls, mu_e_mpa, lambda_e_mpa, mu_c_mpa,
                          mu_micro_mpa, lambda_micro_mpa, L_c_mm):
         """Build from MPa moduli and a characteristic length in mm."""
-        return cls(
-            mu_e=mu_e_mpa * PA_PER_MPA,
-            lambda_e=lambda_e_mpa * PA_PER_MPA,
-            mu_c=mu_c_mpa * PA_PER_MPA,
-            mu_micro=mu_micro_mpa * PA_PER_MPA,
-            lambda_micro=lambda_micro_mpa * PA_PER_MPA,
-            L_c=L_c_mm * M_PER_MM,
-        )
+        moduli = (mu_e_mpa, lambda_e_mpa, mu_c_mpa, mu_micro_mpa,
+                  lambda_micro_mpa)
+        return cls(*(m * PA_PER_MPA for m in moduli), L_c=L_c_mm * M_PER_MM)
 
     def scaled(self, c: float) -> "ElasticParams":
         """Return a copy with all five moduli multiplied by ``c`` (L_c kept)."""

@@ -1,18 +1,19 @@
 """Wavenumber sweeps: labeled dispersion branches, cut-offs, asymptotes.
 
-A sweep solves the 3x3 generalized eigenproblem of one block on a grid of
-wavenumbers and strings the eigenpairs into continuous branches by maximal
-mass-weighted eigenvector overlap between adjacent grid points, so branches
-keep their physical identity through avoided crossings.  The matches of all
-steps come from one array pass (sequential only where a greedy choice ties
-exactly), and the dominant DOF of every sample from one more; a branch
-stores them as arrays (``dominant``, ``ratio``) next to its frequencies.
-Labels are decided once, at k = 0: the most displacement-like coupled
-branch at omega(0) = 0 is acoustic, the optic branches are named by
-ascending cut-off (coupled blocks) or by their dominant micro mode
-(uncoupled block).
-``cutoffs`` applies the same labels to its k = 0 solve, so a cut-off is
-acoustic exactly when its branch is LA or TA.
+A sweep solves the 3x3 generalized eigenproblem of a coupled block on a
+grid of wavenumbers and strings the eigenpairs into continuous branches by
+maximal mass-weighted eigenvector overlap between adjacent grid points, so
+branches keep their physical identity through avoided crossings; the
+matches of all steps come from one array pass (sequential only where a
+greedy choice ties exactly).  The uncoupled block is diagonal, so each
+micro mode is a branch in closed form, omega_i^2 = K_ii(k) / M_ii(k).  The
+dominant DOF of every sample comes from one more pass; a branch stores
+them as arrays (``dominant``, ``ratio``) next to its frequencies.
+Labels are decided once, at k = 0, by ascending cut-off: the most
+displacement-like coupled branch at omega(0) = 0 is acoustic, and an
+uncoupled branch is named by its micro mode.  ``cutoffs`` applies the same
+labels to its k = 0 solve, so a cut-off is acoustic exactly when its
+branch is LA or TA.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import numpy as np
 
 from .assembly import block_for, model_blocks
 from .core import ElasticParams, InertiaParams, ModelKind, WaveBlock
-from .eigensolve import EigenSolveError, general_eig, general_eig_stack
+from .eigensolve import (EigenSolveError, clamp_roundoff, general_eig,
+                         general_eig_stack, positive_mass_diagonal)
 
 # Ratio of the two largest eigenvector magnitudes below which no single
 # degree of freedom is called dominant.
@@ -164,19 +166,19 @@ def classify_mode_stack(vectors, labels):
 def detect_asymptote(branch: Branch, grid: KGrid) -> bool:
     """True when the branch has flattened by the end of the grid.
 
-    Compares omega at k_max with omega at 0.8 * k_max: a nonzero final
-    value that moved by less than ``ASYMPTOTE_REL_TOL`` (relative) marks a
-    horizontal asymptote.  Needs >= 10 samples in the top decade of the grid.
+    Compares omega at k_max with omega at 0.8 * k_max: a final value that
+    moved by less than ``ASYMPTOTE_REL_TOL`` (relative), or is 0 at both,
+    marks a horizontal asymptote.  Needs >= 10 samples in the top decade.
     """
     k = grid.values
     if np.count_nonzero(k >= 0.1 * grid.k_max) < 10:
         raise DegenerateGridError(
             "asymptote detection needs >= 10 samples in the top decade")
     omega_end = float(branch.omegas[-1])
-    if omega_end <= 0.0:
-        return False
     idx = int(np.argmin(np.abs(k - 0.8 * grid.k_max)))
     omega_ref = float(branch.omegas[idx])
+    if omega_end <= 0.0:
+        return omega_end == omega_ref == 0.0
     return abs(omega_end - omega_ref) / omega_end < ASYMPTOTE_REL_TOL
 
 
@@ -188,12 +190,11 @@ def _greedy_overlap_match(overlap: np.ndarray, omegas_new: np.ndarray):
     exact degeneracies.
     """
     n = overlap.shape[0]
-    perm, used_cols = [-1] * n, set()
+    perm = [-1] * n
     for *_, r, c in sorted((-float(overlap[r, c]), float(omegas_new[c]), r, c)
                            for r in range(n) for c in range(n)):
-        if perm[r] == -1 and c not in used_cols:
+        if perm[r] == -1 and c not in perm:
             perm[r] = c
-            used_cols.add(c)
     return perm
 
 
@@ -242,25 +243,19 @@ def _continue_branches(overlap: np.ndarray, omegas: np.ndarray):
 def _label_branches(block: WaveBlock, omega0s, vectors0, labels):
     """Eigenpair indices in branch order, and their names, from k = 0.
 
-    Coupled blocks: of the eigenpairs with omega(0) <= 1e-6 * max(top
-    cut-off, 1 rad/s), the most displacement-like is acoustic (LA/TA) and
-    first, whatever the solver's order at an exact tie (mu_c = 0); the
-    others are optic, by ascending cut-off.  The uncoupled block keeps the
-    solver's order and is named by the dominant micro mode: symmetric shear
-    (TSO), rotational (TRO) or constant-volume (TCVO).
+    Branches go by ascending cut-off, the eigenpair index breaking ties.
+    Uncoupled block: eigenpair i is the micro mode of DOF i, named symmetric
+    shear (TSO), rotational (TRO) or constant-volume (TCVO).  Coupled: of
+    the eigenpairs with omega(0) <= 1e-6 * max(top cut-off, 1 rad/s), the
+    most displacement-like is acoustic (LA/TA) and first, whatever the
+    solver's order at an exact tie (mu_c = 0); the others are optic.
     """
     n = len(omega0s)
-    order = list(range(n))
+    order = sorted(range(n), key=lambda j: float(omega0s[j]))
     if block is WaveBlock.UNCOUPLED:
         by_dof = {"P_(23)": "TSO", "P_[23]": "TRO", "P_V": "TCVO"}
-        names = []
-        for i in order:
-            name = by_dof.get(labels[int(np.argmax(np.abs(vectors0[:, i])))])
-            names.append(f"U{i + 1}" if name in (None, *names) else name)
-        return order, names
-
+        return order, [by_dof[labels[i]] for i in order]
     prefix = "L" if block is WaveBlock.LONGITUDINAL else "T"
-    order.sort(key=lambda j: float(omega0s[j]))
     zero = [j for j in order
             if omega0s[j] <= 1e-6 * max(float(np.max(omega0s)), 1.0)]
     if zero:
@@ -282,29 +277,40 @@ def sweep(model: ModelKind, elastic: ElasticParams, inertia: InertiaParams,
           transverse_axis: int = 2) -> DispersionCurve:
     """Dispersion branches of one block over a wavenumber grid.
 
-    The block pencils of the whole grid are solved as one stack, adjacent
-    eigenpairs are joined by greedy maximal overlap |v_prev^H M v_new| for
-    all steps at once (sequentially only at exact ties), and the modes are
-    classified in one pass.  A solver failure or a zero eigenvector is
-    re-raised with the model, block and k added.
+    A coupled block's pencils are solved as one stack, and eigenpairs are
+    joined by greedy maximal overlap |v_prev^H M v_new| for all steps at
+    once (sequentially only at exact ties).  Micro mode i of the diagonal
+    uncoupled block is omega^2 = K_ii / M_ii, e_i / sqrt(M_ii) at every k,
+    under the solver's mass and clamp checks.  Modes are classified in one
+    pass.  A solver failure or a zero eigenvector is re-raised with the
+    model, block and k added.
     """
     bs = block_for(model, elastic, inertia, block, transverse_axis)
     k = grid.values
-    masses = bs.mass_at(k)
+    masses, stiffness = bs.mass_at(k), bs.stiffness_at(k)
+    uncoupled = block is WaveBlock.UNCOUPLED
     try:
-        sol = general_eig_stack(bs.stiffness_at(k), masses)
+        if uncoupled:
+            m_diag = positive_mass_diagonal(masses)
+            omega_sq = clamp_roundoff(np.diagonal(stiffness, axis1=1, axis2=2)
+                                      / m_diag, stiffness, masses)
+            raw = np.eye(3) / np.sqrt(m_diag)[:, None, :]
+        else:
+            sol = general_eig_stack(stiffness, masses)
+            omega_sq, raw = sol.omega_sq, sol.vectors
     except EigenSolveError as exc:
         raise _located(exc, model, block, k) from exc
-    omegas_raw = np.sqrt(sol.omega_sq)
-    # overlap[j - 1, r, c] = |v_r(k_{j-1})^H M(k_j) v_c(k_j)|, unpermuted
-    overlap = np.abs(np.conj(np.swapaxes(sol.vectors[:-1], 1, 2))
-                     @ (masses[1:] @ sol.vectors[1:]))
-
-    order, names = _label_branches(block, omegas_raw[0], sol.vectors[0],
-                                   bs.labels)
-    columns = _continue_branches(overlap, omegas_raw)[:, order]
+    omegas_raw = np.sqrt(omega_sq)
+    order, names = _label_branches(block, omegas_raw[0], raw[0], bs.labels)
+    if uncoupled:
+        columns = np.broadcast_to(order, omega_sq.shape)
+    else:
+        # overlap[j - 1, r, c] = |v_r(k_{j-1})^H M(k_j) v_c(k_j)|, unpermuted
+        overlap = np.abs(np.conj(np.swapaxes(raw[:-1], 1, 2))
+                         @ (masses[1:] @ raw[1:]))
+        columns = _continue_branches(overlap, omegas_raw)[:, order]
     omegas = np.take_along_axis(omegas_raw, columns, axis=1)
-    vectors = np.take_along_axis(sol.vectors, columns[:, None, :], axis=2)
+    vectors = np.take_along_axis(raw, columns[:, None, :], axis=2)
 
     try:
         dominant, ratio = classify_mode_stack(np.swapaxes(vectors, 1, 2),
@@ -338,11 +344,14 @@ def cutoffs(model: ModelKind, elastic: ElasticParams,
     # blocks[2] is the x3 transverse block, identical to blocks[1]
     for bs in (blocks[0], blocks[1], blocks[3]):
         sol = general_eig(bs.stiffness_at(0.0), bs.mass_at(0.0))
-        omega0 = np.sqrt(sol.omega_sq)
-        order, names = _label_branches(bs.block, omega0, sol.vectors,
-                                       bs.labels)
+        omega0, vectors = np.sqrt(sol.omega_sq), sol.vectors
+        if bs.block is WaveBlock.UNCOUPLED:
+            # the diagonal block's eigenpairs in DOF order, as sweep has them
+            dof = np.argsort(np.argmax(np.abs(vectors), axis=0))
+            omega0, vectors = omega0[dof], vectors[:, dof]
+        order, names = _label_branches(bs.block, omega0, vectors, bs.labels)
         out[bs.block] = tuple(
             Cutoff(omega=float(omega0[i]), acoustic=name in ("LA", "TA"),
-                   mode=bs.labels[int(np.argmax(np.abs(sol.vectors[:, i])))])
+                   mode=bs.labels[int(np.argmax(np.abs(vectors[:, i])))])
             for i, name in zip(order, names))
     return out

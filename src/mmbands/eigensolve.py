@@ -85,23 +85,8 @@ def _assert_hermitian(a: np.ndarray, name: str) -> None:
             f"by more than {HERMITIAN_REL_TOL:g} relative", i)
 
 
-def general_eig_stack(k_stack: np.ndarray,
-                      m_stack: np.ndarray) -> EigenSolution:
-    """Solve K v = w M v for every pencil of an (n, m, m) stack at once.
-
-    Eigenvalues come back ascending along the last axis and eigenvectors
-    M-orthonormal with the phase fixed so that the largest-magnitude
-    component is real and positive.  Small negative eigenvalues (roundoff on
-    a positive semidefinite K) are clamped to zero; negatives beyond
-    ``CLAMP_REL_TOL * |K| / |M|`` raise NegativeEigenvalueError.  Every
-    error names the index of the first failing pencil and the quantity that
-    failed, and carries that index as ``index``.  Real stacks stay real.
-    """
-    dtype = np.result_type(np.asarray(k_stack), np.asarray(m_stack), float)
-    k_stack, m_stack = np.asarray(k_stack, dtype), np.asarray(m_stack, dtype)
-    _assert_hermitian(k_stack, "stiffness matrix")
-    _assert_hermitian(m_stack, "mass matrix")
-
+def positive_mass_diagonal(m_stack: np.ndarray) -> np.ndarray:
+    """The (n, m) diagonals of a mass stack; a non-positive one raises."""
     diag = np.real(np.diagonal(m_stack, axis1=-2, axis2=-1))
     bad = ~(diag > 0.0)
     if bad.any():
@@ -109,7 +94,41 @@ def general_eig_stack(k_stack: np.ndarray,
         raise NotPositiveDefiniteError(
             f"mass matrix of pencil {i} has diagonal entry {diag[i, j]:g} "
             f"at index {j}, which is not positive", int(i))
-    d = 1.0 / np.sqrt(diag)
+    return diag
+
+
+def clamp_roundoff(w: np.ndarray, k_stack: np.ndarray,
+                   m_stack: np.ndarray) -> np.ndarray:
+    """Eigenvalues w (n, m) with roundoff negatives clamped to zero; one
+    below ``-CLAMP_REL_TOL * |K| / |M|`` of its pencil raises instead."""
+    lowest = w.min(axis=-1)
+    bad = lowest < -CLAMP_REL_TOL * (np.linalg.norm(k_stack, axis=(-2, -1))
+                                     / np.linalg.norm(m_stack, axis=(-2, -1)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NegativeEigenvalueError(
+            f"eigenvalue {lowest[i]:g} of pencil {i} below "
+            f"-{CLAMP_REL_TOL:g} * |K|/|M|", i)
+    return np.where(w < 0.0, 0.0, w)
+
+
+def general_eig_stack(k_stack: np.ndarray,
+                      m_stack: np.ndarray) -> EigenSolution:
+    """Solve K v = w M v for every pencil of an (n, m, m) stack at once.
+
+    Eigenvalues come back ascending along the last axis and eigenvectors
+    M-orthonormal with the phase fixed so that the largest-magnitude
+    component is real and positive.  Roundoff negatives are clamped to zero
+    and larger ones raise (``clamp_roundoff``).  Every error names the index
+    of the first failing pencil and the quantity that failed, and carries
+    that index as ``index``.  Real stacks stay real.
+    """
+    dtype = np.result_type(np.asarray(k_stack), np.asarray(m_stack), float)
+    k_stack, m_stack = np.asarray(k_stack, dtype), np.asarray(m_stack, dtype)
+    _assert_hermitian(k_stack, "stiffness matrix")
+    _assert_hermitian(m_stack, "mass matrix")
+
+    d = 1.0 / np.sqrt(positive_mass_diagonal(m_stack))
     congruence = d[:, :, None] * d[:, None, :]
     m_eq = m_stack * congruence
     k_eq = k_stack * congruence
@@ -135,16 +154,7 @@ def general_eig_stack(k_stack: np.ndarray,
     lower_inv = np.linalg.inv(lower)
     b = lower_inv @ k_eq @ _conj_t(lower_inv)
     w, y = np.linalg.eigh(0.5 * (b + _conj_t(b)))
-
-    limit = -CLAMP_REL_TOL * (np.linalg.norm(k_stack, axis=(-2, -1))
-                              / np.linalg.norm(m_stack, axis=(-2, -1)))
-    bad = w[:, 0] < limit
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise NegativeEigenvalueError(
-            f"eigenvalue {w[i, 0]:g} of pencil {i} below "
-            f"-{CLAMP_REL_TOL:g} * |K|/|M|", i)
-    w = np.where(w < 0.0, 0.0, w)
+    w = clamp_roundoff(w, k_stack, m_stack)
 
     # back-transform, M-normalize, then rotate each column so its
     # largest-magnitude component is real positive (a sign for real input)

@@ -7,7 +7,9 @@ real roots come out of the closed-form trigonometric solution.  The gap
 finder at the end marks a boolean array with one entry per frequency bin,
 the direct form of the interval union that the production code computes.
 The branch continuation and the mode classifier are the plain per-step and
-per-vector loops that the production code replaces by array passes.
+per-vector loops that the production code replaces by array passes.  The
+wide-cone sampler draws admissible parameter sets far from the reference
+set, as plain keyword dicts, so this module needs numpy only.
 """
 
 import math
@@ -150,3 +152,34 @@ def classify_vector(vector, labels, threshold):
     second = max(m for i, m in enumerate(mags) if i != top)
     ratio = math.inf if second == 0.0 else mags[top] / second
     return (labels[top] if ratio >= threshold else "Mixed"), ratio
+
+
+def wide_cone_set(rng, *, mu_c_zero, l_c_zero, eta_bar_on):
+    """One admissible parameter set, as ElasticParams / InertiaParams kwargs.
+
+    SI units: moduli over nine decades (1e3 to 1e12 Pa), lambdas of either
+    sign (3*lambda + 2*mu > 0), L_c from 10 um to 1 m, eta from 1e-8 to
+    0.1 kg/m, rho from 1 to 1e4 kg/m^3 and eta_bar / eta from 1e-2 to 1e10.
+    """
+    mu_e, mu_c, mu_micro = 10.0 ** rng.uniform(3.0, 12.0, size=3)
+    elastic = dict(
+        mu_e=mu_e, lambda_e=mu_e * rng.uniform(-0.6, 2.0),
+        mu_c=0.0 if mu_c_zero else mu_c, mu_micro=mu_micro,
+        lambda_micro=mu_micro * rng.uniform(-0.6, 2.0),
+        L_c=0.0 if l_c_zero else 10.0 ** rng.uniform(-5.0, 0.0))
+    eta = 10.0 ** rng.uniform(-8.0, -1.0)
+    eta_bar = eta * 10.0 ** rng.uniform(-2.0, 10.0, size=3)
+    rho = 10.0 ** rng.uniform(0.0, 4.0)
+    inertia = dict(rho=rho, eta=eta, **{
+        f"eta_bar_{i + 1}": float(v) if eta_bar_on else 0.0
+        for i, v in enumerate(eta_bar)})
+    return elastic, inertia
+
+
+def wide_cone(seed, count=24):
+    """``count`` seeded wide-cone sets that cycle through the corners:
+    mu_c = 0 in every third, L_c = 0 in every fourth and the gradient
+    inertiae on in every other set."""
+    rng = np.random.default_rng(seed)
+    return [wide_cone_set(rng, mu_c_zero=i % 3 == 0, l_c_zero=i % 4 == 1,
+                          eta_bar_on=i % 2 == 0) for i in range(count)]

@@ -15,6 +15,8 @@ from mmbands.assembly import (BlockLeakageError, FullSystem, assemble_full,
 from mmbands.core import (ElasticParams, InertiaParams, ModelKind, WaveBlock,
                           validate)
 
+from oracles import wide_cone, wide_cone_set
+
 ALL_MODELS = list(ModelKind)
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -332,20 +334,9 @@ class TestBlockDecomposition:
             block_decompose(corrupted)
 
 
-def wide_admissible_set(rng, *, mu_c_zero, l_c_zero, eta_bar_on):
-    """Moduli over nine decades, lambdas of either sign (3*lambda + 2*mu
-    > 0), L_c from 10 um to 1 m, and eta_bar / eta up to 1e10."""
-    mu_e, mu_c, mu_micro = 10.0 ** rng.uniform(3.0, 12.0, size=3)
-    elastic = ElasticParams(
-        mu_e=mu_e, lambda_e=mu_e * rng.uniform(-0.6, 2.0),
-        mu_c=0.0 if mu_c_zero else mu_c, mu_micro=mu_micro,
-        lambda_micro=mu_micro * rng.uniform(-0.6, 2.0),
-        L_c=0.0 if l_c_zero else 10.0 ** rng.uniform(-5.0, 0.0))
-    eta = 10.0 ** rng.uniform(-8.0, -1.0)
-    eta_bar = eta * 10.0 ** rng.uniform(-2.0, 10.0, size=3)
-    return elastic, InertiaParams(
-        10.0 ** rng.uniform(0.0, 4.0), eta,
-        *(eta_bar if eta_bar_on else np.zeros(3)))
+def as_params(kwargs):
+    """ElasticParams and InertiaParams from a wide-cone pair of kwargs."""
+    return ElasticParams(**kwargs[0]), InertiaParams(**kwargs[1])
 
 
 class TestUnitTensors:
@@ -356,9 +347,9 @@ class TestUnitTensors:
     def test_blocks_match_block_decompose(self, model, eta_bar_on):
         rng = np.random.default_rng([ALL_MODELS.index(model), eta_bar_on])
         for case in range(12):
-            elastic, inertia = wide_admissible_set(
+            elastic, inertia = as_params(wide_cone_set(
                 rng, mu_c_zero=case % 3 == 0, l_c_zero=case % 4 == 1,
-                eta_bar_on=eta_bar_on)
+                eta_bar_on=eta_bar_on))
             assert validate(elastic, inertia).ok
             want = block_decompose(assemble_full(model, elastic, inertia))
             got = model_blocks(model, elastic, inertia)
@@ -370,6 +361,25 @@ class TestUnitTensors:
                     scale = float(np.max(np.abs(ref)))
                     assert np.max(np.abs(a - ref)) <= 1e-14 * scale, (
                         case, b, name)
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_uncoupled_block_exactly_diagonal_over_the_wide_cone(self, model):
+        for elastic, inertia in map(as_params, wide_cone(seed=11)):
+            assert validate(elastic, inertia).ok
+            uncoupled = model_blocks(model, elastic, inertia)[3]
+            for name in ("M0", "M2", "K0", "K1", "K2"):
+                matrix = getattr(uncoupled, name)
+                assert np.array_equal(matrix, np.diag(np.diag(matrix)))
+
+    def test_uncoupled_off_diagonal_entry_names_the_matrix(
+            self, ref_elastic, inertia_off):
+        system = assemble_full(ModelKind.RELAXED_CURL, ref_elastic,
+                               inertia_off)
+        bad = system.K0.copy()
+        i, j = DOF_NAMES.index("P23"), DOF_NAMES.index("P22")
+        bad[i, j] = bad[j, i] = 1e-6 * float(np.max(np.abs(bad)))
+        with pytest.raises(BlockLeakageError, match="^K0 off-block"):
+            block_decompose(replace(system, K0=bad))
 
     def test_block_for_picks_from_model_blocks(self, ref_elastic, inertia_on):
         blocks = model_blocks(ModelKind.RELAXED_DIV, ref_elastic, inertia_on)

@@ -204,6 +204,21 @@ class TestGapsCommand:
 }
 """
 
+    @pytest.mark.parametrize("model, flags, n_gaps", [
+        ("internal-variable", [], 3),
+        ("relaxed-div", ["--include-uncoupled"], 1),
+        ("relaxed-div", ["--block", "uncoupled"], 2),
+        ("internal-variable", ["--block", "uncoupled"], 2),
+    ])
+    def test_micro_rotation_at_zero_mu_c_keeps_the_gaps(
+            self, capsys, model, flags, n_gaps):
+        # without curvature on it, the micro-rotation stays at omega = 0
+        # for every k: a bounded branch, not one that covers every gap
+        argv = ["gaps", "--config", DEMO_CONFIG, "--model", model,
+                "--mu-c", "0", *flags]
+        assert run(argv) == 0
+        assert json.loads(capsys.readouterr().out)["n_gaps"] == n_gaps
+
     def test_fine_bins_need_no_bin_array(self, tmp_path):
         # about 6.9e8 bins of 1e-3 rad/s up to the default ceiling
         code, text = run_to_file(tmp_path, "fine.json",

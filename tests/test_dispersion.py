@@ -16,7 +16,8 @@ from mmbands.dispersion import (MODE_RATIO_THRESHOLD, Branch,
 from mmbands.eigensolve import (EigenSolution, NotPositiveDefiniteError,
                                 general_eig_stack)
 
-from oracles import classify_vector, greedy_continuation
+from oracles import (classify_vector, cubic_pencil_eigenvalues,
+                     greedy_continuation, wide_cone)
 
 ALL_MODELS = list(ModelKind)
 ALL_BLOCKS = [WaveBlock.LONGITUDINAL, WaveBlock.TRANSVERSE,
@@ -346,6 +347,25 @@ class TestAsymptotes:
                         ratio=np.ones(60))
         assert detect_asymptote(branch, grid) is True
 
+    def test_zero_branch_is_asymptotic(self):
+        # a micro-rotation with mu_c = 0 and no curvature stays at omega = 0
+        grid = KGrid.linear(1.0e5, 60)
+        branch = Branch(label="X", omegas=np.zeros(60),
+                        vectors=np.zeros((60, 3)),
+                        dominant=np.full(60, "Mixed", dtype=object),
+                        ratio=np.ones(60))
+        assert detect_asymptote(branch, grid) is True
+
+    @pytest.mark.parametrize("model", [ModelKind.RELAXED_DIV,
+                                       ModelKind.INTERNAL_VARIABLE])
+    def test_zero_micro_rotation_is_bounded(self, model, ref_elastic,
+                                            inertia_on):
+        curve = sweep(model, replace(ref_elastic, mu_c=0.0), inertia_on,
+                      WaveBlock.UNCOUPLED, default_grid(ref_elastic))
+        tro = curve.branches[0]
+        assert tro.label == "TRO" and not np.any(tro.omegas)
+        assert curve.asymptote_flags[0] is True
+
     def test_top_decade_sampling_required(self):
         values = np.concatenate([np.linspace(0.0, 1.0e4, 55),
                                  np.array([1.0e5])])
@@ -609,12 +629,22 @@ def test_branch_order_matches_sequential_oracle(model, block, inertia,
     curve = sweep(model, ref_elastic, inertia, block, grid)
     rows = np.arange(len(grid))
     for b, branch in enumerate(curve.branches):
-        assert np.array_equal(branch.omegas, omegas[rows, columns[:, b]])
-        assert np.array_equal(branch.vectors, vectors[rows, :, columns[:, b]])
-    # the uncoupled block has an exact double root, so its greedy choice
-    # ties at every step; the coupled blocks never tie
-    expected = len(grid) - 1 if block is WaveBlock.UNCOUPLED else 0
-    assert len(tied_steps) == expected
+        want, want_vectors = (omegas[rows, columns[:, b]],
+                              vectors[rows, :, columns[:, b]])
+        if block is not WaveBlock.UNCOUPLED:
+            assert np.array_equal(branch.omegas, want)
+            assert np.array_equal(branch.vectors, want_vectors)
+            continue
+        # the closed form of the diagonal block against the solver route;
+        # each branch stays on one micro mode, the vector e_i / sqrt(eta)
+        np.testing.assert_allclose(branch.omegas, want, rtol=1e-15, atol=0)
+        dof = np.argmax(np.abs(want_vectors), axis=1)
+        assert np.all(dof == dof[0])
+        assert np.array_equal(branch.vectors, np.tile(
+            np.eye(3)[dof[0]] / np.sqrt(inertia.eta), (len(grid), 1)))
+    # the coupled blocks never tie, and the uncoupled block (an exact double
+    # root at every k) is not continued at all
+    assert tied_steps == []
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)
@@ -669,3 +699,51 @@ def test_continuation_matches_oracle_at_engineered_ties():
         omegas[1:][tied] = rng.choice([1.0, 2.0], size=(tied.sum(), 3))
         expected = greedy_continuation(overlap, omegas)
         assert np.array_equal(_continue_branches(overlap, omegas), expected)
+
+
+def wide_cone_params(seed):
+    return [(ElasticParams(**el), InertiaParams(**inr))
+            for el, inr in wide_cone(seed)]
+
+
+def symmetric_functions(roots):
+    a, b, c = (float(r) for r in roots)
+    return a + b + c, a * b + a * c + b * c, a * b * c
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+def test_closed_form_uncoupled_matches_cubic_oracle(model):
+    # the criterion-6 tolerance, 1e-8 relative to the larger of the largest
+    # root and |K| / |M|, on the cubic's coefficients (the symmetric
+    # functions of its roots, floored at that scale's powers): the oracle's
+    # closed-form roots lose half their digits at the TSO/TCVO double root
+    for elastic, inertia in wide_cone_params(seed=12):
+        grid = default_grid(elastic, inertia, points=50)
+        curve = sweep(model, elastic, inertia, WaveBlock.UNCOUPLED, grid)
+        bs = block_for(model, elastic, inertia, WaveBlock.UNCOUPLED)
+        for j in (0, 1, 17, 49):
+            k_mat, m_mat = bs.stiffness_at(grid.values[j]), bs.mass_at(
+                grid.values[j])
+            want = cubic_pencil_eigenvalues(k_mat, m_mat)
+            got = sorted(float(b.omegas[j]) ** 2 for b in curve.branches)
+            scale = max(np.linalg.norm(k_mat) / np.linalg.norm(m_mat),
+                        max(abs(float(w)) for w in want))
+            for power, (g, w) in enumerate(zip(symmetric_functions(got),
+                                               symmetric_functions(want)),
+                                           start=1):
+                assert abs(g - w) <= 1e-8 * max(abs(w), scale ** power)
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+def test_sweep_and_cutoffs_share_the_uncoupled_order(model):
+    names = {"P_(23)": "TSO", "P_[23]": "TRO", "P_V": "TCVO"}
+    for elastic, inertia in wide_cone_params(seed=13):
+        table = cutoffs(model, elastic, inertia)[WaveBlock.UNCOUPLED]
+        curve = sweep(model, elastic, inertia, WaveBlock.UNCOUPLED,
+                      default_grid(elastic, inertia, points=50))
+        assert [names[c.mode] for c in table] == [
+            b.label for b in curve.branches]
+        assert [c.mode for c in table] == [
+            b.dominant[0] for b in curve.branches]
+        assert [c.omega for c in table] == pytest.approx(
+            [float(b.omegas[0]) for b in curve.branches], rel=1e-12, abs=0)
