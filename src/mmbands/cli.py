@@ -24,8 +24,6 @@ failure, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -145,13 +143,11 @@ def parse_config_file(path: str) -> dict:
 
 
 def build_config(args) -> RunConfig:
-    values = {k: None for k in _ALL_KEYS}
+    values = dict.fromkeys(_ALL_KEYS)
     if args.config:
         values.update(parse_config_file(args.config))
-    for key in _ALL_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
+    values.update({key: flag for key in _ALL_KEYS
+                   if (flag := getattr(args, key, None)) is not None})
     return RunConfig(values=values)
 
 
@@ -184,12 +180,11 @@ def _json_dumps(payload) -> str:
 
 
 def _csv_text(header, rows) -> str:
-    """CSV text of a header and rows; a Python float prints as its repr."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    """CSV text of a header and rows whose cells are all ``str`` (else
+    ``TypeError``).  No cell (float reprs, ``inf``, block, branch and DOF
+    names, ``a:b;c:d`` gap lists, the empty gaps cell) holds a comma, quote
+    or line break, so ``csv.writer`` would quote nothing: a join is exact."""
+    return "\n".join(map(",".join, chain([header], rows))) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +202,9 @@ def _cmd_homogenize(cfg: RunConfig, args, err) -> int:
     if not _check_validation(elastic, inertia, err):
         return EXIT_VALIDATION
     macro = homogenize(elastic)
-    payload = {
-        "mu_macro_mpa": macro.mu_macro / PA_PER_MPA,
-        "lambda_macro_mpa": macro.lambda_macro / PA_PER_MPA,
-        "e_macro_mpa": macro.e_macro / PA_PER_MPA,
-        "nu_macro": macro.nu_macro,
-    }
+    payload = {f"{name}_mpa": getattr(macro, name) / PA_PER_MPA
+               for name in ("mu_macro", "lambda_macro", "e_macro")}
+    payload["nu_macro"] = macro.nu_macro
     _write_output(_json_dumps(payload), args)
     return EXIT_OK
 
@@ -240,9 +232,9 @@ def _sweep_all_blocks(cfg: RunConfig):
 
 
 def _branch_columns(branch, scale):
-    """omega, dominant_mode and ratio columns of one branch, as lists."""
-    return ((branch.omegas * scale).tolist(), branch.dominant.tolist(),
-            branch.ratio.tolist())
+    """omega, dominant_mode and ratio cells of one branch, as strings."""
+    return (map(repr, (branch.omegas * scale).tolist()),
+            branch.dominant.tolist(), map(repr, branch.ratio.tolist()))
 
 
 def _cmd_disperse(cfg: RunConfig, args, err) -> int:
@@ -269,14 +261,14 @@ def _cmd_modes(cfg: RunConfig, args, err) -> int:
     model = cfg.model()
     grid = cfg.grid(elastic, inertia)
     curve = sweep(model, elastic, inertia, block, grid)
-    wanted = [b for b in curve.branches if b.label == args.branch]
-    if not wanted:
+    branch = next((b for b in curve.branches if b.label == args.branch), None)
+    if branch is None:
         names = ", ".join(b.label for b in curve.branches)
         raise ConfigError(f"no branch {args.branch!r} in block "
                           f"{block.value} (have: {names})")
-    branch = wanted[0]
     scale, _ = _omega_scale(args)
-    rows = zip(grid.values.tolist(), *_branch_columns(branch, scale))
+    rows = zip(map(repr, grid.values.tolist()),
+               *_branch_columns(branch, scale))
     _write_output(_csv_text(["k", "omega", "dominant_mode", "ratio"], rows),
                   args)
     return EXIT_OK
@@ -343,7 +335,7 @@ def _cmd_sweep_param(cfg: RunConfig, args, err) -> int:
                              **run.gap_options())
         joined = ";".join(f"{g.omega_lo * scale!r}:{g.omega_hi * scale!r}"
                           for g in report.gaps)
-        rows.append([repr(float(value)), len(report.gaps), joined])
+        rows.append([repr(float(value)), str(len(report.gaps)), joined])
     _write_output(_csv_text(["param_value", "n_gaps", "gaps"], rows), args)
     return EXIT_OK
 
@@ -491,6 +483,9 @@ def _add_common_flags(sub):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # one shared parent holds the common flags: built once, not per subcommand
+    common = argparse.ArgumentParser(add_help=False)
+    _add_common_flags(common)
     parser = argparse.ArgumentParser(
         prog="mmbands",
         description="Dispersion curves, cut-offs and band-gaps of isotropic "
@@ -508,12 +503,10 @@ def build_parser() -> argparse.ArgumentParser:
             ("sweep-param", _cmd_sweep_param,
              "gap counts over a parameter range (CSV)"),
             ("plot", _cmd_plot, "three-panel dispersion diagram (SVG)")):
-        sub = subs.add_parser(name, help=helptext)
+        sub = subs.add_parser(name, help=helptext, parents=[common])
         sub.set_defaults(handler=handler)
-        _add_common_flags(sub)
         if name == "gaps":
-            sub.add_argument("--block",
-                             choices=[b.value for b in WaveBlock],
+            sub.add_argument("--block", choices=[b.value for b in WaveBlock],
                              help="restrict to one block (default: complete)")
         if name == "modes":
             sub.add_argument("--block", required=True,

@@ -8,6 +8,7 @@ mm for the characteristic length) and convert on ingestion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -148,27 +149,31 @@ def validate(elastic: ElasticParams, inertia: InertiaParams) -> ValidationReport
 
     The strict positivity of mu_e, mu_micro, rho, eta and of the bulk-type
     combinations 3*lambda + 2*mu guarantees a positive-definite mass operator
-    and nonnegative squared frequencies at k = 0.
+    and nonnegative squared frequencies at k = 0.  A check also fails, with
+    the detail "not finite", when a parameter it covers is nan or infinite.
     """
     checks = []
 
-    def check(name, passed, detail=""):
+    def check(name, passed, *covered, detail=""):
+        if not all(map(math.isfinite, covered)):
+            passed, detail = False, "not finite"
         checks.append(InvariantCheck(name, passed, "" if passed else detail))
 
-    check("mu_e > 0", elastic.mu_e > 0.0)
-    check("mu_micro > 0", elastic.mu_micro > 0.0)
-    check("mu_c >= 0", elastic.mu_c >= 0.0)
-    check("L_c >= 0", elastic.L_c >= 0.0)
-    check("3*lambda_e + 2*mu_e > 0",
-          3.0 * elastic.lambda_e + 2.0 * elastic.mu_e > 0.0)
+    e, i = elastic, inertia
+    check("mu_e > 0", e.mu_e > 0.0, e.mu_e)
+    check("mu_micro > 0", e.mu_micro > 0.0, e.mu_micro)
+    check("mu_c >= 0", e.mu_c >= 0.0, e.mu_c)
+    check("L_c >= 0", e.L_c >= 0.0, e.L_c)
+    check("3*lambda_e + 2*mu_e > 0", 3.0 * e.lambda_e + 2.0 * e.mu_e > 0.0,
+          e.lambda_e, e.mu_e)
     check("3*lambda_micro + 2*mu_micro > 0",
-          3.0 * elastic.lambda_micro + 2.0 * elastic.mu_micro > 0.0)
-    check("rho > 0", inertia.rho > 0.0)
-    check("eta > 0", inertia.eta > 0.0)
-    bars = (inertia.eta_bar_1, inertia.eta_bar_2, inertia.eta_bar_3)
-    bad = [i + 1 for i, v in enumerate(bars) if v < 0.0]
-    check("eta_bar_i >= 0", not bad,
-          f"eta_bar_{bad} negative" if bad else "")
+          3.0 * e.lambda_micro + 2.0 * e.mu_micro > 0.0,
+          e.lambda_micro, e.mu_micro)
+    check("rho > 0", i.rho > 0.0, i.rho)
+    check("eta > 0", i.eta > 0.0, i.eta)
+    bars = (i.eta_bar_1, i.eta_bar_2, i.eta_bar_3)
+    bad = [n + 1 for n, v in enumerate(bars) if v < 0.0]
+    check("eta_bar_i >= 0", not bad, *bars, detail=f"eta_bar_{bad} negative")
 
     return ValidationReport(checks=tuple(checks))
 

@@ -64,8 +64,10 @@ class KGrid:
 
     @classmethod
     def linear(cls, k_max: float, points: int = DEFAULT_GRID_POINTS) -> "KGrid":
-        if k_max <= 0.0:
-            raise DegenerateGridError("k_max must be positive")
+        if not 0.0 < k_max < math.inf:
+            raise DegenerateGridError("k_max must be finite and positive")
+        if points < 50:  # checked before np.linspace, which rejects < 0
+            raise DegenerateGridError("grid needs at least 50 points")
         return cls(values=np.linspace(0.0, k_max, points))
 
     @property

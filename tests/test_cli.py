@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import xml.dom.minidom
@@ -6,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import mmbands.dispersion
-from mmbands.cli import run
+from mmbands.cli import _csv_text, run
 
 from conftest import (MU_E_MPA, LAMBDA_E_MPA, MU_C_MPA, MU_MICRO_MPA,
                       LAMBDA_MICRO_MPA, L_C_MM, RHO, ETA, ETA_BAR)
@@ -381,3 +383,90 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert flag[2:].replace("-", "_") in err
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("command, flag, value, check", [
+        ("gaps", "--mu-e", "inf", "mu_e > 0"),
+        ("gaps", "--lambda-micro", "inf", "3*lambda_micro + 2*mu_micro > 0"),
+        ("gaps", "--eta-bar-2", "inf", "eta_bar_i >= 0"),
+        ("gaps", "--rho", "inf", "rho > 0"),
+        ("gaps", "--eta-bar-1", "nan", "eta_bar_i >= 0"),
+        ("gaps", "--l-c", "inf", "L_c >= 0"),
+        ("cutoffs", "--mu-c", "inf", "mu_c >= 0"),
+        ("homogenize", "--mu-micro", "inf", "mu_micro > 0")])
+    def test_non_finite_parameter_is_a_validation_failure(
+            self, capsys, command, flag, value, check):
+        # these used to exit 4 ("diagonal entry nan"), 2 or, for homogenize,
+        # 0 with a NaN that is not valid JSON
+        code = run([command, "--config", DEMO_CONFIG, flag, value])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert f"invalid parameters: {check} (not finite)\n" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["disperse", "--grid-points", "-5"], "grid needs at least 50 points"),
+        (["gaps", "--k-max", "nan"], "k_max must be finite and positive"),
+        (["gaps", "--k-max", "inf"], "k_max must be finite and positive")])
+    def test_bad_grid_is_a_config_error(self, capsys, argv, message):
+        code = run(argv + ["--config", DEMO_CONFIG])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+FLOAT_COLUMNS = ("k", "omega", "ratio", "param_value")
+
+
+def _assert_unquoted_csv(text):
+    """Rows of a CSV text that csv.writer writes back byte for byte (so no
+    cell needed quoting) and whose float cells are reprs; header and body."""
+    rows = list(csv.reader(io.StringIO(text)))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    assert buf.getvalue() == text
+    header, body = rows[0], rows[1:]
+    for col, name in enumerate(header):
+        if name in FLOAT_COLUMNS:
+            assert all(row[col] == repr(float(row[col])) for row in body)
+    return header, body
+
+
+class TestCsvByteContract:
+    @pytest.mark.parametrize("extra", [[], ["--hertz"], ["--mu-c", "0"]])
+    def test_disperse(self, tmp_path, extra):
+        code, text = run_to_file(
+            tmp_path, "disp.csv", ["disperse", "--config", DEMO_CONFIG, *extra])
+        assert code == 0
+        header, body = _assert_unquoted_csv(text)
+        assert len(body) == 3 * 3 * 400
+        if extra == ["--mu-c", "0"]:
+            # the zero micro-rotation: exact 0.0 frequencies, inf ratios
+            assert "0.0" in {row[header.index("omega")] for row in body}
+            assert "inf" in {row[header.index("ratio")] for row in body}
+
+    def test_modes(self, tmp_path):
+        code, text = run_to_file(
+            tmp_path, "modes.csv", ["modes", "--config", DEMO_CONFIG,
+                                    "--block", "transverse", "--branch", "TA"])
+        assert code == 0
+        assert len(_assert_unquoted_csv(text)[1]) == 400
+
+    @pytest.mark.parametrize("extra, gap_cells", [
+        (["--param", "eta_bar_2", "--range", "0:0.2:3"], 3),
+        (["--param", "omega_ceiling", "--values", "1000"], 0)])
+    def test_sweep_param(self, tmp_path, extra, gap_cells):
+        code, text = run_to_file(
+            tmp_path, "sweep.csv",
+            ["sweep-param", "--config", DEMO_CONFIG, *extra])
+        assert code == 0
+        _, body = _assert_unquoted_csv(text)
+        assert sum(row[2] != "" for row in body) == gap_cells
+        for _, n_gaps, gaps in body:
+            assert n_gaps == str(len(gaps.split(";")) if gaps else 0)
+            for edge in gaps.replace(";", ":").split(":") if gaps else ():
+                assert edge == repr(float(edge))
+
+    def test_non_str_cell_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            _csv_text(["k"], [[0.0]])

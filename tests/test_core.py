@@ -1,3 +1,5 @@
+import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -39,6 +41,41 @@ class TestValidate:
                             mu_micro=1e8, lambda_micro=0.0, L_c=1e-3)
         report = validate(bad, inertia_off)
         assert "3*lambda_e + 2*mu_e > 0" in _failed_names(report)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field, names", [
+        ("mu_e", {"mu_e > 0", "3*lambda_e + 2*mu_e > 0"}),
+        ("lambda_e", {"3*lambda_e + 2*mu_e > 0"}),
+        ("mu_c", {"mu_c >= 0"}),
+        ("mu_micro", {"mu_micro > 0", "3*lambda_micro + 2*mu_micro > 0"}),
+        ("lambda_micro", {"3*lambda_micro + 2*mu_micro > 0"}),
+        ("L_c", {"L_c >= 0"}),
+        ("rho", {"rho > 0"}),
+        ("eta", {"eta > 0"}),
+        ("eta_bar_1", {"eta_bar_i >= 0"}),
+        ("eta_bar_2", {"eta_bar_i >= 0"}),
+        ("eta_bar_3", {"eta_bar_i >= 0"})])
+    def test_non_finite_parameter_fails_its_checks(self, ref_elastic,
+                                                   inertia_on, field, names,
+                                                   value):
+        # nan passes no inequality and inf passes every upper-unbounded one;
+        # both must fail the checks that cover the parameter, as "not finite"
+        elastic, inertia = ref_elastic, inertia_on
+        if hasattr(elastic, field):
+            elastic = replace(elastic, **{field: value})
+        else:
+            inertia = replace(inertia, **{field: value})
+        report = validate(elastic, inertia)
+        assert not report.ok
+        assert len(report.checks) == 9
+        assert {c.name: c.message for c in report.failures()} == \
+            dict.fromkeys(names, "not finite")
+
+    def test_finite_negative_eta_bar_keeps_its_detail(self, ref_elastic):
+        inertia = InertiaParams(rho=RHO, eta=ETA, eta_bar_2=-0.1,
+                                eta_bar_3=-0.2)
+        [failure] = validate(ref_elastic, inertia).failures()
+        assert failure.message == "eta_bar_[2, 3] negative"
 
     def test_report_collects_all_violations(self):
         bad_el = ElasticParams(mu_e=-1.0, lambda_e=0.0, mu_c=-1.0,

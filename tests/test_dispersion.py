@@ -64,6 +64,17 @@ class TestKGrid:
         with pytest.raises(DegenerateGridError):
             KGrid.linear(1.0e5, 10)
 
+    @pytest.mark.parametrize("k_max", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_k_max_must_be_finite_and_positive(self, k_max):
+        with pytest.raises(DegenerateGridError, match="finite and positive"):
+            KGrid.linear(k_max, 60)
+
+    @pytest.mark.parametrize("points", [-5, 0, 49])
+    def test_too_few_points_rejected_before_linspace(self, points):
+        # np.linspace itself raises ValueError for a negative count
+        with pytest.raises(DegenerateGridError, match="at least 50 points"):
+            KGrid.linear(1.0e5, points)
+
     def test_must_start_at_zero(self):
         with pytest.raises(DegenerateGridError):
             KGrid(values=np.linspace(1.0, 2.0, 60))
