@@ -1,11 +1,11 @@
 """Frequency coverage and band-gap detection.
 
-Each pair of consecutive sweep samples of a branch covers every frequency
-bin (width delta_omega) between them, so a coarse grid can never fake a
-gap.  Past the end of the wavenumber grid, a branch that has reached its
-horizontal asymptote stops at its saturated value, while an unbounded
-branch keeps rising and covers everything up to the frequency ceiling.
-The coverage is the union of these bin ranges, merged after a sort.
+A branch covers every frequency bin (width delta_omega) from its smallest
+to its largest sample: the bin ranges of its consecutive sample pairs chain
+into that one range, so a coarse grid can never fake a gap.  Past the end
+of the wavenumber grid, a saturated branch stops at its asymptote, while an
+unbounded one keeps rising and covers everything up to the ceiling.  The
+coverage is the union of these ranges, one per branch, merged after a sort.
 
 Band-gaps are the holes between the merged runs wider than a minimum width.
 The "complete" scope intersects the longitudinal and both transverse blocks
@@ -37,7 +37,7 @@ CEILING_TO_MIN_GAP = 400.0
 
 
 class InconsistentInputsError(Exception):
-    """Coverage was asked to merge curves from different parameter sets."""
+    """Coverage got no curves, or curves from different parameter sets."""
 
 
 class FrequencyAxisError(ValueError):
@@ -96,14 +96,22 @@ class GapReport:
 
 
 def coverage(curves, omega_ceiling: float, delta_omega: float) -> CoverageMap:
-    """Union of the frequency bins reachable by any branch of the curves."""
+    """Union of the frequency bins reachable by any branch of the curves.
+
+    A branch covers the bins of the [min, max] of its samples, the ceiling
+    being one more sample of an unbounded branch.  That is exactly the union
+    over its consecutive sample pairs: their ranges share endpoints, so they
+    chain into [min, max], and binning (x / delta_omega, truncated, clamped
+    to the last bin) is monotone.  A pair at or above the ceiling is dropped
+    and one that crosses it reaches the last bin, so a branch drops out just
+    when its min is at or above the ceiling, and it reaches a run's first
+    or last bin just when one of its pairs does.  ``edge_tags`` name those
+    branches in curve-then-branch order.
+    """
     curves = list(curves)
-    if not curves:
-        raise InconsistentInputsError("no curves given")
-    keys = {c.parameter_key() for c in curves}
-    if len(keys) != 1:
+    if len({c.parameter_key() for c in curves}) != 1:
         raise InconsistentInputsError(
-            "curves come from different parameter sets")
+            "coverage needs curves of exactly one parameter set")
     _check_axis("omega_ceiling", omega_ceiling)
     _check_axis("delta_omega", delta_omega)
     # bin numbers must stay exact integers in float64
@@ -112,36 +120,25 @@ def coverage(curves, omega_ceiling: float, delta_omega: float) -> CoverageMap:
             f"delta_omega {delta_omega!r} gives over 2**53 bins")
     n_bins = math.ceil(omega_ceiling / delta_omega)
 
-    # the repeated first sample lets a one-sample branch cover its own bin;
-    # an unbounded branch gets a last sample at the ceiling
-    pairs, tags = [], []
-    for curve in curves:
-        for branch, bounded in zip(curve.branches, curve.asymptote_flags):
-            om = np.r_[branch.omegas[:1], branch.omegas,
-                       [] if bounded else [omega_ceiling]]
-            pairs.append(np.sort(np.c_[om[:-1], om[1:]], axis=1))
-            tags.append(f"{curve.block.value}:{branch.label}")
-    owner = np.repeat(np.arange(len(tags)), [p.shape[0] for p in pairs])
-    ranges = np.concatenate(pairs)
-    keep = ranges[:, 0] < omega_ceiling
-    bins = np.minimum(ranges[keep] / delta_omega, n_bins - 1).astype(np.int64)
-    order = np.argsort(bins[:, 0])
-    (first, last), owner = bins[order].T, owner[keep][order]
+    tags = [f"{c.block.value}:{b.label}" for c in curves for b in c.branches]
+    ranges = np.array([(b.omegas.min(), b.omegas.max() if bounded
+                        else max(b.omegas.max(), omega_ceiling))
+                       for c in curves
+                       for b, bounded in zip(c.branches, c.asymptote_flags)])
+    owner = np.flatnonzero(ranges[:, 0] < omega_ceiling)
+    bins = np.minimum(ranges[owner] / delta_omega, n_bins - 1).astype(np.int64)
+    first, last = bins[np.argsort(bins[:, 0])].T
 
     # a run ends where the next range starts past every bin reached so far
     reach = np.maximum.accumulate(last)
     breaks = first[1:] > reach[:-1] + 1
     runs = np.column_stack([np.r_[first[:1], first[1:][breaks]],
                             np.r_[reach[:-1][breaks], reach[-1:]]])
-    run_of = np.searchsorted(runs[:, 0], first, side="right") - 1
-    at_edge = np.c_[first, last] == runs[run_of]
-    edge_tags = [([], []) for _ in runs]
-    for side in (0, 1):
-        for r, o in np.unique(np.c_[run_of, owner][at_edge[:, side]],
-                              axis=0).tolist():
-            edge_tags[r][side].append(tags[o])
-    return CoverageMap(omega_ceiling, delta_omega, n_bins, runs,
-                       tuple((tuple(a), tuple(b)) for a, b in edge_tags))
+    run_of = np.searchsorted(runs[:, 0], bins[:, 0], side="right") - 1
+    at_edge = bins == runs[run_of]
+    edge_tags = tuple(tuple(tuple(tags[o] for o in owner[(run_of == r) & edge])
+                            for edge in at_edge.T) for r in range(len(runs)))
+    return CoverageMap(omega_ceiling, delta_omega, n_bins, runs, edge_tags)
 
 
 def gaps_from_coverage(cov: CoverageMap, min_gap_width: float) -> tuple[Gap, ...]:

@@ -217,9 +217,8 @@ def _cmd_cutoffs(cfg: RunConfig, args, err) -> int:
     table = cutoffs(model, elastic, inertia)
     payload = {"model": model.value, "unit": unit, "blocks": {
         block.value: [{"omega": c.omega * scale, "acoustic": c.acoustic,
-                       "mode": c.mode} for c in table[block]]
-        for block in (WaveBlock.LONGITUDINAL, WaveBlock.TRANSVERSE,
-                      WaveBlock.UNCOUPLED)}}
+                       "mode": c.mode} for c in cuts]
+        for block, cuts in table.items()}}
     _write_output(_json_dumps(payload), args)
     return EXIT_OK
 

@@ -283,9 +283,9 @@ def sweep(model: ModelKind, elastic: ElasticParams, inertia: InertiaParams,
     joined by greedy maximal overlap |v_prev^H M v_new| for all steps at
     once (sequentially only at exact ties).  Micro mode i of the diagonal
     uncoupled block is omega^2 = K_ii / M_ii, e_i / sqrt(M_ii) at every k,
-    under the solver's mass and clamp checks.  Modes are classified in one
-    pass.  A solver failure or a zero eigenvector is re-raised with the
-    model, block and k added.
+    under the solver's mass and clamp checks, and bounded exactly when
+    K2_ii = 0.  Modes are classified in one pass.  A solver failure or a
+    zero eigenvector is re-raised with the model, block and k added.
     """
     bs = block_for(model, elastic, inertia, block, transverse_axis)
     k = grid.values
@@ -300,24 +300,20 @@ def sweep(model: ModelKind, elastic: ElasticParams, inertia: InertiaParams,
         else:
             sol = general_eig_stack(stiffness, masses)
             omega_sq, raw = sol.omega_sq, sol.vectors
-    except EigenSolveError as exc:
-        raise _located(exc, model, block, k) from exc
-    omegas_raw = np.sqrt(omega_sq)
-    order, names = _label_branches(block, omegas_raw[0], raw[0], bs.labels)
-    if uncoupled:
-        columns = np.broadcast_to(order, omega_sq.shape)
-    else:
-        # overlap[j - 1, r, c] = |v_r(k_{j-1})^H M(k_j) v_c(k_j)|, unpermuted
-        overlap = np.abs(np.conj(np.swapaxes(raw[:-1], 1, 2))
-                         @ (masses[1:] @ raw[1:]))
-        columns = _continue_branches(overlap, omegas_raw)[:, order]
-    omegas = np.take_along_axis(omegas_raw, columns, axis=1)
-    vectors = np.take_along_axis(raw, columns[:, None, :], axis=2)
-
-    try:
+        omegas_raw = np.sqrt(omega_sq)
+        order, names = _label_branches(block, omegas_raw[0], raw[0], bs.labels)
+        if uncoupled:
+            columns = np.broadcast_to(order, omega_sq.shape)
+        else:
+            # overlap[j - 1, r, c] = |v_r(k_{j-1})^H M(k_j) v_c(k_j)|
+            overlap = np.abs(np.conj(np.swapaxes(raw[:-1], 1, 2))
+                             @ (masses[1:] @ raw[1:]))
+            columns = _continue_branches(overlap, omegas_raw)[:, order]
+        omegas = np.take_along_axis(omegas_raw, columns, axis=1)
+        vectors = np.take_along_axis(raw, columns[:, None, :], axis=2)
         dominant, ratio = classify_mode_stack(np.swapaxes(vectors, 1, 2),
                                               bs.labels)
-    except ZeroVectorError as exc:
+    except EigenSolveError as exc:
         raise _located(exc, model, block, k) from exc
     branches = tuple(
         Branch(label=names[b], omegas=omegas[:, b].copy(),
@@ -325,7 +321,8 @@ def sweep(model: ModelKind, elastic: ElasticParams, inertia: InertiaParams,
                ratio=ratio[:, b])
         for b in range(3))
 
-    flags = tuple(detect_asymptote(br, grid) for br in branches)
+    flags = (tuple(bool(bs.K2[i, i] == 0.0) for i in order) if uncoupled
+             else tuple(detect_asymptote(br, grid) for br in branches))
     return DispersionCurve(
         block=block, grid=grid, branches=branches, asymptote_flags=flags,
         model=model, elastic=elastic, inertia=inertia,
@@ -345,7 +342,10 @@ def cutoffs(model: ModelKind, elastic: ElasticParams,
     blocks = model_blocks(model, elastic, inertia)
     # blocks[2] is the x3 transverse block, identical to blocks[1]
     for bs in (blocks[0], blocks[1], blocks[3]):
-        sol = general_eig(bs.stiffness_at(0.0), bs.mass_at(0.0))
+        try:
+            sol = general_eig(bs.stiffness_at(0.0), bs.mass_at(0.0))
+        except EigenSolveError as exc:
+            raise _located(exc, model, bs.block, np.zeros(1)) from exc
         omega0, vectors = np.sqrt(sol.omega_sq), sol.vectors
         if bs.block is WaveBlock.UNCOUPLED:
             # the diagonal block's eigenpairs in DOF order, as sweep has them

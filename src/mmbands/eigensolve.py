@@ -153,6 +153,10 @@ def general_eig_stack(k_stack: np.ndarray,
     # B = L^-1 K_eq L^-H, Hermitian by construction up to roundoff
     lower_inv = np.linalg.inv(lower)
     b = lower_inv @ k_eq @ _conj_t(lower_inv)
+    finite = np.isfinite(b).all(axis=(-2, -1))  # overflow gives inf/nan
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise EigenSolveError(f"equilibrated pencil {i} is not finite", i)
     w, y = np.linalg.eigh(0.5 * (b + _conj_t(b)))
     w = clamp_roundoff(w, k_stack, m_stack)
 

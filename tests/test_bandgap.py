@@ -139,13 +139,21 @@ class TestCoverage:
                     n = int(rng.choice([1, 2, 60]))
                     walk = ceiling * np.abs(np.cumsum(
                         rng.normal(0.0, 0.05, n)) + rng.uniform(0.0, 1.2))
-                    kind = rng.integers(4)
+                    kind = rng.integers(6)
+                    phase = np.linspace(0.0, np.pi, n)
                     if kind == 0:      # constant, in one of the low bins
                         walk = np.full(n, delta * rng.uniform(0.0, 8.0))
                     elif kind == 1:    # exactly on bin edges
                         walk = np.round(walk / delta) * delta
                     elif kind == 2:    # mostly above the ceiling
                         walk = walk + ceiling
+                    elif kind == 3:    # a hump over the ceiling and back
+                        walk = ceiling * (rng.uniform(0.0, 0.9)
+                                          + 1.5 * np.sin(phase))
+                    elif kind == 4:    # min and max at interior samples
+                        walk = ceiling * (rng.uniform(0.4, 0.6)
+                                          + rng.uniform(0.05, 0.4)
+                                          * np.sin(2.0 * phase))
                     branches.append(walk)
                 flags = tuple(bool(f) for f in rng.integers(0, 2, 3))
                 curves.append(synthetic_curve(branches, flags, ref_elastic,
@@ -163,9 +171,11 @@ class TestCoverage:
             assert sum(b - a + 1 for a, b in runs) == occupied
             # maximal runs: an empty bin separates each from the next
             assert all(b + 1 < a for (_, b), (a, _) in zip(runs, runs[1:]))
+            # edge tags in curve-then-branch order
+            order = [tag for tag, _, _ in triples]
             for (a, b), (first_tags, last_tags) in zip(runs, cov.edge_tags):
-                assert set(first_tags) == owners[a]
-                assert set(last_tags) == owners[b]
+                assert list(first_tags) == [t for t in order if t in owners[a]]
+                assert list(last_tags) == [t for t in order if t in owners[b]]
 
     def test_inconsistent_parameter_sets_rejected(self, ref_elastic,
                                                   inertia_off):

@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.dom.minidom
 from pathlib import Path
 
@@ -221,6 +224,23 @@ class TestGapsCommand:
         assert run(argv) == 0
         assert json.loads(capsys.readouterr().out)["n_gaps"] == n_gaps
 
+    @pytest.mark.parametrize("model, n_gaps", [
+        ("relaxed-curl", 1), ("relaxed-div-curl", 1), ("mindlin-eringen", 1),
+        ("relaxed-div", 3), ("internal-variable", 3)])
+    def test_slowly_rising_micro_modes_leave_no_false_gaps(
+            self, capsys, model, n_gaps):
+        # with curvature the micro modes rise without bound, however slowly
+        # at a soft mu_e; without it they are flat and leave two more gaps
+        argv = ["gaps", "--model", model, "--mu-e", "1e-3", "--lambda-e",
+                "2e-3", "--mu-c", "1000", "--mu-micro", "1e6",
+                "--lambda-micro", "1e6", "--l-c", "1", "--rho", "2000",
+                "--eta", "1e-2", "--block", "uncoupled"]
+        assert run(argv) == 0
+        gaps = json.loads(capsys.readouterr().out)["gaps"]
+        assert len(gaps) == n_gaps
+        assert (gaps[0]["omega_lo"], gaps[0]["omega_hi"]) == (
+            0.0, pytest.approx(444418.5, abs=0.1))
+
     def test_fine_bins_need_no_bin_array(self, tmp_path):
         # about 6.9e8 bins of 1e-3 rad/s up to the default ceiling
         code, text = run_to_file(tmp_path, "fine.json",
@@ -404,6 +424,22 @@ class TestNonFiniteInputs:
         assert code == 3
         assert out == ""
         assert f"invalid parameters: {check} (not finite)\n" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["gaps", "--mu-e", "1e300"], ["gaps", "--eta", "1e-300"],
+        ["cutoffs", "--rho", "1e-320"]])
+    def test_extreme_finite_parameter_is_a_numerical_failure(self, argv):
+        # valid but past the float range once equilibrated; run in a fresh
+        # interpreter, where numpy's overflow warnings stay warnings
+        src = Path(mmbands.dispersion.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "mmbands.cli", *argv,
+             "--config", DEMO_CONFIG], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 4
+        assert ("numerical failure: relaxed-curl, longitudinal block, "
+                "k = 0 rad/m: ") in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("argv, message", [
         (["disperse", "--grid-points", "-5"], "grid needs at least 50 points"),

@@ -332,6 +332,18 @@ class TestAsymptotes:
             assert np.all(np.abs(branch.omegas - ref) <= 1e-9 * ref)
         assert curve.asymptote_flags == (True, True, True)
 
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_uncoupled_bound_comes_from_the_curvature_stiffness(self, model):
+        # omega_i^2 = (K0_ii + k^2 K2_ii) / eta is bounded exactly when
+        # K2_ii = 0: no curvature term, or L_c = 0; a slowly rising
+        # curvature branch is unbounded however flat it looks on the grid
+        flat = model in (ModelKind.RELAXED_DIV, ModelKind.INTERNAL_VARIABLE)
+        for elastic, inertia in wide_cone_params(seed=14):
+            curve = sweep(model, elastic, inertia, WaveBlock.UNCOUPLED,
+                          default_grid(elastic, inertia, points=50))
+            bounded = flat or elastic.L_c == 0.0
+            assert curve.asymptote_flags == (bounded,) * 3
+
     def test_acoustic_asymptote_detected(self, ref_elastic, inertia_off):
         grid = default_grid(ref_elastic)
         curve = sweep(ModelKind.RELAXED_CURL, ref_elastic, inertia_off,
