@@ -10,16 +10,15 @@ from .assembly import (BlockLeakageError, BlockSystem, FullSystem,
                        assemble_full, block_basis, block_decompose,
                        block_for, model_blocks, DOF_NAMES)
 from .bandgap import (COMPLETE, CoverageMap, FrequencyAxisError, Gap,
-                      GapReport, InconsistentInputsError, coverage,
-                      default_omega_ceiling, detect_gaps,
-                      gaps_from_coverage)
+                      GapReport, coverage, default_omega_ceiling,
+                      detect_gaps, gaps_from_coverage)
 from .core import (ElasticParams, InertiaParams, InvariantCheck, MacroParams,
                    ModelKind, ValidationReport, WaveBlock, homogenize,
                    validate)
 from .dispersion import (Branch, Cutoff, DegenerateGridError,
                          DispersionCurve, KGrid, ZeroVectorError,
                          classify_mode_stack, cutoffs, default_grid,
-                         detect_asymptote, sweep)
+                         detect_asymptote, solve_block, sweep)
 from .eigensolve import (EigenSolution, EigenSolveError,
                          NegativeEigenvalueError, NotHermitianError,
                          NotPositiveDefiniteError, general_eig,
@@ -32,13 +31,12 @@ __all__ = [
     "block_basis", "block_decompose", "block_for", "model_blocks",
     "DOF_NAMES",
     "COMPLETE", "CoverageMap", "FrequencyAxisError", "Gap", "GapReport",
-    "InconsistentInputsError", "coverage", "default_omega_ceiling",
-    "detect_gaps", "gaps_from_coverage",
+    "coverage", "default_omega_ceiling", "detect_gaps", "gaps_from_coverage",
     "ElasticParams", "InertiaParams", "InvariantCheck", "MacroParams",
     "ModelKind", "ValidationReport", "WaveBlock", "homogenize", "validate",
     "Branch", "Cutoff", "DegenerateGridError", "DispersionCurve", "KGrid",
     "ZeroVectorError", "classify_mode_stack", "cutoffs", "default_grid",
-    "detect_asymptote", "sweep",
+    "detect_asymptote", "solve_block", "sweep",
     "EigenSolution", "EigenSolveError", "NegativeEigenvalueError",
     "NotHermitianError", "NotPositiveDefiniteError", "general_eig",
     "general_eig_stack",

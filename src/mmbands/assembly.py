@@ -47,6 +47,8 @@ _SQRT6 = np.sqrt(6.0)
 
 # off-block or imaginary magnitude, relative to the matrix maximum, that fails
 LEAK_REL_TOL = 1e-12
+# unit-tensor entries below this magnitude are roundoff of exact zeros
+UNIT_SNAP_TOL = 1e-12
 
 _MATRICES = ("M0", "M2", "K0", "K1", "K2")
 _STIFFNESS = np.array([[[name[0] == "K"]] for name in _MATRICES])
@@ -316,6 +318,10 @@ def _unit_tensor(model: ModelKind) -> np.ndarray:
     eta_bar.  The stiffness takes only the moduli and the mass only the
     inertiae, so assembly c gives the stiffness of modulus c and the mass
     of inertia c; mu_e L_c^2 is unit mu_e at L_c = 1 minus L_c = 0 (exact).
+    Each exact entry is 0 or at least 1/3 in magnitude, but the change of
+    basis leaves up to 4.9e-17 (and asymmetries up to 4.5e-17) where it is
+    0, which the coefficients scale into false eigenvalues: entries below
+    ``UNIT_SNAP_TOL`` are set to 0, and each unit made exactly symmetric.
     """
     pairs = [(ElasticParams(*row, L_c=0.0), InertiaParams(*row))
              for row in np.eye(5)]
@@ -323,7 +329,9 @@ def _unit_tensor(model: ModelKind) -> np.ndarray:
     full = np.array([_stacked(assemble_full(model, *pair)) for pair in pairs])
     full[5] -= full[0] * _STIFFNESS
     units = np.concatenate([full * _STIFFNESS, full[:5] * ~_STIFFNESS])
-    return _BLOCK_T @ units @ _BLOCK_T.conj().T
+    units = _BLOCK_T @ units @ _BLOCK_T.conj().T
+    units[np.abs(units) < UNIT_SNAP_TOL] = 0.0
+    return 0.5 * (units + np.swapaxes(units, -1, -2))
 
 
 def model_blocks(model: ModelKind, elastic: ElasticParams,

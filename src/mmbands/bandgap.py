@@ -1,15 +1,19 @@
 """Frequency coverage and band-gap detection.
 
-A branch covers every frequency bin (width delta_omega) from its smallest
-to its largest sample: the bin ranges of its consecutive sample pairs chain
-into that one range, so a coarse grid can never fake a gap.  Past the end
-of the wavenumber grid, a saturated branch stops at its asymptote, while an
-unbounded one keeps rising and covers everything up to the ceiling.  The
-coverage is the union of these ranges, one per branch, merged after a sort.
+A block's spectrum is the union of the frequency ranges of its columns:
+the sorted eigenvalues of a coupled block or the micro modes of the
+uncoupled one.  Each column is continuous in k (Weyl's inequality; Kato,
+Perturbation Theory for Linear Operators), so it takes every value from its
+min to its max, with no branch continuation.  Past the end of the grid, a
+saturated column stops at its asymptote, while an unbounded one keeps
+rising to the ceiling.  The coverage is the union of these ranges, merged
+after a sort.  Sampled ranges are an inner approximation: an extremum or an
+exact crossing between two samples can be missed by up to one step's
+change.
 
 Band-gaps are the holes between the merged runs wider than a minimum width.
 The "complete" scope intersects the longitudinal and both transverse blocks
-(identical, so swept once): an interval counts as a complete gap when no
+(identical, so solved once): an interval counts as a complete gap when no
 displacement-coupled plane wave propagates there at any wavenumber.  The
 displacement-free micro-modes can be added with ``include_uncoupled``; they
 are left out by default because several model variants let those modes
@@ -25,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ElasticParams, InertiaParams, ModelKind, WaveBlock
-from .dispersion import KGrid, cutoffs, default_grid, sweep
+from .dispersion import (KGrid, cutoffs, default_grid, detect_asymptote,
+                         solve_block)
 
 COMPLETE = "complete"
 
@@ -34,10 +39,6 @@ COMPLETE = "complete"
 CEILING_HEADROOM = 1.5
 CEILING_TO_DELTA = 4000.0
 CEILING_TO_MIN_GAP = 400.0
-
-
-class InconsistentInputsError(Exception):
-    """Coverage got no curves, or curves from different parameter sets."""
 
 
 class FrequencyAxisError(ValueError):
@@ -57,7 +58,7 @@ class CoverageMap:
 
     ``runs[r] = (first_bin, last_bin)`` are the maximal occupied runs in
     ascending order.  ``edge_tags[r]`` holds two tuples naming, as
-    ``block:label``, the branches that reach the run's first and its last
+    ``block:column``, the columns that reach the run's first and its last
     bin: the owners of the gap edges just below and just above the run.
     """
 
@@ -95,23 +96,17 @@ class GapReport:
     inertia: InertiaParams
 
 
-def coverage(curves, omega_ceiling: float, delta_omega: float) -> CoverageMap:
-    """Union of the frequency bins reachable by any branch of the curves.
+def coverage(spectra, omega_ceiling: float, delta_omega: float) -> CoverageMap:
+    """Union of the frequency bins reached by any column of the spectra.
 
-    A branch covers the bins of the [min, max] of its samples, the ceiling
-    being one more sample of an unbounded branch.  That is exactly the union
-    over its consecutive sample pairs: their ranges share endpoints, so they
-    chain into [min, max], and binning (x / delta_omega, truncated, clamped
-    to the last bin) is monotone.  A pair at or above the ceiling is dropped
-    and one that crosses it reaches the last bin, so a branch drops out just
-    when its min is at or above the ceiling, and it reaches a run's first
-    or last bin just when one of its pairs does.  ``edge_tags`` name those
-    branches in curve-then-branch order.
+    ``spectra`` holds one ``(name, omegas (n_k, 3), bounded (3,))`` per
+    block.  A column covers [min, max] of its samples (module docstring),
+    or [min, ceiling] when unbounded.  Binning (x / delta_omega, floored,
+    clipped to the first and last bin) is monotone, so a column covers the
+    bins of its min to its max, and none if its min is at or above the
+    ceiling.  ``edge_tags`` name in block-then-column order the columns
+    that reach a run's first or last bin.
     """
-    curves = list(curves)
-    if len({c.parameter_key() for c in curves}) != 1:
-        raise InconsistentInputsError(
-            "coverage needs curves of exactly one parameter set")
     _check_axis("omega_ceiling", omega_ceiling)
     _check_axis("delta_omega", delta_omega)
     # bin numbers must stay exact integers in float64
@@ -120,13 +115,14 @@ def coverage(curves, omega_ceiling: float, delta_omega: float) -> CoverageMap:
             f"delta_omega {delta_omega!r} gives over 2**53 bins")
     n_bins = math.ceil(omega_ceiling / delta_omega)
 
-    tags = [f"{c.block.value}:{b.label}" for c in curves for b in c.branches]
-    ranges = np.array([(b.omegas.min(), b.omegas.max() if bounded
-                        else max(b.omegas.max(), omega_ceiling))
-                       for c in curves
-                       for b, bounded in zip(c.branches, c.asymptote_flags)])
+    spectra = list(spectra)
+    tags = [f"{name}:{c}" for name, _, _ in spectra for c in range(3)]
+    ranges = np.array([(col.min(), col.max() if bounded else omega_ceiling)
+                       for _, omegas, flags in spectra
+                       for col, bounded in zip(np.transpose(omegas), flags)]
+                      ).reshape(-1, 2)
     owner = np.flatnonzero(ranges[:, 0] < omega_ceiling)
-    bins = np.minimum(ranges[owner] / delta_omega, n_bins - 1).astype(np.int64)
+    bins = np.clip(ranges[owner] / delta_omega, 0, n_bins - 1).astype(np.int64)
     first, last = bins[np.argsort(bins[:, 0])].T
 
     # a run ends where the next range starts past every bin reached so far
@@ -155,7 +151,7 @@ def gaps_from_coverage(cov: CoverageMap, min_gap_width: float) -> tuple[Gap, ...
 
 
 def _blocks_for_scope(scope, include_uncoupled: bool):
-    """Blocks to sweep, and the report names of the blocks they stand for."""
+    """Blocks to solve, and the report names of the blocks they stand for."""
     if scope == COMPLETE:
         extra = (WaveBlock.UNCOUPLED,) if include_uncoupled else ()
         names = ("longitudinal", "transverse", "transverse-3")
@@ -164,6 +160,15 @@ def _blocks_for_scope(scope, include_uncoupled: bool):
     if isinstance(scope, WaveBlock):
         return (scope,), (scope.value,)
     raise ValueError(f"scope must be a WaveBlock or {COMPLETE!r}: {scope!r}")
+
+
+def _spectrum(model, elastic, inertia, block: WaveBlock, grid: KGrid):
+    """``(name, omegas, bounded)`` of one block: an uncoupled column is
+    bounded exactly when K2_ii = 0, a coupled one by ``detect_asymptote``."""
+    bs, omegas, _ = solve_block(model, elastic, inertia, block, grid)
+    bounded = (np.diagonal(bs.K2) == 0.0 if block is WaveBlock.UNCOUPLED
+               else [detect_asymptote(col, grid) for col in omegas.T])
+    return block.value, omegas, bounded
 
 
 def default_omega_ceiling(model: ModelKind, elastic: ElasticParams,
@@ -181,7 +186,7 @@ def detect_gaps(model: ModelKind, elastic: ElasticParams,
                 delta_omega: float | None = None,
                 min_gap_width: float | None = None,
                 include_uncoupled: bool = False) -> GapReport:
-    """Sweep the requested blocks and report their band-gaps.
+    """Solve the requested blocks and report their band-gaps.
 
     ``scope`` is a single WaveBlock for a per-block report or ``COMPLETE``
     for the intersection over the displacement-coupled blocks (optionally
@@ -197,8 +202,8 @@ def detect_gaps(model: ModelKind, elastic: ElasticParams,
         min_gap_width = omega_ceiling / CEILING_TO_MIN_GAP
 
     blocks, block_names = _blocks_for_scope(scope, include_uncoupled)
-    curves = [sweep(model, elastic, inertia, blk, grid) for blk in blocks]
-    cov = coverage(curves, omega_ceiling, delta_omega)
+    cov = coverage([_spectrum(model, elastic, inertia, blk, grid)
+                    for blk in blocks], omega_ceiling, delta_omega)
     gaps = gaps_from_coverage(cov, min_gap_width)
 
     scope_name = scope if isinstance(scope, str) else scope.value

@@ -1,16 +1,11 @@
-"""Wavenumber sweeps: labeled dispersion branches, cut-offs, asymptotes.
+"""Wavenumber sweeps: block spectra, labeled dispersion branches, cut-offs.
 
-A sweep solves the 3x3 generalized eigenproblem of a coupled block on a
-grid of wavenumbers and strings the eigenpairs into continuous branches by
-maximal mass-weighted eigenvector overlap between adjacent grid points, so
-branches keep their physical identity through avoided crossings; the
-matches of all steps come from one array pass (sequential only where a
-greedy choice ties exactly).  The uncoupled block is diagonal, so each
-micro mode is a branch in closed form, omega_i^2 = K_ii(k) / M_ii(k).  The
-dominant DOF of every sample comes from one more pass; a branch stores
-them as arrays (``dominant``, ``ratio``) next to its frequencies.
-Labels are decided once, at k = 0, by ascending cut-off: the most
-displacement-like coupled branch at omega(0) = 0 is acoustic, and an
+``solve_block`` solves a block on a grid of wavenumbers: the 3x3 pencils
+of a coupled block as one stack, the diagonal uncoupled block in closed
+form.  ``sweep`` strings the eigenpairs into branches that keep their
+physical identity through avoided crossings, and marks the dominant DOF of
+every sample.  Labels are decided once, at k = 0, by ascending cut-off: the
+most displacement-like coupled branch at omega(0) = 0 is acoustic, and an
 uncoupled branch is named by its micro mode.  ``cutoffs`` applies the same
 labels to its k = 0 solve, so a cut-off is acoustic exactly when its
 branch is LA or TA.
@@ -130,14 +125,7 @@ class DispersionCurve:
     block: WaveBlock
     grid: KGrid
     branches: tuple[Branch, Branch, Branch]
-    asymptote_flags: tuple[bool, bool, bool]
-    model: ModelKind
-    elastic: ElasticParams
-    inertia: InertiaParams
     transverse_axis: int = 2
-
-    def parameter_key(self):
-        return (self.model, self.elastic, self.inertia)
 
 
 def classify_mode_stack(vectors, labels):
@@ -165,8 +153,8 @@ def classify_mode_stack(vectors, labels):
                           order[..., -1] + 1, 0), ...], ratio
 
 
-def detect_asymptote(branch: Branch, grid: KGrid) -> bool:
-    """True when the branch has flattened by the end of the grid.
+def detect_asymptote(omegas: np.ndarray, grid: KGrid) -> bool:
+    """True when omega(k), sampled on the grid, has flattened by its end.
 
     Compares omega at k_max with omega at 0.8 * k_max: a final value that
     moved by less than ``ASYMPTOTE_REL_TOL`` (relative), or is 0 at both,
@@ -176,9 +164,8 @@ def detect_asymptote(branch: Branch, grid: KGrid) -> bool:
     if np.count_nonzero(k >= 0.1 * grid.k_max) < 10:
         raise DegenerateGridError(
             "asymptote detection needs >= 10 samples in the top decade")
-    omega_end = float(branch.omegas[-1])
-    idx = int(np.argmin(np.abs(k - 0.8 * grid.k_max)))
-    omega_ref = float(branch.omegas[idx])
+    omega_end = float(omegas[-1])
+    omega_ref = float(omegas[np.argmin(np.abs(k - 0.8 * grid.k_max))])
     if omega_end <= 0.0:
         return omega_end == omega_ref == 0.0
     return abs(omega_end - omega_ref) / omega_end < ASYMPTOTE_REL_TOL
@@ -274,59 +261,60 @@ def _located(exc, model: ModelKind, block: WaveBlock, k: np.ndarray):
                      f"k = {k[exc.index]:g} rad/m: {exc}", exc.index)
 
 
+def solve_block(model, elastic, inertia, block: WaveBlock, grid: KGrid, *,
+                transverse_axis: int = 2):
+    """One block's system, omegas (n_k, 3) and vectors (n_k, 3, 3) on a grid.
+
+    Rows are ascending for a coupled block; column i of the uncoupled one
+    is micro mode i, omega^2 = K_ii / M_ii, under the solver's checks.  Each
+    column is continuous in k.  Solver errors name the model, block and k.
+    """
+    bs = block_for(model, elastic, inertia, block, transverse_axis)
+    k = grid.values
+    masses, stiffness = bs.mass_at(k), bs.stiffness_at(k)
+    try:
+        if block is WaveBlock.UNCOUPLED:
+            m_diag = positive_mass_diagonal(masses)
+            omega_sq = clamp_roundoff(np.diagonal(stiffness, axis1=1, axis2=2)
+                                      / m_diag, stiffness, masses)
+            vectors = np.eye(3) / np.sqrt(m_diag)[:, None]
+        else:
+            sol = general_eig_stack(stiffness, masses)
+            omega_sq, vectors = sol.omega_sq, sol.vectors
+    except EigenSolveError as exc:
+        raise _located(exc, model, block, k) from exc
+    return bs, np.sqrt(omega_sq), vectors
+
+
 def sweep(model: ModelKind, elastic: ElasticParams, inertia: InertiaParams,
           block: WaveBlock, grid: KGrid, *,
           transverse_axis: int = 2) -> DispersionCurve:
     """Dispersion branches of one block over a wavenumber grid.
 
-    A coupled block's pencils are solved as one stack, and eigenpairs are
-    joined by greedy maximal overlap |v_prev^H M v_new| for all steps at
-    once (sequentially only at exact ties).  Micro mode i of the diagonal
-    uncoupled block is omega^2 = K_ii / M_ii, e_i / sqrt(M_ii) at every k,
-    under the solver's mass and clamp checks, and bounded exactly when
-    K2_ii = 0.  Modes are classified in one pass.  A solver failure or a
-    zero eigenvector is re-raised with the model, block and k added.
+    A coupled block's eigenpairs are joined by greedy maximal overlap
+    |v_prev^H M v_new| between adjacent grid points, for all steps at once
+    (sequentially only at exact ties); each uncoupled column is a branch.
+    A zero eigenvector is re-raised with the model, block and k added.
     """
-    bs = block_for(model, elastic, inertia, block, transverse_axis)
-    k = grid.values
-    masses, stiffness = bs.mass_at(k), bs.stiffness_at(k)
-    uncoupled = block is WaveBlock.UNCOUPLED
+    bs, omegas, vecs = solve_block(model, elastic, inertia, block, grid,
+                                   transverse_axis=transverse_axis)
+    order, names = _label_branches(block, omegas[0], vecs[0], bs.labels)
+    if block is WaveBlock.UNCOUPLED:
+        columns = np.broadcast_to(order, omegas.shape)
+    else:
+        # overlap[j - 1, r, c] = |v_r(k_{j-1})^H M(k_j) v_c(k_j)|
+        overlap = np.abs(np.conj(np.swapaxes(vecs[:-1], 1, 2))
+                         @ (bs.mass_at(grid.values[1:]) @ vecs[1:]))
+        columns = _continue_branches(overlap, omegas)[:, order]
+    omegas = np.take_along_axis(omegas, columns, axis=1)
+    vecs = np.swapaxes(np.take_along_axis(vecs, columns[:, None], 2), 1, 2)
     try:
-        if uncoupled:
-            m_diag = positive_mass_diagonal(masses)
-            omega_sq = clamp_roundoff(np.diagonal(stiffness, axis1=1, axis2=2)
-                                      / m_diag, stiffness, masses)
-            raw = np.eye(3) / np.sqrt(m_diag)[:, None, :]
-        else:
-            sol = general_eig_stack(stiffness, masses)
-            omega_sq, raw = sol.omega_sq, sol.vectors
-        omegas_raw = np.sqrt(omega_sq)
-        order, names = _label_branches(block, omegas_raw[0], raw[0], bs.labels)
-        if uncoupled:
-            columns = np.broadcast_to(order, omega_sq.shape)
-        else:
-            # overlap[j - 1, r, c] = |v_r(k_{j-1})^H M(k_j) v_c(k_j)|
-            overlap = np.abs(np.conj(np.swapaxes(raw[:-1], 1, 2))
-                             @ (masses[1:] @ raw[1:]))
-            columns = _continue_branches(overlap, omegas_raw)[:, order]
-        omegas = np.take_along_axis(omegas_raw, columns, axis=1)
-        vectors = np.take_along_axis(raw, columns[:, None, :], axis=2)
-        dominant, ratio = classify_mode_stack(np.swapaxes(vectors, 1, 2),
-                                              bs.labels)
-    except EigenSolveError as exc:
-        raise _located(exc, model, block, k) from exc
-    branches = tuple(
-        Branch(label=names[b], omegas=omegas[:, b].copy(),
-               vectors=vectors[:, :, b].copy(), dominant=dominant[:, b],
-               ratio=ratio[:, b])
-        for b in range(3))
-
-    flags = (tuple(bool(bs.K2[i, i] == 0.0) for i in order) if uncoupled
-             else tuple(detect_asymptote(br, grid) for br in branches))
-    return DispersionCurve(
-        block=block, grid=grid, branches=branches, asymptote_flags=flags,
-        model=model, elastic=elastic, inertia=inertia,
-        transverse_axis=transverse_axis)
+        dominant, ratio = classify_mode_stack(vecs, bs.labels)
+    except ZeroVectorError as exc:
+        raise _located(exc, model, block, grid.values) from exc
+    branches = tuple(Branch(names[b], omegas[:, b].copy(), vecs[:, b].copy(),
+                            dominant[:, b], ratio[:, b]) for b in range(3))
+    return DispersionCurve(block, grid, branches, transverse_axis)
 
 
 def cutoffs(model: ModelKind, elastic: ElasticParams,

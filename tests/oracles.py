@@ -75,9 +75,9 @@ def binned_coverage(branches, omega_ceiling, delta_omega, min_gap_width):
 
     ``branches`` holds (tag, omegas, bounded) triples.  Every bin between
     two consecutive samples is marked, and an unbounded branch also marks
-    up to the ceiling.  Returns the empty runs at least ``min_gap_width``
-    wide as (lo, hi) pairs, the occupied-bin count and, per occupied bin,
-    the set of tags that reach it.
+    up to the ceiling; a sample below 0 counts in bin 0.  Returns the empty
+    runs at least ``min_gap_width`` wide as (lo, hi) pairs, the occupied-bin
+    count and, per occupied bin, the set of tags that reach it.
     """
     n_bins = int(np.ceil(omega_ceiling / delta_omega))
     bins = np.zeros(n_bins, dtype=bool)
@@ -87,8 +87,9 @@ def binned_coverage(branches, omega_ceiling, delta_omega, min_gap_width):
         lo, hi = min(lo, hi), min(max(lo, hi), omega_ceiling)
         if lo >= omega_ceiling:
             return
-        first = min(int(lo / delta_omega), n_bins - 1)
-        last = min(int(hi / delta_omega), n_bins - 1)
+        # floored, so a negative sample falls in bin 0 and never wraps
+        first, last = (min(max(math.floor(x / delta_omega), 0), n_bins - 1)
+                       for x in (lo, hi))
         bins[first:last + 1] = True
         for b in range(first, last + 1):
             owners.setdefault(b, set()).add(tag)

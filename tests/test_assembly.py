@@ -381,6 +381,15 @@ class TestUnitTensors:
         with pytest.raises(BlockLeakageError, match="^K0 off-block"):
             block_decompose(replace(system, K0=bad))
 
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_entries_are_exactly_zero_or_at_least_a_third(self, model):
+        # roundoff of exact zeros, scaled by the coefficients, once gave
+        # one-sided stiffness entries and a false negative eigenvalue
+        units = mmbands.assembly._unit_tensor(model)
+        mags = np.abs(units)
+        assert np.all((mags == 0.0) | (mags >= 1.0 / 3.0))
+        assert np.array_equal(units, np.swapaxes(units, -1, -2))
+
     def test_block_for_picks_from_model_blocks(self, ref_elastic, inertia_on):
         blocks = model_blocks(ModelKind.RELAXED_DIV, ref_elastic, inertia_on)
         picks = [(WaveBlock.LONGITUDINAL, 2), (WaveBlock.TRANSVERSE, 2),

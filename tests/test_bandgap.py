@@ -4,57 +4,38 @@ import numpy as np
 import pytest
 
 import mmbands.bandgap
-from mmbands.bandgap import (COMPLETE, FrequencyAxisError,
-                             InconsistentInputsError, coverage,
+import mmbands.dispersion
+from mmbands.bandgap import (COMPLETE, FrequencyAxisError, coverage,
                              default_omega_ceiling, detect_gaps,
                              gaps_from_coverage)
-from mmbands.core import InertiaParams, ModelKind, WaveBlock
-from mmbands.dispersion import (Branch, DispersionCurve, KGrid, sweep,
-                                default_grid)
+from mmbands.core import ElasticParams, InertiaParams, ModelKind, WaveBlock
+from mmbands.dispersion import (default_grid, detect_asymptote, solve_block,
+                                sweep)
 
-from conftest import RHO, ETA
-from oracles import binned_coverage
+from oracles import binned_coverage, wide_cone
 
 
-def synthetic_curve(omegas_per_branch, flags, elastic, inertia,
-                    model=ModelKind.RELAXED_CURL,
-                    block=WaveBlock.LONGITUDINAL):
-    """Hand-built DispersionCurve for coverage unit tests.
-
-    Branches may have any number of samples; the grid always has 60.
-    """
-    grid = KGrid.linear(1.0e5, 60)
-    branches = tuple(
-        Branch(label=f"B{i}", omegas=np.asarray(om, dtype=float),
-               vectors=np.zeros((len(om), 3), dtype=complex),
-               dominant=np.full(len(om), "Mixed", dtype=object),
-               ratio=np.ones(len(om)))
-        for i, om in enumerate(omegas_per_branch))
-    return DispersionCurve(block=block, grid=grid, branches=branches,
-                           asymptote_flags=flags, model=model,
-                           elastic=elastic, inertia=inertia)
+def spectrum(columns, bounded, name="longitudinal"):
+    """Hand-built block spectrum: three equally long columns of omegas."""
+    return name, np.column_stack(columns).astype(float), bounded
 
 
 class TestCoverage:
     CEILING = 1.0e6
     DELTA = 250.0
 
-    def test_constant_branch_occupies_single_bin(self, ref_elastic,
-                                                 inertia_off):
+    def test_constant_column_occupies_single_bin(self):
         omega0 = 4.0e5 + 0.3 * self.DELTA      # mid-bin
-        curve = synthetic_curve([np.full(60, omega0)] * 3,
-                                (True, True, True), ref_elastic, inertia_off)
-        cov = coverage([curve], self.CEILING, self.DELTA)
+        cov = coverage([spectrum([np.full(60, omega0)] * 3, (True,) * 3)],
+                       self.CEILING, self.DELTA)
         b = int(omega0 / self.DELTA)
         assert cov.runs.tolist() == [[b, b]]
 
-    def test_linear_branch_covers_contiguously(self, ref_elastic,
-                                               inertia_off):
+    def test_linear_column_covers_contiguously(self):
         k = np.linspace(0.0, 1.0e5, 60)
         omegas = 3.0 * k                      # tops out below the ceiling
-        curve = synthetic_curve([omegas] * 3, (True, True, True),
-                                ref_elastic, inertia_off)
-        cov = coverage([curve], self.CEILING, self.DELTA)
+        cov = coverage([spectrum([omegas] * 3, (True,) * 3)], self.CEILING,
+                       self.DELTA)
         top_bin = int(3.0e5 / self.DELTA)
         assert cov.runs.tolist() == [[0, top_bin]]
         assert gaps_from_coverage(cov, 10 * self.DELTA) == (
@@ -62,45 +43,51 @@ class TestCoverage:
         # exactly one trailing empty region
         assert len(gaps_from_coverage(cov, 10 * self.DELTA)) == 1
 
-    def test_unbounded_branch_extends_to_ceiling(self, ref_elastic,
-                                                 inertia_off):
+    def test_unbounded_column_extends_to_ceiling(self):
         k = np.linspace(0.0, 1.0e5, 60)
-        curve = synthetic_curve([3.0 * k] * 3, (False, False, False),
-                                ref_elastic, inertia_off)
-        cov = coverage([curve], self.CEILING, self.DELTA)
+        cov = coverage([spectrum([3.0 * k] * 3, (False,) * 3)], self.CEILING,
+                       self.DELTA)
         assert cov.runs.tolist() == [[0, cov.n_bins - 1]]
 
-    def test_interval_marking_bridges_coarse_samples(self, ref_elastic,
-                                                     inertia_off):
+    def test_range_bridges_coarse_samples(self):
         # two samples far apart must still cover everything between them
         omegas = np.concatenate([np.full(30, 1.0e5), np.full(30, 9.0e5)])
-        curve = synthetic_curve([omegas] * 3, (True, True, True),
-                                ref_elastic, inertia_off)
-        cov = coverage([curve], self.CEILING, self.DELTA)
+        cov = coverage([spectrum([omegas] * 3, (True,) * 3)], self.CEILING,
+                       self.DELTA)
         lo = int(1.0e5 / self.DELTA)
         hi = int(9.0e5 / self.DELTA)
         assert any(a <= lo and hi <= b for a, b in cov.runs.tolist())
 
-    def test_edge_tags_record_touching_branch(self, ref_elastic,
-                                              inertia_off):
-        omega0 = 4.0e5
-        curve = synthetic_curve([np.full(60, omega0)] * 3,
-                                (True, True, True), ref_elastic, inertia_off)
-        cov = coverage([curve], self.CEILING, self.DELTA)
-        first_tags, last_tags = cov.edge_tags[0]
-        assert "longitudinal:B0" in first_tags
-        assert "longitudinal:B0" in last_tags
+    def test_edge_tags_name_block_and_column(self):
+        columns = [np.full(60, 4.0e5), np.full(60, 8.0e5), np.full(60, 4.0e5)]
+        cov = coverage([spectrum(columns, (True,) * 3, "transverse")],
+                       self.CEILING, self.DELTA)
+        assert cov.edge_tags == (
+            (("transverse:0", "transverse:2"), ("transverse:0",
+                                                "transverse:2")),
+            (("transverse:1",), ("transverse:1",)))
 
-    def test_nothing_below_the_ceiling_leaves_one_full_gap(self, ref_elastic,
-                                                           inertia_off):
-        curve = synthetic_curve([np.full(60, 2.0 * self.CEILING)] * 3,
-                                (False, True, True), ref_elastic, inertia_off)
-        cov = coverage([curve], self.CEILING, self.DELTA)
+    def test_nothing_below_the_ceiling_leaves_one_full_gap(self):
+        cov = coverage([spectrum([np.full(60, 2.0 * self.CEILING)] * 3,
+                                 (False, True, True))],
+                       self.CEILING, self.DELTA)
         assert cov.runs.shape == (0, 2)
         assert cov.edge_tags == ()
         gaps = gaps_from_coverage(cov, 0.0)
         assert [(g.omega_lo, g.omega_hi) for g in gaps] == [
             (0.0, self.CEILING)]
+
+    def test_no_spectra_cover_nothing(self):
+        cov = coverage([], self.CEILING, self.DELTA)
+        assert cov.runs.shape == (0, 2) and cov.edge_tags == ()
+
+    def test_spectra_may_be_any_iterable(self):
+        spectra = [spectrum([np.full(60, 4.0e5)] * 3, (True,) * 3)]
+        cov = coverage(iter(spectra), self.CEILING, self.DELTA)
+        b = int(4.0e5 / self.DELTA)
+        assert cov.runs.tolist() == [[b, b]]
+        assert cov.edge_tags == ((("longitudinal:0", "longitudinal:1",
+                                   "longitudinal:2"),) * 2,)
 
     @pytest.mark.parametrize("key, value", [
         ("omega_ceiling", 0.0), ("omega_ceiling", -1.0),
@@ -109,21 +96,18 @@ class TestCoverage:
         ("delta_omega", math.inf), ("delta_omega", 1.0e-300),
         ("delta_omega", 1.0e-12), ("min_gap_width", -1.0),
         ("min_gap_width", math.nan), ("min_gap_width", math.inf)])
-    def test_bad_frequency_axis_rejected(self, ref_elastic, inertia_off,
-                                         key, value):
-        curve = synthetic_curve([np.full(60, 1.0e5)] * 3, (True, True, True),
-                                ref_elastic, inertia_off)
+    def test_bad_frequency_axis_rejected(self, key, value):
+        spectra = [spectrum([np.full(60, 1.0e5)] * 3, (True,) * 3)]
         axis = {"omega_ceiling": self.CEILING, "delta_omega": self.DELTA,
                 "min_gap_width": 0.0, key: value}
         with pytest.raises(FrequencyAxisError, match=key):
-            cov = coverage([curve], axis["omega_ceiling"],
+            cov = coverage(spectra, axis["omega_ceiling"],
                            axis["delta_omega"])
             gaps_from_coverage(cov, axis["min_gap_width"])
 
-    def test_matches_bin_marking_oracle(self, ref_elastic, inertia_off):
+    def test_matches_bin_marking_oracle(self):
         rng = np.random.default_rng(20161017)
-        blocks = (WaveBlock.LONGITUDINAL, WaveBlock.TRANSVERSE,
-                  WaveBlock.UNCOUPLED)
+        names = ("longitudinal", "transverse", "uncoupled")
         for _ in range(150):
             ceiling = float(rng.uniform(1.0e3, 1.0e5))
             # an exact divisor in half the trials, a ragged last bin in
@@ -132,14 +116,14 @@ class TestCoverage:
                      else float(rng.uniform(50.0, 600.0)))
             delta = ceiling / ratio
             width = float(rng.choice([0.0, delta, 3.7 * delta]))
-            curves = []
-            for block in blocks[:int(rng.integers(1, 4))]:
-                branches = []
+            spectra = []
+            for name in names[:int(rng.integers(1, 4))]:
+                n = int(rng.choice([1, 2, 60]))
+                columns = []
                 for _ in range(3):
-                    n = int(rng.choice([1, 2, 60]))
                     walk = ceiling * np.abs(np.cumsum(
                         rng.normal(0.0, 0.05, n)) + rng.uniform(0.0, 1.2))
-                    kind = rng.integers(6)
+                    kind = rng.integers(7)
                     phase = np.linspace(0.0, np.pi, n)
                     if kind == 0:      # constant, in one of the low bins
                         walk = np.full(n, delta * rng.uniform(0.0, 8.0))
@@ -154,42 +138,30 @@ class TestCoverage:
                         walk = ceiling * (rng.uniform(0.4, 0.6)
                                           + rng.uniform(0.05, 0.4)
                                           * np.sin(2.0 * phase))
-                    branches.append(walk)
+                    elif kind == 5:    # a dip below zero, several bins deep
+                        walk = ceiling * (rng.uniform(0.0, 0.3)
+                                          - rng.uniform(0.05, 0.5)
+                                          * np.sin(phase))
+                    columns.append(walk)
                 flags = tuple(bool(f) for f in rng.integers(0, 2, 3))
-                curves.append(synthetic_curve(branches, flags, ref_elastic,
-                                              inertia_off, block=block))
-            triples = [(f"{c.block.value}:{br.label}", br.omegas, flag)
-                       for c in curves
-                       for br, flag in zip(c.branches, c.asymptote_flags)]
-            gaps, occupied, owners = binned_coverage(triples, ceiling, delta,
+                spectra.append(spectrum(columns, flags, name))
+            columns = [(f"{name}:{c}", omegas[:, c], flags[c])
+                       for name, omegas, flags in spectra for c in range(3)]
+            gaps, occupied, owners = binned_coverage(columns, ceiling, delta,
                                                      width)
 
-            cov = coverage(curves, ceiling, delta)
+            cov = coverage(spectra, ceiling, delta)
             got = gaps_from_coverage(cov, width)
             assert [(g.omega_lo, g.omega_hi) for g in got] == gaps
             runs = cov.runs.tolist()
             assert sum(b - a + 1 for a, b in runs) == occupied
             # maximal runs: an empty bin separates each from the next
             assert all(b + 1 < a for (_, b), (a, _) in zip(runs, runs[1:]))
-            # edge tags in curve-then-branch order
-            order = [tag for tag, _, _ in triples]
+            # edge tags in block-then-column order
+            order = [tag for tag, _, _ in columns]
             for (a, b), (first_tags, last_tags) in zip(runs, cov.edge_tags):
                 assert list(first_tags) == [t for t in order if t in owners[a]]
                 assert list(last_tags) == [t for t in order if t in owners[b]]
-
-    def test_inconsistent_parameter_sets_rejected(self, ref_elastic,
-                                                  inertia_off):
-        a = synthetic_curve([np.full(60, 1.0e5)] * 3, (True, True, True),
-                            ref_elastic, inertia_off)
-        other = InertiaParams(rho=RHO, eta=2.0 * ETA)
-        b = synthetic_curve([np.full(60, 1.0e5)] * 3, (True, True, True),
-                            ref_elastic, other)
-        with pytest.raises(InconsistentInputsError):
-            coverage([a, b], self.CEILING, self.DELTA)
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(InconsistentInputsError):
-            coverage([], self.CEILING, self.DELTA)
 
 
 class TestDetectGaps:
@@ -231,25 +203,65 @@ class TestDetectGaps:
                              inertia_on)
         assert len(report.gaps) == 3
 
-    @pytest.mark.parametrize("include_uncoupled, n_sweeps",
+    @pytest.mark.parametrize("include_uncoupled, n_solves",
                              [(False, 2), (True, 3)])
-    def test_complete_scope_sweeps_transverse_once(
+    def test_complete_scope_solves_transverse_once(
             self, ref_elastic, inertia_off, monkeypatch, include_uncoupled,
-            n_sweeps):
-        swept = []
+            n_solves):
+        solved = []
 
-        def counting_sweep(*args, **kwargs):
-            swept.append(args[3])
-            return sweep(*args, **kwargs)
+        def counting_solve(*args, **kwargs):
+            solved.append(args[3])
+            return solve_block(*args, **kwargs)
 
-        monkeypatch.setattr(mmbands.bandgap, "sweep", counting_sweep)
+        monkeypatch.setattr(mmbands.bandgap, "solve_block", counting_solve)
         report = detect_gaps(ModelKind.RELAXED_CURL, ref_elastic, inertia_off,
                              include_uncoupled=include_uncoupled)
-        assert len(swept) == n_sweeps
-        assert swept.count(WaveBlock.TRANSVERSE) == 1
+        assert len(solved) == n_solves
+        assert solved.count(WaveBlock.TRANSVERSE) == 1
         assert report.blocks == (("longitudinal", "transverse",
                                   "transverse-3")
                                  + ("uncoupled",) * include_uncoupled)
+
+    def test_never_continues_branches_or_classifies_modes(
+            self, ref_elastic, inertia_on, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("gap detection needs sorted spectra only")
+
+        for name in ("sweep", "_continue_branches", "classify_mode_stack"):
+            monkeypatch.setattr(mmbands.dispersion, name, forbidden)
+            monkeypatch.setattr(mmbands.bandgap, name, forbidden,
+                                raising=False)
+        for scope in (COMPLETE, WaveBlock.UNCOUPLED):
+            detect_gaps(ModelKind.RELAXED_CURL, ref_elastic, inertia_on,
+                        scope, include_uncoupled=True)
+
+    @pytest.mark.parametrize("seed, index, model", [
+        (103, 19, ModelKind.RELAXED_CURL),
+        (100, 15, ModelKind.INTERNAL_VARIABLE)])
+    def test_wide_cone_gaps_match_a_fine_grid(self, seed, index, model):
+        # the continued branches of the default grid jumped an avoided
+        # crossing at the first step, and one unbounded branch hid the gap
+        elastic, inertia = wide_cone(seed, 24)[index]
+        elastic, inertia = ElasticParams(**elastic), InertiaParams(**inertia)
+        fine = detect_gaps(model, elastic, inertia,
+                           grid=default_grid(elastic, inertia, points=6400))
+        assert len(fine.gaps) >= 1
+        assert detect_gaps(model, elastic, inertia).gaps == fine.gaps
+
+    def test_wide_scale_separation_gives_a_report(self):
+        # roundoff entries of the unit tensors once made a false negative
+        # eigenvalue (-112.5) of this admissible set at k = 2.97 rad/m
+        elastic = ElasticParams(
+            mu_e=1409.769906171723, lambda_e=5970.730126236356, mu_c=0.0,
+            mu_micro=491097643980.8309, lambda_micro=4308445791396.6245,
+            L_c=0.33732303648002165)
+        inertia = InertiaParams(
+            rho=18.54511583530982, eta=8.043196572761098e-07,
+            eta_bar_1=0.006838647881467821, eta_bar_2=47.03589635229227,
+            eta_bar_3=2.6350752182554876e-05)
+        report = detect_gaps(ModelKind.INTERNAL_VARIABLE, elastic, inertia)
+        assert report.gaps == ()
 
     def test_per_block_scope(self, ref_elastic, inertia_off):
         report = detect_gaps(ModelKind.RELAXED_CURL, ref_elastic, inertia_off,
@@ -273,6 +285,8 @@ class TestDetectGaps:
 
     def test_gap_edges_bracketed_by_branch_extrema(self, ref_elastic,
                                                    inertia_on):
+        # the continued branches of sweep reach the edges of the gaps found
+        # on sorted columns
         model = ModelKind.RELAXED_CURL
         grid = default_grid(ref_elastic)
         report = detect_gaps(model, ref_elastic, inertia_on, grid=grid)
@@ -284,10 +298,11 @@ class TestDetectGaps:
                             (WaveBlock.TRANSVERSE, 3)):
             curve = sweep(model, ref_elastic, inertia_on, block, grid,
                           transverse_axis=axis)
-            for idx, branch in enumerate(curve.branches):
+            for branch in curve.branches:
                 minima.append(float(np.min(branch.omegas)))
-                if curve.asymptote_flags[idx]:
+                if detect_asymptote(branch.omegas, grid):
                     maxima.append(float(np.max(branch.omegas)))
+        assert len(report.gaps) == 2
         for gap in report.gaps:
             assert any(abs(gap.omega_lo - m) <= tol for m in maxima)
             assert any(abs(gap.omega_hi - m) <= tol for m in minima)

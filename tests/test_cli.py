@@ -184,6 +184,35 @@ class TestGapsCommand:
         _, ref = run_to_file(tmp_path, "ref.json", argv + ["1e6"])
         assert json.loads(text)["n_gaps"] == json.loads(ref)["n_gaps"]
 
+    def test_coarse_grid_to_a_large_k_max_keeps_the_gaps(self, capsys):
+        # 400 points to 1e7 rad/m step over avoided crossings; the sorted
+        # columns still give the gaps of a 10x finer grid
+        argv = ["gaps", "--config", DEMO_CONFIG, "--model", "relaxed-div",
+                "--k-max", "1e7"]
+        assert run(argv) == 0
+        coarse = json.loads(capsys.readouterr().out)
+        assert run(argv + ["--grid-points", "4000"]) == 0
+        assert coarse == json.loads(capsys.readouterr().out)
+        assert coarse["n_gaps"] == 2
+
+    def test_wide_scale_separation_gives_a_report(self, capsys):
+        # unit-tensor roundoff once made this admissible set exit 4 with a
+        # false negative eigenvalue
+        argv = ["gaps", "--model", "internal-variable",
+                "--mu-e", "1.409769906171723e-03",
+                "--lambda-e", "5.970730126236356e-03", "--mu-c", "0",
+                "--mu-micro", "491097.6439808309",
+                "--lambda-micro", "4308445.7913966245",
+                "--l-c", "337.32303648002165", "--rho", "18.54511583530982",
+                "--eta", "8.043196572761098e-07",
+                "--eta-bar-1", "0.006838647881467821",
+                "--eta-bar-2", "47.03589635229227",
+                "--eta-bar-3", "2.6350752182554876e-05"]
+        assert run(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["n_gaps"] == 0
+
     def test_nothing_below_the_ceiling_is_one_full_gap(self, capsys):
         argv = ["gaps", "--config", DEMO_CONFIG, "--block", "uncoupled",
                 "--omega-ceiling", "100"]

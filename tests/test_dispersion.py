@@ -6,13 +6,13 @@ import pytest
 import mmbands.dispersion
 import mmbands.eigensolve
 from mmbands.assembly import block_for
+from mmbands.bandgap import _spectrum
 from mmbands.core import (ElasticParams, InertiaParams, ModelKind, WaveBlock,
                           homogenize, validate)
-from mmbands.dispersion import (MODE_RATIO_THRESHOLD, Branch,
-                                DegenerateGridError, KGrid, ZeroVectorError,
-                                _continue_branches, classify_mode_stack,
-                                cutoffs, default_grid, detect_asymptote,
-                                sweep)
+from mmbands.dispersion import (MODE_RATIO_THRESHOLD, DegenerateGridError,
+                                KGrid, ZeroVectorError, _continue_branches,
+                                classify_mode_stack, cutoffs, default_grid,
+                                detect_asymptote, sweep)
 from mmbands.eigensolve import (EigenSolution, NotPositiveDefiniteError,
                                 general_eig_stack)
 
@@ -322,83 +322,82 @@ class TestAcousticSlopes:
 
 
 class TestAsymptotes:
-    def test_flat_uncoupled_branches_of_div_variant(self, ref_elastic,
-                                                    inertia_on):
+    """Bounded verdicts per column, as gap detection takes them: the DOF
+    columns of the uncoupled block and the sorted columns of the others."""
+
+    def test_flat_uncoupled_columns_of_div_variant(self, ref_elastic,
+                                                   inertia_on):
         grid = default_grid(ref_elastic, points=120)
-        curve = sweep(ModelKind.RELAXED_DIV, ref_elastic, inertia_on,
-                      WaveBlock.UNCOUPLED, grid)
-        for branch in curve.branches:
-            ref = branch.omegas[0]
-            assert np.all(np.abs(branch.omegas - ref) <= 1e-9 * ref)
-        assert curve.asymptote_flags == (True, True, True)
+        _, omegas, bounded = _spectrum(ModelKind.RELAXED_DIV, ref_elastic,
+                                       inertia_on, WaveBlock.UNCOUPLED, grid)
+        assert np.all(np.abs(omegas - omegas[0]) <= 1e-9 * omegas[0])
+        assert tuple(bounded) == (True, True, True)
 
     @pytest.mark.parametrize("model", ALL_MODELS)
     def test_uncoupled_bound_comes_from_the_curvature_stiffness(self, model):
         # omega_i^2 = (K0_ii + k^2 K2_ii) / eta is bounded exactly when
         # K2_ii = 0: no curvature term, or L_c = 0; a slowly rising
-        # curvature branch is unbounded however flat it looks on the grid
+        # curvature column is unbounded however flat it looks on the grid
         flat = model in (ModelKind.RELAXED_DIV, ModelKind.INTERNAL_VARIABLE)
         for elastic, inertia in wide_cone_params(seed=14):
-            curve = sweep(model, elastic, inertia, WaveBlock.UNCOUPLED,
-                          default_grid(elastic, inertia, points=50))
-            bounded = flat or elastic.L_c == 0.0
-            assert curve.asymptote_flags == (bounded,) * 3
+            grid = default_grid(elastic, inertia, points=50)
+            _, _, bounded = _spectrum(model, elastic, inertia,
+                                      WaveBlock.UNCOUPLED, grid)
+            k2 = block_for(model, elastic, inertia, WaveBlock.UNCOUPLED).K2
+            assert tuple(bounded) == tuple(np.diagonal(k2) == 0.0)
+            assert tuple(bounded) == (flat or elastic.L_c == 0.0,) * 3
 
-    def test_acoustic_asymptote_detected(self, ref_elastic, inertia_off):
-        grid = default_grid(ref_elastic)
-        curve = sweep(ModelKind.RELAXED_CURL, ref_elastic, inertia_off,
-                      WaveBlock.LONGITUDINAL, grid)
-        flags = dict(zip((b.label for b in curve.branches),
-                         curve.asymptote_flags))
-        assert flags["LA"] is True
-        assert flags["LO2"] is False
+    def test_lowest_column_saturates(self, ref_elastic, inertia_off):
+        _, _, bounded = _spectrum(ModelKind.RELAXED_CURL, ref_elastic,
+                                  inertia_off, WaveBlock.LONGITUDINAL,
+                                  default_grid(ref_elastic))
+        assert bounded[0] is True
 
-    def test_straight_acoustic_branch_not_asymptotic(self, ref_elastic,
-                                                     inertia_off):
-        grid = default_grid(ref_elastic)
-        curve = sweep(ModelKind.MINDLIN_ERINGEN, ref_elastic, inertia_off,
-                      WaveBlock.LONGITUDINAL, grid)
-        flags = dict(zip((b.label for b in curve.branches),
-                         curve.asymptote_flags))
-        assert flags["LA"] is False
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    @pytest.mark.parametrize("block", ALL_BLOCKS[:2])
+    def test_top_coupled_column_is_unbounded(self, model, block, ref_elastic,
+                                             inertia_off):
+        # without gradient inertia the displacement stiffness grows as k^2
+        # over a constant mass
+        _, _, bounded = _spectrum(model, ref_elastic, inertia_off, block,
+                                  default_grid(ref_elastic))
+        assert bounded[2] is False
 
-    def test_constant_branch_is_asymptotic(self):
+    def test_straight_lowest_column_not_asymptotic(self, ref_elastic,
+                                                   inertia_off):
+        _, _, bounded = _spectrum(ModelKind.MINDLIN_ERINGEN, ref_elastic,
+                                  inertia_off, WaveBlock.LONGITUDINAL,
+                                  default_grid(ref_elastic))
+        assert bounded[0] is False
+
+    def test_constant_column_is_asymptotic(self):
         grid = KGrid.linear(1.0e5, 60)
-        branch = Branch(label="X", omegas=np.full(60, 1.0e5),
-                        vectors=np.zeros((60, 3), dtype=complex),
-                        dominant=np.full(60, "Mixed", dtype=object),
-                        ratio=np.ones(60))
-        assert detect_asymptote(branch, grid) is True
+        assert detect_asymptote(np.full(60, 1.0e5), grid) is True
 
-    def test_zero_branch_is_asymptotic(self):
+    def test_zero_column_is_asymptotic(self):
         # a micro-rotation with mu_c = 0 and no curvature stays at omega = 0
         grid = KGrid.linear(1.0e5, 60)
-        branch = Branch(label="X", omegas=np.zeros(60),
-                        vectors=np.zeros((60, 3)),
-                        dominant=np.full(60, "Mixed", dtype=object),
-                        ratio=np.ones(60))
-        assert detect_asymptote(branch, grid) is True
+        assert detect_asymptote(np.zeros(60), grid) is True
 
     @pytest.mark.parametrize("model", [ModelKind.RELAXED_DIV,
                                        ModelKind.INTERNAL_VARIABLE])
     def test_zero_micro_rotation_is_bounded(self, model, ref_elastic,
                                             inertia_on):
-        curve = sweep(model, replace(ref_elastic, mu_c=0.0), inertia_on,
-                      WaveBlock.UNCOUPLED, default_grid(ref_elastic))
+        elastic = replace(ref_elastic, mu_c=0.0)
+        grid = default_grid(ref_elastic)
+        curve = sweep(model, elastic, inertia_on, WaveBlock.UNCOUPLED, grid)
         tro = curve.branches[0]
         assert tro.label == "TRO" and not np.any(tro.omegas)
-        assert curve.asymptote_flags[0] is True
+        # the P_[23] column
+        _, omegas, bounded = _spectrum(model, elastic, inertia_on,
+                                       WaveBlock.UNCOUPLED, grid)
+        assert not np.any(omegas[:, 1]) and bounded[1]
 
     def test_top_decade_sampling_required(self):
         values = np.concatenate([np.linspace(0.0, 1.0e4, 55),
                                  np.array([1.0e5])])
-        grid = KGrid(values=values)
-        branch = Branch(label="X", omegas=np.full(56, 1.0),
-                        vectors=np.zeros((56, 3), dtype=complex),
-                        dominant=np.full(56, "Mixed", dtype=object),
-                        ratio=np.ones(56))
         with pytest.raises(DegenerateGridError):
-            detect_asymptote(branch, grid)
+            detect_asymptote(np.full(56, 1.0), KGrid(values=values))
 
     def test_saturation_levels_match_large_k_reduction(self, ref_elastic,
                                                        inertia_off):
