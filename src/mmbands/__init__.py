@@ -22,7 +22,7 @@ from .dispersion import (Branch, Cutoff, DegenerateGridError,
 from .eigensolve import (EigenSolution, EigenSolveError,
                          NegativeEigenvalueError, NotHermitianError,
                          NotPositiveDefiniteError, general_eig,
-                         general_eig_stack)
+                         general_eig_stack, general_eigvals_stack)
 
 __version__ = "0.1.0"
 
@@ -39,6 +39,6 @@ __all__ = [
     "detect_asymptote", "solve_block", "sweep",
     "EigenSolution", "EigenSolveError", "NegativeEigenvalueError",
     "NotHermitianError", "NotPositiveDefiniteError", "general_eig",
-    "general_eig_stack",
+    "general_eig_stack", "general_eigvals_stack",
     "__version__",
 ]

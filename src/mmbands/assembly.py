@@ -26,8 +26,6 @@ The system is linear in eleven coefficients, so ``model_blocks`` contracts
 them with per-model unit tensors built once from ``assemble_full``.
 """
 
-from __future__ import annotations
-
 import functools
 from dataclasses import dataclass, replace
 
@@ -138,11 +136,6 @@ def _curvature_footprint(model: ModelKind, p):
     raise ValueError(f"unknown model variant: {model!r}")
 
 
-def _unpack(w):
-    """Split a 12-vector into the displacement triple and the 3x3 micro part."""
-    return w[:3], w[3:].reshape(3, 3)
-
-
 @dataclass(frozen=True)
 class _KPolynomial:
     """The k-polynomials ``M(k) = M0 + k^2 M2``, ``K(k) = K0 + k K1 + k^2 K2``.
@@ -208,7 +201,7 @@ def assemble_full(model: ModelKind, elastic: ElasticParams,
     for col in range(n):
         w = np.zeros(n)
         w[col] = 1.0
-        u, p = _unpack(w)
+        u, p = w[:3], w[3:].reshape(3, 3)   # displacement, micro part
         grad_u = np.outer(u, _E1)          # coefficient of ik in grad u
 
         sigma_grad = _coupling_stress(elastic, grad_u)

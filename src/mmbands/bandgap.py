@@ -21,8 +21,6 @@ sweep the whole frequency axis, hiding the optic-branch gaps that the
 coupled blocks exhibit.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 
@@ -165,7 +163,8 @@ def _blocks_for_scope(scope, include_uncoupled: bool):
 def _spectrum(model, elastic, inertia, block: WaveBlock, grid: KGrid):
     """``(name, omegas, bounded)`` of one block: an uncoupled column is
     bounded exactly when K2_ii = 0, a coupled one by ``detect_asymptote``."""
-    bs, omegas, _ = solve_block(model, elastic, inertia, block, grid)
+    bs, omegas, _ = solve_block(model, elastic, inertia, block, grid,
+                                vectors=False)
     bounded = (np.diagonal(bs.K2) == 0.0 if block is WaveBlock.UNCOUPLED
                else [detect_asymptote(col, grid) for col in omegas.T])
     return block.value, omegas, bounded

@@ -21,8 +21,6 @@ Exit codes: 0 success, 2 config/usage error, 3 parameter validation
 failure, 4 numerical failure.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import math
@@ -273,8 +271,16 @@ def _cmd_modes(cfg: RunConfig, args, err) -> int:
     return EXIT_OK
 
 
-def _gap_report_payload(report, scale, unit):
-    return {
+def _cmd_gaps(cfg: RunConfig, args, err) -> int:
+    model, elastic, inertia = cfg.model(), cfg.elastic(), cfg.inertia()
+    if not _check_validation(elastic, inertia, err):
+        return EXIT_VALIDATION
+    scope = COMPLETE if args.block is None else WaveBlock(args.block)
+    grid = cfg.grid(elastic, inertia)
+    report = detect_gaps(model, elastic, inertia, scope, grid=grid,
+                         **cfg.gap_options())
+    scale, unit = _omega_scale(args)
+    _write_output(_json_dumps({
         "model": report.model.value,
         "scope": report.scope,
         "blocks": list(report.blocks),
@@ -285,19 +291,7 @@ def _gap_report_payload(report, scale, unit):
         "n_gaps": len(report.gaps),
         "gaps": [{"omega_lo": g.omega_lo * scale,
                   "omega_hi": g.omega_hi * scale} for g in report.gaps],
-    }
-
-
-def _cmd_gaps(cfg: RunConfig, args, err) -> int:
-    model, elastic, inertia = cfg.model(), cfg.elastic(), cfg.inertia()
-    if not _check_validation(elastic, inertia, err):
-        return EXIT_VALIDATION
-    scope = COMPLETE if args.block is None else WaveBlock(args.block)
-    grid = cfg.grid(elastic, inertia)
-    report = detect_gaps(model, elastic, inertia, scope, grid=grid,
-                         **cfg.gap_options())
-    scale, unit = _omega_scale(args)
-    _write_output(_json_dumps(_gap_report_payload(report, scale, unit)), args)
+    }), args)
     return EXIT_OK
 
 
@@ -341,12 +335,6 @@ def _cmd_sweep_param(cfg: RunConfig, args, err) -> int:
 
 # ---------------------------------------------------------------------------
 # SVG plotting
-
-
-def _svg_polyline(points, color) -> str:
-    coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
-    return (f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-            f'points="{coords}"/>')
 
 
 def _clip_to_ceiling(ks, omegas, ceiling):
@@ -426,8 +414,10 @@ def render_dispersion_svg(curves, grid, ceiling, scale=1.0,
                          f'text-anchor="middle">{k:.3g}</text>')
         for idx, branch in enumerate(curve.branches):
             for seg in _clip_to_ceiling(grid.values, branch.omegas, ceiling):
-                pts = [to_xy(k, w) for k, w in seg]
-                parts.append(_svg_polyline(pts, colors[idx]))
+                points = [to_xy(k, w) for k, w in seg]
+                coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
+                parts.append(f'<polyline fill="none" stroke="{colors[idx]}" '
+                             f'stroke-width="1.5" points="{coords}"/>')
             # branch name near its k = 0 end
             w0 = min(float(branch.omegas[0]), ceiling * 0.98)
             x, y = to_xy(0.02 * k_max, w0)
@@ -467,24 +457,21 @@ def _cmd_plot(cfg: RunConfig, args, err) -> int:
 # argument parsing / dispatch
 
 
-def _add_common_flags(sub):
-    sub.add_argument("--config", help="flat key = value parameter file")
-    sub.add_argument("--model", choices=[m.value for m in ModelKind])
-    for key in _FLOAT_KEYS:
-        sub.add_argument("--" + key.replace("_", "-").lower(),
-                         dest=key, type=float)
-    sub.add_argument("--grid-points", dest="grid_points", type=int)
-    sub.add_argument("--include-uncoupled", dest="include_uncoupled",
-                     action="store_const", const=True)
-    sub.add_argument("--hertz", action="store_true",
-                     help="emit frequencies in Hz instead of rad/s")
-    sub.add_argument("--output", help="write to this path instead of stdout")
-
-
 def build_parser() -> argparse.ArgumentParser:
     # one shared parent holds the common flags: built once, not per subcommand
     common = argparse.ArgumentParser(add_help=False)
-    _add_common_flags(common)
+    common.add_argument("--config", help="flat key = value parameter file")
+    common.add_argument("--model", choices=[m.value for m in ModelKind])
+    for key in _FLOAT_KEYS:
+        common.add_argument("--" + key.replace("_", "-").lower(),
+                            dest=key, type=float)
+    common.add_argument("--grid-points", dest="grid_points", type=int)
+    common.add_argument("--include-uncoupled", dest="include_uncoupled",
+                        action="store_const", const=True)
+    common.add_argument("--hertz", action="store_true",
+                        help="emit frequencies in Hz instead of rad/s")
+    common.add_argument("--output",
+                        help="write to this path instead of stdout")
     parser = argparse.ArgumentParser(
         prog="mmbands",
         description="Dispersion curves, cut-offs and band-gaps of isotropic "

@@ -6,8 +6,6 @@ material tables for metamaterials are usually given in (MPa for moduli,
 mm for the characteristic length) and convert on ingestion.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass, replace
 from enum import Enum

@@ -11,8 +11,6 @@ labels to its k = 0 solve, so a cut-off is acoustic exactly when its
 branch is LA or TA.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 
@@ -21,7 +19,8 @@ import numpy as np
 from .assembly import block_for, model_blocks
 from .core import ElasticParams, InertiaParams, ModelKind, WaveBlock
 from .eigensolve import (EigenSolveError, clamp_roundoff, general_eig,
-                         general_eig_stack, positive_mass_diagonal)
+                         general_eig_stack, general_eigvals_stack,
+                         positive_mass_diagonal)
 
 # Ratio of the two largest eigenvector magnitudes below which no single
 # degree of freedom is called dominant.
@@ -262,12 +261,13 @@ def _located(exc, model: ModelKind, block: WaveBlock, k: np.ndarray):
 
 
 def solve_block(model, elastic, inertia, block: WaveBlock, grid: KGrid, *,
-                transverse_axis: int = 2):
+                transverse_axis: int = 2, vectors: bool = True):
     """One block's system, omegas (n_k, 3) and vectors (n_k, 3, 3) on a grid.
 
     Rows are ascending for a coupled block; column i of the uncoupled one
     is micro mode i, omega^2 = K_ii / M_ii, under the solver's checks.  Each
-    column is continuous in k.  Solver errors name the model, block and k.
+    column is continuous in k.  ``vectors=False`` skips the eigenvectors
+    (None).  Solver errors name the model, block and k.
     """
     bs = block_for(model, elastic, inertia, block, transverse_axis)
     k = grid.values
@@ -277,13 +277,15 @@ def solve_block(model, elastic, inertia, block: WaveBlock, grid: KGrid, *,
             m_diag = positive_mass_diagonal(masses)
             omega_sq = clamp_roundoff(np.diagonal(stiffness, axis1=1, axis2=2)
                                       / m_diag, stiffness, masses)
-            vectors = np.eye(3) / np.sqrt(m_diag)[:, None]
-        else:
+            vecs = np.eye(3) / np.sqrt(m_diag)[:, None] if vectors else None
+        elif vectors:
             sol = general_eig_stack(stiffness, masses)
-            omega_sq, vectors = sol.omega_sq, sol.vectors
+            omega_sq, vecs = sol.omega_sq, sol.vectors
+        else:
+            omega_sq, vecs = general_eigvals_stack(stiffness, masses), None
     except EigenSolveError as exc:
         raise _located(exc, model, block, k) from exc
-    return bs, np.sqrt(omega_sq), vectors
+    return bs, np.sqrt(omega_sq), vecs
 
 
 def sweep(model: ModelKind, elastic: ElasticParams, inertia: InertiaParams,

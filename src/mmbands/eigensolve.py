@@ -6,17 +6,17 @@ vectorised pass of numpy's LAPACK drivers:
 1. the diagonal congruence D = diag(M)^-1/2 equilibrates each pencil, so
    the equilibrated mass has a unit diagonal whatever the physical scale of
    its degrees of freedom (the eigenvalues are unchanged);
-2. a Cholesky factor M_eq = L L^H reduces it to the standard Hermitian
-   problem L^-1 K_eq L^-H;
-3. ``np.linalg.eigh`` diagonalizes that, and the eigenvectors are carried
-   back through D L^-H, in real arithmetic for real input.
+2. a Cholesky factor M_eq = L L^H, inverted by forward substitution, reduces
+   it to the standard Hermitian problem B = L^-1 K_eq L^-H;
+3. ``general_eig_stack`` diagonalizes B with ``np.linalg.eigh`` and carries
+   the eigenvectors back through D L^-H, in real arithmetic for real input;
+   ``general_eigvals_stack`` takes only the eigenvalues, from
+   ``np.linalg.eigvalsh``.  Steps 1-2 and every check are shared.
 
 LAPACK's Hermitian driver returns orthonormal eigenvectors at exact
 degeneracies as well, such as the transverse double roots of isotropic
 media, so no special casing is needed there.
 """
-
-from __future__ import annotations
 
 from dataclasses import dataclass
 
@@ -112,6 +112,53 @@ def clamp_roundoff(w: np.ndarray, k_stack: np.ndarray,
     return np.where(w < 0.0, 0.0, w)
 
 
+def _lower_inverse(lower: np.ndarray) -> np.ndarray:
+    """L^-1 of a stack of lower-triangular L by forward substitution: row j
+    is (e_j - L[j, :j] L^-1[:j]) / L[j, j], exact for a diagonal L."""
+    inv = np.zeros_like(lower)
+    for j, unit in enumerate(np.eye(lower.shape[-1], dtype=lower.dtype)):
+        row = unit - (lower[:, j, None, :j] @ inv[:, :j])[:, 0]
+        inv[:, j] = row / lower[:, j, j, None]
+    return inv
+
+
+def _reduce(k_stack, m_stack):
+    """Checked (K, M) as arrays, D, L^-1 and B, made exactly Hermitian; an
+    overflow past the equilibration is reported as a non-finite B."""
+    dtype = np.result_type(np.asarray(k_stack), np.asarray(m_stack), float)
+    k_stack, m_stack = np.asarray(k_stack, dtype), np.asarray(m_stack, dtype)
+    _assert_hermitian(k_stack, "stiffness matrix")
+    _assert_hermitian(m_stack, "mass matrix")
+
+    d = 1.0 / np.sqrt(positive_mass_diagonal(m_stack))
+    with np.errstate(over="ignore", invalid="ignore"):
+        congruence = d[:, :, None] * d[:, None, :]
+        m_eq, k_eq = m_stack * congruence, k_stack * congruence
+        try:
+            lower = np.linalg.cholesky(m_eq)
+            quantity = "Cholesky pivot"
+            worst = np.real(np.diagonal(lower, axis1=-2, axis2=-1)).min(-1)
+            worst = worst * worst
+            bad = worst <= PIVOT_REL_TOL
+        except np.linalg.LinAlgError:
+            # the smallest eigenvalue bounds every pivot from below
+            quantity = "smallest eigenvalue"
+            worst = np.linalg.eigvalsh(m_eq)[:, 0]
+            bad = worst <= max(PIVOT_REL_TOL, float(worst.min()))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise NotPositiveDefiniteError(
+                f"equilibrated mass matrix of pencil {i} has {quantity} "
+                f"{worst[i]:g}, at or below the floor {PIVOT_REL_TOL:g}", i)
+        lower_inv = _lower_inverse(lower)
+        b = lower_inv @ k_eq @ _conj_t(lower_inv)
+    finite = np.isfinite(b).all(axis=(-2, -1))
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise EigenSolveError(f"equilibrated pencil {i} is not finite", i)
+    return k_stack, m_stack, d, lower_inv, 0.5 * (b + _conj_t(b))
+
+
 def general_eig_stack(k_stack: np.ndarray,
                       m_stack: np.ndarray) -> EigenSolution:
     """Solve K v = w M v for every pencil of an (n, m, m) stack at once.
@@ -123,41 +170,8 @@ def general_eig_stack(k_stack: np.ndarray,
     of the first failing pencil and the quantity that failed, and carries
     that index as ``index``.  Real stacks stay real.
     """
-    dtype = np.result_type(np.asarray(k_stack), np.asarray(m_stack), float)
-    k_stack, m_stack = np.asarray(k_stack, dtype), np.asarray(m_stack, dtype)
-    _assert_hermitian(k_stack, "stiffness matrix")
-    _assert_hermitian(m_stack, "mass matrix")
-
-    d = 1.0 / np.sqrt(positive_mass_diagonal(m_stack))
-    congruence = d[:, :, None] * d[:, None, :]
-    m_eq = m_stack * congruence
-    k_eq = k_stack * congruence
-
-    try:
-        lower = np.linalg.cholesky(m_eq)
-        quantity = "Cholesky pivot"
-        worst = np.real(np.diagonal(lower, axis1=-2, axis2=-1)).min(axis=-1)
-        worst = worst * worst
-        bad = worst <= PIVOT_REL_TOL
-    except np.linalg.LinAlgError:
-        # the smallest eigenvalue bounds every pivot from below
-        quantity = "smallest eigenvalue"
-        worst = np.linalg.eigvalsh(m_eq)[:, 0]
-        bad = worst <= max(PIVOT_REL_TOL, float(worst.min()))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise NotPositiveDefiniteError(
-            f"equilibrated mass matrix of pencil {i} has {quantity} "
-            f"{worst[i]:g}, at or below the floor {PIVOT_REL_TOL:g}", i)
-
-    # B = L^-1 K_eq L^-H, Hermitian by construction up to roundoff
-    lower_inv = np.linalg.inv(lower)
-    b = lower_inv @ k_eq @ _conj_t(lower_inv)
-    finite = np.isfinite(b).all(axis=(-2, -1))  # overflow gives inf/nan
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise EigenSolveError(f"equilibrated pencil {i} is not finite", i)
-    w, y = np.linalg.eigh(0.5 * (b + _conj_t(b)))
+    k_stack, m_stack, d, lower_inv, b = _reduce(k_stack, m_stack)
+    w, y = np.linalg.eigh(b)
     w = clamp_roundoff(w, k_stack, m_stack)
 
     # back-transform, M-normalize, then rotate each column so its
@@ -169,6 +183,14 @@ def general_eig_stack(k_stack: np.ndarray,
     pivot = np.take_along_axis(vecs, top, axis=-2)
     vecs = vecs * (np.conj(pivot) / np.abs(pivot))
     return EigenSolution(omega_sq=w, vectors=vecs)
+
+
+def general_eigvals_stack(k_stack: np.ndarray,
+                          m_stack: np.ndarray) -> np.ndarray:
+    """The (n, m) ascending eigenvalues of ``general_eig_stack`` alone,
+    under the same checks, clamp and errors, without the eigenvectors."""
+    k_stack, m_stack, _, _, b = _reduce(k_stack, m_stack)
+    return clamp_roundoff(np.linalg.eigvalsh(b), k_stack, m_stack)
 
 
 def general_eig(k_matrix: np.ndarray, m_matrix: np.ndarray) -> EigenSolution:

@@ -236,6 +236,28 @@ class TestDetectGaps:
             detect_gaps(ModelKind.RELAXED_CURL, ref_elastic, inertia_on,
                         scope, include_uncoupled=True)
 
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_never_computes_eigenvectors(self, model, ref_elastic,
+                                         inertia_on, monkeypatch):
+        # cutoffs() reaches the solver through general_eig, which this
+        # patch leaves alone; every block spectrum must skip the vectors
+        cases = [(COMPLETE, False), (COMPLETE, True),
+                 *((block, False) for block in WaveBlock)]
+
+        def reports():
+            return [detect_gaps(model, ref_elastic, inertia_on, scope,
+                                include_uncoupled=include)
+                    for scope, include in cases]
+
+        want = reports()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("gap detection needs eigenvalues only")
+
+        monkeypatch.setattr(mmbands.dispersion, "general_eig_stack",
+                            forbidden)
+        assert reports() == want
+
     @pytest.mark.parametrize("seed, index, model", [
         (103, 19, ModelKind.RELAXED_CURL),
         (100, 15, ModelKind.INTERNAL_VARIABLE)])

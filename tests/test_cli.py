@@ -454,21 +454,37 @@ class TestNonFiniteInputs:
         assert out == ""
         assert f"invalid parameters: {check} (not finite)\n" in err
 
+    @staticmethod
+    def fresh_run(argv):
+        """The demo.cfg CLI run in a fresh interpreter, where numpy's
+        overflow warnings stay warnings."""
+        src = Path(mmbands.dispersion.__file__).resolve().parents[1]
+        return subprocess.run(
+            [sys.executable, "-m", "mmbands.cli", *argv,
+             "--config", DEMO_CONFIG], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)})
+
     @pytest.mark.parametrize("argv", [
         ["gaps", "--mu-e", "1e300"], ["gaps", "--eta", "1e-300"],
         ["cutoffs", "--rho", "1e-320"]])
     def test_extreme_finite_parameter_is_a_numerical_failure(self, argv):
-        # valid but past the float range once equilibrated; run in a fresh
-        # interpreter, where numpy's overflow warnings stay warnings
-        src = Path(mmbands.dispersion.__file__).resolve().parents[1]
-        proc = subprocess.run(
-            [sys.executable, "-m", "mmbands.cli", *argv,
-             "--config", DEMO_CONFIG], capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": str(src)})
+        # valid but past the float range once equilibrated
+        proc = self.fresh_run(argv)
         assert proc.returncode == 4
         assert ("numerical failure: relaxed-curl, longitudinal block, "
                 "k = 0 rad/m: ") in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["gaps", "--eta", "1e-300"], ["cutoffs", "--rho", "1e-320"]])
+    def test_reported_overflow_prints_no_warning(self, argv):
+        # the overflow happens past the equilibration, where the solver
+        # reports it as a non-finite pencil: stderr is that one line
+        proc = self.fresh_run(argv)
+        assert proc.returncode == 4
+        assert proc.stderr == ("numerical failure: relaxed-curl, "
+                               "longitudinal block, k = 0 rad/m: "
+                               "equilibrated pencil 0 is not finite\n")
 
     @pytest.mark.parametrize("argv, message", [
         (["disperse", "--grid-points", "-5"], "grid needs at least 50 points"),

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+import mmbands.eigensolve
 from mmbands.assembly import block_for
 from mmbands.core import ModelKind, WaveBlock
-from mmbands.eigensolve import (EigenSolution, NegativeEigenvalueError,
-                                NotHermitianError, NotPositiveDefiniteError,
-                                general_eig, general_eig_stack)
+from mmbands.dispersion import default_grid
+from mmbands.eigensolve import (EigenSolution, EigenSolveError,
+                                NegativeEigenvalueError, NotHermitianError,
+                                NotPositiveDefiniteError, _lower_inverse,
+                                general_eig, general_eig_stack,
+                                general_eigvals_stack)
 
 from oracles import cubic_pencil_eigenvalues
 
@@ -209,3 +213,98 @@ def test_returns_eigensolution_dataclass():
     assert isinstance(sol, EigenSolution)
     assert sol.omega_sq.shape == (2,)
     assert sol.vectors.shape == (2, 2)
+
+
+def assert_rows_agree(omega_sq, want):
+    """Equal to 1e-12 of each row's largest eigenvalue."""
+    scale = np.max(np.abs(want), axis=-1, keepdims=True)
+    assert np.all(np.abs(omega_sq - want) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("model", list(ModelKind))
+@pytest.mark.parametrize("block", [WaveBlock.LONGITUDINAL,
+                                   WaveBlock.TRANSVERSE])
+@pytest.mark.parametrize("inertia", ["inertia_off", "inertia_on"])
+def test_eigvals_match_eig_on_reference_blocks(model, block, inertia,
+                                               ref_elastic, request):
+    bs = block_for(model, ref_elastic, request.getfixturevalue(inertia),
+                   block)
+    k = default_grid(ref_elastic).values
+    ks, ms = bs.stiffness_at(k), bs.mass_at(k)
+    assert_rows_agree(general_eigvals_stack(ks, ms),
+                      general_eig_stack(ks, ms).omega_sq)
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_eigvals_match_eig_on_random_stacks(real):
+    ks, ms = random_stack(np.random.default_rng(48), 200)
+    if real:    # Re(M) stays PD and Re(K) PSD, as in the real-form test
+        ks, ms = ks.real.copy(), ms.real.copy()
+    w = general_eigvals_stack(ks, ms)
+    assert w.dtype == np.float64 and w.shape == (200, 3)
+    assert_rows_agree(w, general_eig_stack(ks, ms).omega_sq)
+
+
+NEAR_SINGULAR = 1.0 - 1e-15     # Cholesky succeeds, pivot^2 ~ 2e-15
+FAILING_PENCILS = {
+    "non-Hermitian K": (np.triu(np.ones((3, 3))), np.eye(3)),
+    "non-Hermitian M": (np.eye(3), np.eye(3) + np.diag([0.5, 0.0], 1)),
+    "non-positive mass diagonal": (np.eye(3), np.diag([1.0, 1.0, -1.0])),
+    "no Cholesky factor": (np.eye(3), np.array(
+        [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])),
+    "Cholesky pivot floor": (np.eye(3), np.array(
+        [[1.0, NEAR_SINGULAR, 0.0], [NEAR_SINGULAR, 1.0, 0.0],
+         [0.0, 0.0, 1.0]])),
+    # K_eq[0, 0] = 1e10 * 1e300 overflows: the error, not a numpy warning
+    "non-finite B": (np.diag([1e10, 1.0, 1.0]), np.diag([1e-300, 1.0, 1.0])),
+    "negative eigenvalue": (-np.eye(3), np.eye(3)),
+}
+
+
+@pytest.mark.parametrize("kind", FAILING_PENCILS)
+def test_eigvals_and_eig_fail_alike(kind):
+    bad_k, bad_m = FAILING_PENCILS[kind]
+    ks = np.array([np.eye(3), bad_k, np.eye(3)])
+    ms = np.array([np.eye(3), bad_m, np.eye(3)])
+    raised = []
+    for solve in (general_eig_stack, general_eigvals_stack):
+        with pytest.raises(EigenSolveError) as info:
+            solve(ks, ms)
+        raised.append((type(info.value), str(info.value), info.value.index))
+    assert raised[0] == raised[1]
+    assert raised[0][2] == 1 and "pencil 1 " in raised[0][1]
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_lower_inverse_of_diagonal_factors_is_exact(dtype):
+    lower = np.zeros((50, 3, 3), dtype)
+    diag = np.random.default_rng(49).uniform(1e-3, 1e3, size=(50, 3))
+    lower[:, range(3), range(3)] = diag
+    assert np.array_equal(_lower_inverse(lower), np.linalg.inv(lower))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_lower_inverse_of_random_factors(dtype):
+    rng = np.random.default_rng(50)
+    lower = np.tril(rng.normal(size=(200, 3, 3))).astype(dtype)
+    if dtype is complex:
+        lower += 1j * np.tril(rng.normal(size=(200, 3, 3)), -1)
+    lower[:, range(3), range(3)] = rng.uniform(1.0, 2.0, size=(200, 3))
+    residual = lower @ _lower_inverse(lower) - np.eye(3)
+    assert np.max(np.abs(residual)) <= 1e-13
+
+
+def test_demo_stack_matches_the_general_inverse(monkeypatch, ref_elastic,
+                                                inertia_on):
+    # the demo.cfg set; its masses are diagonal, so the substitution must
+    # reproduce the np.linalg.inv route of the solver bit for bit
+    bs = block_for(ModelKind.RELAXED_CURL, ref_elastic, inertia_on,
+                   WaveBlock.LONGITUDINAL)
+    k = default_grid(ref_elastic).values
+    ks, ms = bs.stiffness_at(k), bs.mass_at(k)
+    sol, w = general_eig_stack(ks, ms), general_eigvals_stack(ks, ms)
+    monkeypatch.setattr(mmbands.eigensolve, "_lower_inverse", np.linalg.inv)
+    ref = general_eig_stack(ks, ms)
+    assert np.array_equal(sol.omega_sq, ref.omega_sq)
+    assert np.array_equal(sol.vectors, ref.vectors)
+    assert np.array_equal(w, general_eigvals_stack(ks, ms))
