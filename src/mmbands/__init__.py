@@ -6,9 +6,11 @@ systems, splits them into exact 3x3 blocks, sweeps wavenumber to build
 labeled dispersion branches and reports per-block and complete band-gaps.
 """
 
+import types
+
 from .assembly import (BlockLeakageError, BlockSystem, FullSystem,
                        assemble_full, block_basis, block_decompose,
-                       block_for, model_blocks, DOF_NAMES)
+                       block_for, model_blocks, pick_block, DOF_NAMES)
 from .bandgap import (COMPLETE, CoverageMap, FrequencyAxisError, Gap,
                       GapReport, coverage, default_omega_ceiling,
                       detect_gaps, gaps_from_coverage)
@@ -26,19 +28,7 @@ from .eigensolve import (EigenSolution, EigenSolveError,
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlockLeakageError", "BlockSystem", "FullSystem", "assemble_full",
-    "block_basis", "block_decompose", "block_for", "model_blocks",
-    "DOF_NAMES",
-    "COMPLETE", "CoverageMap", "FrequencyAxisError", "Gap", "GapReport",
-    "coverage", "default_omega_ceiling", "detect_gaps", "gaps_from_coverage",
-    "ElasticParams", "InertiaParams", "InvariantCheck", "MacroParams",
-    "ModelKind", "ValidationReport", "WaveBlock", "homogenize", "validate",
-    "Branch", "Cutoff", "DegenerateGridError", "DispersionCurve", "KGrid",
-    "ZeroVectorError", "classify_mode_stack", "cutoffs", "default_grid",
-    "detect_asymptote", "solve_block", "sweep",
-    "EigenSolution", "EigenSolveError", "NegativeEigenvalueError",
-    "NotHermitianError", "NotPositiveDefiniteError", "general_eig",
-    "general_eig_stack", "general_eigvals_stack",
-    "__version__",
-]
+# the public API: every name imported above, and the version
+__all__ = ["__version__"] + [
+    name for name, value in globals().items()
+    if not (name.startswith("_") or isinstance(value, types.ModuleType))]

@@ -198,9 +198,7 @@ def assemble_full(model: ModelKind, elastic: ElasticParams,
 
     curvature_modulus = elastic.mu_e * elastic.L_c ** 2
 
-    for col in range(n):
-        w = np.zeros(n)
-        w[col] = 1.0
+    for col, w in enumerate(np.eye(n)):
         u, p = w[:3], w[3:].reshape(3, 3)   # displacement, micro part
         grad_u = np.outer(u, _E1)          # coefficient of ik in grad u
 
@@ -329,28 +327,32 @@ def _unit_tensor(model: ModelKind) -> np.ndarray:
 
 def model_blocks(model: ModelKind, elastic: ElasticParams,
                  inertia: InertiaParams) -> tuple[BlockSystem, ...]:
-    """``block_decompose(assemble_full(...))`` as one tensor contraction."""
-    el, inr = elastic, inertia
+    """``block_decompose(assemble_full(...))`` as one tensor contraction;
+    an overflowing mu_e * L_c**2 raises OverflowError where it is used."""
+    el, inr, units = elastic, inertia, _unit_tensor(model)
+    with np.errstate(over="ignore"):  # named below: inf * 0 would be nan
+        curvature = el.mu_e * np.float64(el.L_c) ** 2 if units[5].any() else 0.0
+    if not np.isfinite(curvature):
+        raise OverflowError(
+            f"{model.value}: curvature modulus mu_e * L_c**2 is not finite "
+            f"(mu_e = {el.mu_e:g} Pa, L_c = {el.L_c:g} m)")
     coefficients = [el.mu_e, el.lambda_e, el.mu_c, el.mu_micro,
-                    el.lambda_micro, el.mu_e * el.L_c ** 2, inr.rho, inr.eta,
+                    el.lambda_micro, curvature, inr.rho, inr.eta,
                     inr.eta_bar_1, inr.eta_bar_2, inr.eta_bar_3]
-    return _split(np.tensordot(coefficients, _unit_tensor(model), axes=1))
+    return _split(np.tensordot(coefficients, units, axes=1))
+
+
+def pick_block(blocks, block: WaveBlock, transverse_axis: int = 2):
+    """The ``block`` of a ``model_blocks`` tuple; ``transverse_axis`` picks
+    one of the two identical transverse blocks (polarization along x2, x3)."""
+    if transverse_axis not in (2, 3):
+        raise ValueError("transverse_axis must be 2 or 3")
+    # WaveBlock order: longitudinal, transverse (x2 or x3 here), uncoupled
+    return blocks[(0, transverse_axis - 1, 3)[list(WaveBlock).index(block)]]
 
 
 def block_for(model: ModelKind, elastic: ElasticParams, inertia: InertiaParams,
               block: WaveBlock, transverse_axis: int = 2) -> BlockSystem:
-    """Assemble and return a single 3x3 block.
-
-    ``transverse_axis`` selects which of the two identical transverse blocks
-    (polarization along x2 or x3) is returned.
-    """
+    """Assemble and return a single 3x3 block (see ``pick_block``)."""
     blocks = model_blocks(model, elastic, inertia)
-    if block is WaveBlock.LONGITUDINAL:
-        return blocks[0]
-    if block is WaveBlock.TRANSVERSE:
-        if transverse_axis not in (2, 3):
-            raise ValueError("transverse_axis must be 2 or 3")
-        return blocks[1] if transverse_axis == 2 else blocks[2]
-    if block is WaveBlock.UNCOUPLED:
-        return blocks[3]
-    raise ValueError(f"unknown block: {block!r}")
+    return pick_block(blocks, block, transverse_axis)

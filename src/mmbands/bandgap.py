@@ -6,10 +6,11 @@ uncoupled one.  Each column is continuous in k (Weyl's inequality; Kato,
 Perturbation Theory for Linear Operators), so it takes every value from its
 min to its max, with no branch continuation.  Past the end of the grid, a
 saturated column stops at its asymptote, while an unbounded one keeps
-rising to the ceiling.  The coverage is the union of these ranges, merged
-after a sort.  Sampled ranges are an inner approximation: an extremum or an
-exact crossing between two samples can be missed by up to one step's
-change.
+rising to the ceiling (by default 1.5 times the largest k = 0 frequency,
+read from row 0 of the report's own solves).  The coverage is the union of
+these ranges, merged after a sort.  Sampled ranges are an inner
+approximation: an extremum or an exact crossing between two samples can be
+missed by up to one step's change.
 
 Band-gaps are the holes between the merged runs wider than a minimum width.
 The "complete" scope intersects the longitudinal and both transverse blocks
@@ -26,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .assembly import model_blocks, pick_block
 from .core import ElasticParams, InertiaParams, ModelKind, WaveBlock
-from .dispersion import (KGrid, cutoffs, default_grid, detect_asymptote,
-                         solve_block)
+from .dispersion import KGrid, default_grid, detect_asymptote, solve_block
 
 COMPLETE = "complete"
 
@@ -160,22 +161,30 @@ def _blocks_for_scope(scope, include_uncoupled: bool):
     raise ValueError(f"scope must be a WaveBlock or {COMPLETE!r}: {scope!r}")
 
 
-def _spectrum(model, elastic, inertia, block: WaveBlock, grid: KGrid):
-    """``(name, omegas, bounded)`` of one block: an uncoupled column is
+def _spectrum(model, bs, grid: KGrid):
+    """``(name, omegas, bounded)`` of a built block: an uncoupled column is
     bounded exactly when K2_ii = 0, a coupled one by ``detect_asymptote``."""
-    bs, omegas, _ = solve_block(model, elastic, inertia, block, grid,
-                                vectors=False)
-    bounded = (np.diagonal(bs.K2) == 0.0 if block is WaveBlock.UNCOUPLED
+    omegas, _ = solve_block(model, bs, grid.values, vectors=False)
+    bounded = (np.diagonal(bs.K2) == 0.0 if bs.block is WaveBlock.UNCOUPLED
                else [detect_asymptote(col, grid) for col in omegas.T])
-    return block.value, omegas, bounded
+    return bs.block.value, omegas, bounded
+
+
+def _ceiling(model, blocks, spectra) -> float:
+    """Headroom above the largest k = 0 frequency: row 0 of each solved
+    spectrum, else a k = 0 solve (closed form if uncoupled) of the block."""
+    rows = {name: omegas[0] for name, omegas, _ in spectra}
+    rows.update((b.value, solve_block(model, pick_block(blocks, b), [0.0],
+                                      vectors=False)[0][0])
+                for b in WaveBlock if b.value not in rows)
+    return CEILING_HEADROOM * float(max(row.max() for row in rows.values()))
 
 
 def default_omega_ceiling(model: ModelKind, elastic: ElasticParams,
                           inertia: InertiaParams) -> float:
-    """Default detection ceiling: headroom above the largest cut-off."""
-    largest = max(c.omega for cuts in cutoffs(model, elastic, inertia).values()
-                  for c in cuts)
-    return CEILING_HEADROOM * largest
+    """Default detection ceiling: headroom above the largest cut-off, from
+    k = 0 solves of the blocks, as ``detect_gaps`` reads it from row 0."""
+    return _ceiling(model, model_blocks(model, elastic, inertia), ())
 
 
 def detect_gaps(model: ModelKind, elastic: ElasticParams,
@@ -189,20 +198,23 @@ def detect_gaps(model: ModelKind, elastic: ElasticParams,
 
     ``scope`` is a single WaveBlock for a per-block report or ``COMPLETE``
     for the intersection over the displacement-coupled blocks (optionally
-    also the uncoupled one, see the module docstring).
+    also the uncoupled one, see the module docstring).  The blocks are built
+    and solved once; the default ceiling, bin and gap widths follow from the
+    k = 0 row of those solves.
     """
     if grid is None:
         grid = default_grid(elastic, inertia)
+    blocks, block_names = _blocks_for_scope(scope, include_uncoupled)
+    built = model_blocks(model, elastic, inertia)
+    spectra = [_spectrum(model, pick_block(built, b), grid) for b in blocks]
     if omega_ceiling is None:
-        omega_ceiling = default_omega_ceiling(model, elastic, inertia)
+        omega_ceiling = _ceiling(model, built, spectra)
     if delta_omega is None:
         delta_omega = omega_ceiling / CEILING_TO_DELTA
     if min_gap_width is None:
         min_gap_width = omega_ceiling / CEILING_TO_MIN_GAP
 
-    blocks, block_names = _blocks_for_scope(scope, include_uncoupled)
-    cov = coverage([_spectrum(model, elastic, inertia, blk, grid)
-                    for blk in blocks], omega_ceiling, delta_omega)
+    cov = coverage(spectra, omega_ceiling, delta_omega)
     gaps = gaps_from_coverage(cov, min_gap_width)
 
     scope_name = scope if isinstance(scope, str) else scope.value

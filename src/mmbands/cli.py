@@ -82,9 +82,8 @@ class RunConfig:
             key: v.get(key) or 0.0 for key in _INERTIA_KEYS[2:]})
 
     def model(self) -> ModelKind:
-        name = self.values.get("model")
-        if name is None:
-            raise ConfigError("missing parameter(s): model")
+        self.require(["model"])
+        name = self.values["model"]
         try:
             return ModelKind(name)
         except ValueError:
@@ -183,10 +182,6 @@ def _csv_text(header, rows) -> str:
     names, ``a:b;c:d`` gap lists, the empty gaps cell) holds a comma, quote
     or line break, so ``csv.writer`` would quote nothing: a join is exact."""
     return "\n".join(map(",".join, chain([header], rows))) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# subcommands
 
 
 def _cmd_homogenize(cfg: RunConfig, args, err) -> int:
@@ -333,10 +328,6 @@ def _cmd_sweep_param(cfg: RunConfig, args, err) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# SVG plotting
-
-
 def _clip_to_ceiling(ks, omegas, ceiling):
     """Split one branch into polyline segments inside [0, ceiling].
 
@@ -453,10 +444,6 @@ def _cmd_plot(cfg: RunConfig, args, err) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# argument parsing / dispatch
-
-
 def build_parser() -> argparse.ArgumentParser:
     # one shared parent holds the common flags: built once, not per subcommand
     common = argparse.ArgumentParser(add_help=False)
@@ -521,7 +508,7 @@ def run(argv) -> int:
     except (ConfigError, DegenerateGridError, FrequencyAxisError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_CONFIG
-    except (EigenSolveError, BlockLeakageError) as exc:
+    except (EigenSolveError, BlockLeakageError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=err)
         return EXIT_NUMERICAL
 

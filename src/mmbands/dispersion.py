@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import block_for, model_blocks
+from .assembly import BlockSystem, block_for, model_blocks
 from .core import ElasticParams, InertiaParams, ModelKind, WaveBlock
-from .eigensolve import (EigenSolveError, clamp_roundoff, general_eig,
-                         general_eig_stack, general_eigvals_stack,
+from .eigensolve import (EigenSolveError, assert_finite, clamp_roundoff,
+                         general_eig, general_eig_stack, general_eigvals_stack,
                          positive_mass_diagonal)
 
 # Ratio of the two largest eigenvector magnitudes below which no single
@@ -260,23 +260,24 @@ def _located(exc, model: ModelKind, block: WaveBlock, k: np.ndarray):
                      f"k = {k[exc.index]:g} rad/m: {exc}", exc.index)
 
 
-def solve_block(model, elastic, inertia, block: WaveBlock, grid: KGrid, *,
-                transverse_axis: int = 2, vectors: bool = True):
-    """One block's system, omegas (n_k, 3) and vectors (n_k, 3, 3) on a grid.
+def solve_block(model: ModelKind, bs: BlockSystem, k, *,
+                vectors: bool = True):
+    """Omegas (n_k, 3) and vectors (n_k, 3, 3) of a built block at 1-D k.
 
     Rows are ascending for a coupled block; column i of the uncoupled one
     is micro mode i, omega^2 = K_ii / M_ii, under the solver's checks.  Each
     column is continuous in k.  ``vectors=False`` skips the eigenvectors
     (None).  Solver errors name the model, block and k.
     """
-    bs = block_for(model, elastic, inertia, block, transverse_axis)
-    k = grid.values
-    masses, stiffness = bs.mass_at(k), bs.stiffness_at(k)
+    with np.errstate(over="ignore", invalid="ignore"):  # the checks name it
+        masses, stiffness = bs.mass_at(k), bs.stiffness_at(k)
     try:
-        if block is WaveBlock.UNCOUPLED:
+        if bs.block is WaveBlock.UNCOUPLED:
             m_diag = positive_mass_diagonal(masses)
-            omega_sq = clamp_roundoff(np.diagonal(stiffness, axis1=1, axis2=2)
-                                      / m_diag, stiffness, masses)
+            with np.errstate(over="ignore"):
+                omega_sq = np.diagonal(stiffness, axis1=1, axis2=2) / m_diag
+            assert_finite(omega_sq, "equilibrated pencil", axis=-1)
+            omega_sq = clamp_roundoff(omega_sq, stiffness, masses)
             vecs = np.eye(3) / np.sqrt(m_diag)[:, None] if vectors else None
         elif vectors:
             sol = general_eig_stack(stiffness, masses)
@@ -284,8 +285,8 @@ def solve_block(model, elastic, inertia, block: WaveBlock, grid: KGrid, *,
         else:
             omega_sq, vecs = general_eigvals_stack(stiffness, masses), None
     except EigenSolveError as exc:
-        raise _located(exc, model, block, k) from exc
-    return bs, np.sqrt(omega_sq), vecs
+        raise _located(exc, model, bs.block, k) from exc
+    return np.sqrt(omega_sq), vecs
 
 
 def sweep(model: ModelKind, elastic: ElasticParams, inertia: InertiaParams,
@@ -298,8 +299,8 @@ def sweep(model: ModelKind, elastic: ElasticParams, inertia: InertiaParams,
     (sequentially only at exact ties); each uncoupled column is a branch.
     A zero eigenvector is re-raised with the model, block and k added.
     """
-    bs, omegas, vecs = solve_block(model, elastic, inertia, block, grid,
-                                   transverse_axis=transverse_axis)
+    bs = block_for(model, elastic, inertia, block, transverse_axis)
+    omegas, vecs = solve_block(model, bs, grid.values)
     order, names = _label_branches(block, omegas[0], vecs[0], bs.labels)
     if block is WaveBlock.UNCOUPLED:
         columns = np.broadcast_to(order, omegas.shape)

@@ -74,7 +74,17 @@ def _conj_t(a: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(a, -1, -2))
 
 
+def assert_finite(a: np.ndarray, what: str, axis=(-2, -1)) -> None:
+    """Raise EigenSolveError at the first pencil i of a stack with a
+    non-finite entry along ``axis``, as "{what} {i} is not finite"."""
+    finite = np.isfinite(a).all(axis=axis)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise EigenSolveError(f"{what} {i} is not finite", i)
+
+
 def _assert_hermitian(a: np.ndarray, name: str) -> None:
+    assert_finite(a, f"{name} of pencil")  # inf - inf would pass the norms
     scale = np.linalg.norm(a, axis=(-2, -1))
     deviation = np.linalg.norm(a - _conj_t(a), axis=(-2, -1))
     bad = deviation > HERMITIAN_REL_TOL * scale
@@ -152,10 +162,7 @@ def _reduce(k_stack, m_stack):
                 f"{worst[i]:g}, at or below the floor {PIVOT_REL_TOL:g}", i)
         lower_inv = _lower_inverse(lower)
         b = lower_inv @ k_eq @ _conj_t(lower_inv)
-    finite = np.isfinite(b).all(axis=(-2, -1))
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise EigenSolveError(f"equilibrated pencil {i} is not finite", i)
+    assert_finite(b, "equilibrated pencil")
     return k_stack, m_stack, d, lower_inv, 0.5 * (b + _conj_t(b))
 
 

@@ -390,6 +390,30 @@ class TestUnitTensors:
         assert np.all((mags == 0.0) | (mags >= 1.0 / 3.0))
         assert np.array_equal(units, np.swapaxes(units, -1, -2))
 
+    @pytest.mark.parametrize("overflow", [{"L_c": 1e197},
+                                          {"mu_e": 1e306, "L_c": 100.0}])
+    def test_overflowing_curvature_modulus_is_named(self, ref_elastic,
+                                                    inertia_on, overflow):
+        # L_c**2 raised a bare OverflowError, and an inf product gave nan
+        # blocks (inf times the unit's zeros), misread as a nan mass diagonal
+        elastic = replace(ref_elastic, **overflow)
+        assert validate(elastic, inertia_on).ok
+        for model in ALL_MODELS:
+            if model is ModelKind.INTERNAL_VARIABLE:
+                continue
+            with pytest.raises(OverflowError,
+                               match=rf"^{model.value}: curvature modulus "
+                                     r"mu_e \* L_c\*\*2 is not finite"):
+                model_blocks(model, elastic, inertia_on)
+
+    def test_model_without_curvature_ignores_an_overflowing_l_c(
+            self, ref_elastic, inertia_on):
+        model = ModelKind.INTERNAL_VARIABLE
+        got = model_blocks(model, replace(ref_elastic, L_c=1e197), inertia_on)
+        for g, w in zip(got, model_blocks(model, ref_elastic, inertia_on)):
+            for name in ("M0", "M2", "K0", "K1", "K2"):
+                assert np.array_equal(getattr(g, name), getattr(w, name))
+
     def test_block_for_picks_from_model_blocks(self, ref_elastic, inertia_on):
         blocks = model_blocks(ModelKind.RELAXED_DIV, ref_elastic, inertia_on)
         picks = [(WaveBlock.LONGITUDINAL, 2), (WaveBlock.TRANSVERSE, 2),

@@ -1,23 +1,43 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import mmbands.assembly
 import mmbands.bandgap
 import mmbands.dispersion
+import mmbands.eigensolve
+from mmbands.assembly import model_blocks
 from mmbands.bandgap import (COMPLETE, FrequencyAxisError, coverage,
                              default_omega_ceiling, detect_gaps,
                              gaps_from_coverage)
 from mmbands.core import ElasticParams, InertiaParams, ModelKind, WaveBlock
-from mmbands.dispersion import (default_grid, detect_asymptote, solve_block,
-                                sweep)
+from mmbands.dispersion import (cutoffs, default_grid, detect_asymptote,
+                                solve_block, sweep)
 
+from conftest import (MU_E_MPA, LAMBDA_E_MPA, MU_C_MPA, MU_MICRO_MPA,
+                      LAMBDA_MICRO_MPA, L_C_MM, RHO, ETA, ETA_BAR)
 from oracles import binned_coverage, wide_cone
 
 
 def spectrum(columns, bounded, name="longitudinal"):
     """Hand-built block spectrum: three equally long columns of omegas."""
     return name, np.column_stack(columns).astype(float), bounded
+
+
+def ceiling_sets():
+    """The reference set with and without gradient inertia, each also at
+    mu_c = 0 and at L_c = 0, and the wide_cone(100) sets."""
+    elastic = ElasticParams.from_engineering(
+        MU_E_MPA, LAMBDA_E_MPA, MU_C_MPA, MU_MICRO_MPA, LAMBDA_MICRO_MPA,
+        L_C_MM)
+    sets = [(variant, InertiaParams(rho=RHO, eta=ETA).with_eta_bar(eta_bar))
+            for eta_bar in (0.0, ETA_BAR)
+            for variant in (elastic, replace(elastic, mu_c=0.0),
+                            replace(elastic, L_c=0.0))]
+    return sets + [(ElasticParams(**e), InertiaParams(**i))
+                   for e, i in wide_cone(100)]
 
 
 class TestCoverage:
@@ -208,20 +228,44 @@ class TestDetectGaps:
     def test_complete_scope_solves_transverse_once(
             self, ref_elastic, inertia_off, monkeypatch, include_uncoupled,
             n_solves):
-        solved = []
+        grid = default_grid(ref_elastic)
+        on_grid, at_zero = [], []
 
-        def counting_solve(*args, **kwargs):
-            solved.append(args[3])
-            return solve_block(*args, **kwargs)
+        def counting_solve(model, bs, k, **kwargs):
+            k = np.asarray(k)
+            assert k.tolist() in (grid.values.tolist(), [0.0])
+            (on_grid if k.size == len(grid) else at_zero).append(bs.block)
+            return solve_block(model, bs, k, **kwargs)
 
         monkeypatch.setattr(mmbands.bandgap, "solve_block", counting_solve)
         report = detect_gaps(ModelKind.RELAXED_CURL, ref_elastic, inertia_off,
-                             include_uncoupled=include_uncoupled)
-        assert len(solved) == n_solves
-        assert solved.count(WaveBlock.TRANSVERSE) == 1
+                             grid=grid, include_uncoupled=include_uncoupled)
+        assert len(on_grid) == n_solves
+        assert on_grid.count(WaveBlock.TRANSVERSE) == 1
+        # the ceiling needs only the closed-form k = 0 row of an uncoupled
+        # block left out of the scope, and no second coupled solve
+        assert at_zero == [WaveBlock.UNCOUPLED] * (not include_uncoupled)
         assert report.blocks == (("longitudinal", "transverse",
                                   "transverse-3")
                                  + ("uncoupled",) * include_uncoupled)
+
+    @pytest.mark.parametrize("scope, include_uncoupled", [
+        (COMPLETE, False), (COMPLETE, True), *((b, False) for b in WaveBlock)])
+    def test_builds_the_blocks_once(self, ref_elastic, inertia_on,
+                                    monkeypatch, scope, include_uncoupled):
+        built = []
+
+        def counting_blocks(*args):
+            built.append(args)
+            return model_blocks(*args)
+
+        monkeypatch.setattr(mmbands.bandgap, "model_blocks", counting_blocks)
+        monkeypatch.setattr(mmbands.dispersion, "model_blocks",
+                            counting_blocks)
+        monkeypatch.setattr(mmbands.assembly, "model_blocks", counting_blocks)
+        detect_gaps(ModelKind.RELAXED_CURL, ref_elastic, inertia_on, scope,
+                    include_uncoupled=include_uncoupled)
+        assert len(built) == 1
 
     def test_never_continues_branches_or_classifies_modes(
             self, ref_elastic, inertia_on, monkeypatch):
@@ -239,8 +283,8 @@ class TestDetectGaps:
     @pytest.mark.parametrize("model", list(ModelKind))
     def test_never_computes_eigenvectors(self, model, ref_elastic,
                                          inertia_on, monkeypatch):
-        # cutoffs() reaches the solver through general_eig, which this
-        # patch leaves alone; every block spectrum must skip the vectors
+        # every block spectrum, and the k = 0 row that fixes the ceiling,
+        # comes from the eigenvalue-only solve; cutoffs() is not called
         cases = [(COMPLETE, False), (COMPLETE, True),
                  *((block, False) for block in WaveBlock)]
 
@@ -254,7 +298,11 @@ class TestDetectGaps:
         def forbidden(*args, **kwargs):
             raise AssertionError("gap detection needs eigenvalues only")
 
-        monkeypatch.setattr(mmbands.dispersion, "general_eig_stack",
+        for name in ("cutoffs", "general_eig", "general_eig_stack"):
+            monkeypatch.setattr(mmbands.dispersion, name, forbidden)
+            monkeypatch.setattr(mmbands.bandgap, name, forbidden,
+                                raising=False)
+        monkeypatch.setattr(mmbands.eigensolve, "general_eig_stack",
                             forbidden)
         assert reports() == want
 
@@ -347,6 +395,34 @@ class TestDetectGaps:
                            + 3.0 * ref_elastic.lambda_micro
                            + 2.0 * ref_elastic.mu_micro) / inertia_off.eta)
         assert ceiling == pytest.approx(1.5 * omega_p, rel=1e-12)
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_ceiling_is_headroom_over_the_largest_cutoff(self, model):
+        # on these sets the k = 0 rows of the gap solves give cutoffs()'s
+        # largest value exactly, for every scope; the grid does not enter
+        for elastic, inertia in ceiling_sets():
+            want = 1.5 * max(c.omega for cuts in cutoffs(
+                model, elastic, inertia).values() for c in cuts)
+            assert default_omega_ceiling(model, elastic, inertia) == want
+            grid = default_grid(elastic, inertia, points=50)
+            for scope, include in [(COMPLETE, False), (COMPLETE, True),
+                                   *((block, False) for block in WaveBlock)]:
+                report = detect_gaps(model, elastic, inertia, scope,
+                                     grid=grid, include_uncoupled=include)
+                assert report.omega_ceiling == want
+
+    @pytest.mark.parametrize("seed", [2, 8])
+    def test_ceiling_within_an_ulp_of_cutoffs_over_the_wide_cone(self, seed):
+        # the uncoupled closed form K0_ii / M0_ii can round an ulp away from
+        # cutoffs()' equilibrated solve of the same micro mode, which moves
+        # the ceiling where that mode has the top cut-off (wide_cone(2)[4])
+        for e, i in wide_cone(seed):
+            elastic, inertia = ElasticParams(**e), InertiaParams(**i)
+            for model in ModelKind:
+                want = 1.5 * max(c.omega for cuts in cutoffs(
+                    model, elastic, inertia).values() for c in cuts)
+                got = default_omega_ceiling(model, elastic, inertia)
+                assert abs(got - want) <= math.ulp(want)
 
     def test_report_echoes_parameters(self, ref_elastic, inertia_on):
         report = detect_gaps(ModelKind.RELAXED_DIV, ref_elastic, inertia_on)

@@ -464,16 +464,46 @@ class TestNonFiniteInputs:
              "--config", DEMO_CONFIG], capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": str(src)})
 
-    @pytest.mark.parametrize("argv", [
-        ["gaps", "--mu-e", "1e300"], ["gaps", "--eta", "1e-300"],
-        ["cutoffs", "--rho", "1e-320"]])
-    def test_extreme_finite_parameter_is_a_numerical_failure(self, argv):
-        # valid but past the float range once equilibrated
+    @pytest.mark.parametrize("argv, where", [
+        (["gaps", "--mu-e", "1e300"],
+         "k = 250.627 rad/m: stiffness matrix of pencil 1 is not finite"),
+        (["gaps", "--eta", "1e-300"], "k = 0 rad/m: "),
+        (["cutoffs", "--rho", "1e-320"], "k = 0 rad/m: ")])
+    def test_extreme_finite_parameter_is_a_numerical_failure(self, argv,
+                                                             where):
+        # valid but past the float range once equilibrated, or for
+        # --mu-e 1e300 already in K = K0 + k K1 + k^2 K2 at the second k of
+        # the gap solve, which runs before the ceiling's k = 0 solves
         proc = self.fresh_run(argv)
         assert proc.returncode == 4
         assert ("numerical failure: relaxed-curl, longitudinal block, "
-                "k = 0 rad/m: ") in proc.stderr
+                + where) in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv, message", [
+        (["gaps", "--eta-bar-1", "1e300"],
+         "relaxed-curl, longitudinal block, k = 16541.4 rad/m: "
+         "mass matrix of pencil 66 is not finite"),
+        (["gaps", "--l-c", "1e200"],
+         "relaxed-curl: curvature modulus mu_e * L_c**2 is not finite "
+         "(mu_e = 2e+08 Pa, L_c = 1e+197 m)"),
+        (["gaps", "--block", "uncoupled", "--mu-e", "1e300"],
+         "relaxed-curl, uncoupled block, k = 0 rad/m: "
+         "equilibrated pencil 0 is not finite")])
+    def test_overflowing_matrix_or_modulus_is_named(self, argv, message):
+        # an inf mass entry used to slip past the Hermitian check (inf - inf
+        # is nan) after three RuntimeWarnings, L_c**2 raised a bare
+        # OverflowError, and K_ii / M_ii of the uncoupled closed form
+        # overflowed with a warning; each is now one specific line
+        proc = self.fresh_run(argv)
+        assert proc.returncode == 4
+        assert proc.stderr == f"numerical failure: {message}\n"
+
+    def test_model_without_curvature_ignores_an_overflowing_l_c(self):
+        proc = self.fresh_run(["gaps", "--model", "internal-variable",
+                               "--l-c", "1e200"])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["model"] == "internal-variable"
 
     @pytest.mark.parametrize("argv", [
         ["gaps", "--eta", "1e-300"], ["cutoffs", "--rho", "1e-320"]])

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -12,9 +13,9 @@ from mmbands.core import (ElasticParams, InertiaParams, ModelKind, WaveBlock,
 from mmbands.dispersion import (MODE_RATIO_THRESHOLD, DegenerateGridError,
                                 KGrid, ZeroVectorError, _continue_branches,
                                 classify_mode_stack, cutoffs, default_grid,
-                                detect_asymptote, sweep)
-from mmbands.eigensolve import (EigenSolution, NotPositiveDefiniteError,
-                                general_eig_stack)
+                                detect_asymptote, solve_block, sweep)
+from mmbands.eigensolve import (EigenSolution, EigenSolveError,
+                                NotPositiveDefiniteError, general_eig_stack)
 
 from oracles import (classify_vector, cubic_pencil_eigenvalues,
                      greedy_continuation, wide_cone)
@@ -22,6 +23,11 @@ from oracles import (classify_vector, cubic_pencil_eigenvalues,
 ALL_MODELS = list(ModelKind)
 ALL_BLOCKS = [WaveBlock.LONGITUDINAL, WaveBlock.TRANSVERSE,
               WaveBlock.UNCOUPLED]
+
+
+def spectrum(model, elastic, inertia, block, grid):
+    """Gap detection's (name, omegas, bounded) of one block, built here."""
+    return _spectrum(model, block_for(model, elastic, inertia, block), grid)
 
 
 def admissible_set(seed, mu_c_zero):
@@ -328,8 +334,8 @@ class TestAsymptotes:
     def test_flat_uncoupled_columns_of_div_variant(self, ref_elastic,
                                                    inertia_on):
         grid = default_grid(ref_elastic, points=120)
-        _, omegas, bounded = _spectrum(ModelKind.RELAXED_DIV, ref_elastic,
-                                       inertia_on, WaveBlock.UNCOUPLED, grid)
+        _, omegas, bounded = spectrum(ModelKind.RELAXED_DIV, ref_elastic,
+                                      inertia_on, WaveBlock.UNCOUPLED, grid)
         assert np.all(np.abs(omegas - omegas[0]) <= 1e-9 * omegas[0])
         assert tuple(bounded) == (True, True, True)
 
@@ -341,16 +347,16 @@ class TestAsymptotes:
         flat = model in (ModelKind.RELAXED_DIV, ModelKind.INTERNAL_VARIABLE)
         for elastic, inertia in wide_cone_params(seed=14):
             grid = default_grid(elastic, inertia, points=50)
-            _, _, bounded = _spectrum(model, elastic, inertia,
-                                      WaveBlock.UNCOUPLED, grid)
+            _, _, bounded = spectrum(model, elastic, inertia,
+                                     WaveBlock.UNCOUPLED, grid)
             k2 = block_for(model, elastic, inertia, WaveBlock.UNCOUPLED).K2
             assert tuple(bounded) == tuple(np.diagonal(k2) == 0.0)
             assert tuple(bounded) == (flat or elastic.L_c == 0.0,) * 3
 
     def test_lowest_column_saturates(self, ref_elastic, inertia_off):
-        _, _, bounded = _spectrum(ModelKind.RELAXED_CURL, ref_elastic,
-                                  inertia_off, WaveBlock.LONGITUDINAL,
-                                  default_grid(ref_elastic))
+        _, _, bounded = spectrum(ModelKind.RELAXED_CURL, ref_elastic,
+                                 inertia_off, WaveBlock.LONGITUDINAL,
+                                 default_grid(ref_elastic))
         assert bounded[0] is True
 
     @pytest.mark.parametrize("model", ALL_MODELS)
@@ -359,15 +365,15 @@ class TestAsymptotes:
                                              inertia_off):
         # without gradient inertia the displacement stiffness grows as k^2
         # over a constant mass
-        _, _, bounded = _spectrum(model, ref_elastic, inertia_off, block,
-                                  default_grid(ref_elastic))
+        _, _, bounded = spectrum(model, ref_elastic, inertia_off, block,
+                                 default_grid(ref_elastic))
         assert bounded[2] is False
 
     def test_straight_lowest_column_not_asymptotic(self, ref_elastic,
                                                    inertia_off):
-        _, _, bounded = _spectrum(ModelKind.MINDLIN_ERINGEN, ref_elastic,
-                                  inertia_off, WaveBlock.LONGITUDINAL,
-                                  default_grid(ref_elastic))
+        _, _, bounded = spectrum(ModelKind.MINDLIN_ERINGEN, ref_elastic,
+                                 inertia_off, WaveBlock.LONGITUDINAL,
+                                 default_grid(ref_elastic))
         assert bounded[0] is False
 
     def test_constant_column_is_asymptotic(self):
@@ -389,8 +395,8 @@ class TestAsymptotes:
         tro = curve.branches[0]
         assert tro.label == "TRO" and not np.any(tro.omegas)
         # the P_[23] column
-        _, omegas, bounded = _spectrum(model, elastic, inertia_on,
-                                       WaveBlock.UNCOUPLED, grid)
+        _, omegas, bounded = spectrum(model, elastic, inertia_on,
+                                      WaveBlock.UNCOUPLED, grid)
         assert not np.any(omegas[:, 1]) and bounded[1]
 
     def test_top_decade_sampling_required(self):
@@ -565,6 +571,36 @@ def test_sweep_error_names_model_block_and_k(monkeypatch, ref_elastic,
     assert f"k = {grid.values[7]:g} rad/m" in message
     assert "pencil 7" in message
     assert info.value.index == 7
+
+
+def test_uncoupled_closed_form_overflow_is_named(ref_elastic, inertia_off):
+    # K_ii / M_ii past the float range is an error, not an inf frequency
+    # and a numpy warning
+    model = ModelKind.RELAXED_CURL
+    bs = block_for(model, replace(ref_elastic, mu_e=1e306), inertia_off,
+                   WaveBlock.UNCOUPLED)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EigenSolveError) as info:
+            solve_block(model, bs, [0.0, 1.0], vectors=False)
+    assert str(info.value) == ("relaxed-curl, uncoupled block, k = 0 rad/m: "
+                               "equilibrated pencil 0 is not finite")
+    assert info.value.index == 0
+
+
+def test_solve_block_rows_are_independent_of_the_other_wavenumbers(
+        ref_elastic, inertia_on):
+    # the k = 0 row of a grid solve is the one-point k = 0 solve, bit for
+    # bit, which is what lets gap detection take its ceiling from row 0
+    grid = default_grid(ref_elastic)
+    for block in ALL_BLOCKS:
+        bs = block_for(ModelKind.RELAXED_CURL, ref_elastic, inertia_on, block)
+        for vectors in (False, True):
+            row0 = solve_block(ModelKind.RELAXED_CURL, bs, [0.0],
+                               vectors=vectors)[0]
+            full = solve_block(ModelKind.RELAXED_CURL, bs, grid.values,
+                               vectors=vectors)[0]
+            assert np.array_equal(row0[0], full[0])
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -258,6 +260,8 @@ FAILING_PENCILS = {
     # K_eq[0, 0] = 1e10 * 1e300 overflows: the error, not a numpy warning
     "non-finite B": (np.diag([1e10, 1.0, 1.0]), np.diag([1e-300, 1.0, 1.0])),
     "negative eigenvalue": (-np.eye(3), np.eye(3)),
+    "non-finite K": (np.diag([1.0, np.nan, 1.0]), np.eye(3)),
+    "non-finite M": (np.eye(3), np.diag([np.inf, 1.0, 1.0])),
 }
 
 
@@ -273,6 +277,22 @@ def test_eigvals_and_eig_fail_alike(kind):
         raised.append((type(info.value), str(info.value), info.value.index))
     assert raised[0] == raised[1]
     assert raised[0][2] == 1 and "pencil 1 " in raised[0][1]
+
+
+@pytest.mark.parametrize("matrix", ["stiffness", "mass"])
+@pytest.mark.parametrize("entry", [np.inf, np.nan])
+def test_non_finite_matrix_named_before_the_hermitian_check(matrix, entry):
+    # an inf mass entry used to pass the Hermitian check, whose inf - inf
+    # is nan, with numpy warnings, and fail later as a non-finite B
+    ks, ms = np.array([np.eye(3)] * 4), np.array([np.eye(3)] * 4)
+    (ks if matrix == "stiffness" else ms)[2, 1, 0] = entry
+    for solve in (general_eig_stack, general_eigvals_stack):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EigenSolveError) as info:
+                solve(ks, ms)
+        assert str(info.value) == f"{matrix} matrix of pencil 2 is not finite"
+        assert type(info.value) is EigenSolveError and info.value.index == 2
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
