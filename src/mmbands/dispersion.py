@@ -277,7 +277,8 @@ def solve_block(model: ModelKind, bs: BlockSystem, k, *,
             with np.errstate(over="ignore"):
                 omega_sq = np.diagonal(stiffness, axis1=1, axis2=2) / m_diag
             assert_finite(omega_sq, "equilibrated pencil", axis=-1)
-            omega_sq = clamp_roundoff(omega_sq, stiffness, masses)
+            omega_sq = clamp_roundoff(omega_sq, np.linalg.norm(
+                stiffness, axis=(1, 2)) / np.linalg.norm(masses, axis=(1, 2)))
             vecs = np.eye(3) / np.sqrt(m_diag)[:, None] if vectors else None
         elif vectors:
             sol = general_eig_stack(stiffness, masses)

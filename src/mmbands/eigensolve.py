@@ -6,8 +6,8 @@ vectorised pass of numpy's LAPACK drivers:
 1. the diagonal congruence D = diag(M)^-1/2 equilibrates each pencil, so
    the equilibrated mass has a unit diagonal whatever the physical scale of
    its degrees of freedom (the eigenvalues are unchanged);
-2. a Cholesky factor M_eq = L L^H, inverted by forward substitution, reduces
-   it to the standard Hermitian problem B = L^-1 K_eq L^-H;
+2. a factor M_eq = L L^H, diag(M_eq)^1/2 if every M_eq is diagonal, else
+   Cholesky, reduces it to the standard Hermitian problem B = L^-1 K_eq L^-H;
 3. ``general_eig_stack`` diagonalizes B with ``np.linalg.eigh`` and carries
    the eigenvectors back through D L^-H, in real arithmetic for real input;
    ``general_eigvals_stack`` takes only the eigenvalues, from
@@ -83,16 +83,19 @@ def assert_finite(a: np.ndarray, what: str, axis=(-2, -1)) -> None:
         raise EigenSolveError(f"{what} {i} is not finite", i)
 
 
-def _assert_hermitian(a: np.ndarray, name: str) -> None:
+def _hermitian_norm(a: np.ndarray, name: str) -> np.ndarray:
+    """Frobenius norms of a stack, which must be Hermitian within tolerance."""
     assert_finite(a, f"{name} of pencil")  # inf - inf would pass the norms
-    scale = np.linalg.norm(a, axis=(-2, -1))
-    deviation = np.linalg.norm(a - _conj_t(a), axis=(-2, -1))
+    scale, a_h = np.linalg.norm(a, axis=(-2, -1)), _conj_t(a)
+    deviation = (0.0 if np.array_equal(a, a_h)  # an exact match needs no norm
+                 else np.linalg.norm(a - a_h, axis=(-2, -1)))
     bad = deviation > HERMITIAN_REL_TOL * scale
     if bad.any():
         i = int(np.argmax(bad))
         raise NotHermitianError(
             f"{name} of pencil {i} deviates from its conjugate transpose "
             f"by more than {HERMITIAN_REL_TOL:g} relative", i)
+    return scale
 
 
 def positive_mass_diagonal(m_stack: np.ndarray) -> np.ndarray:
@@ -107,13 +110,11 @@ def positive_mass_diagonal(m_stack: np.ndarray) -> np.ndarray:
     return diag
 
 
-def clamp_roundoff(w: np.ndarray, k_stack: np.ndarray,
-                   m_stack: np.ndarray) -> np.ndarray:
+def clamp_roundoff(w: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Eigenvalues w (n, m) with roundoff negatives clamped to zero; one
-    below ``-CLAMP_REL_TOL * |K| / |M|`` of its pencil raises instead."""
+    below ``-CLAMP_REL_TOL * scale``, scale = |K| / |M|, raises instead."""
     lowest = w.min(axis=-1)
-    bad = lowest < -CLAMP_REL_TOL * (np.linalg.norm(k_stack, axis=(-2, -1))
-                                     / np.linalg.norm(m_stack, axis=(-2, -1)))
+    bad = lowest < -CLAMP_REL_TOL * scale
     if bad.any():
         i = int(np.argmax(bad))
         raise NegativeEigenvalueError(
@@ -122,48 +123,47 @@ def clamp_roundoff(w: np.ndarray, k_stack: np.ndarray,
     return np.where(w < 0.0, 0.0, w)
 
 
-def _lower_inverse(lower: np.ndarray) -> np.ndarray:
-    """L^-1 of a stack of lower-triangular L by forward substitution: row j
-    is (e_j - L[j, :j] L^-1[:j]) / L[j, j], exact for a diagonal L."""
-    inv = np.zeros_like(lower)
-    for j, unit in enumerate(np.eye(lower.shape[-1], dtype=lower.dtype)):
-        row = unit - (lower[:, j, None, :j] @ inv[:, :j])[:, 0]
-        inv[:, j] = row / lower[:, j, j, None]
-    return inv
-
-
 def _reduce(k_stack, m_stack):
-    """Checked (K, M) as arrays, D, L^-1 and B, made exactly Hermitian; an
-    overflow past the equilibration is reported as a non-finite B."""
+    """Checked |K|, |M|, M as an array, D, L^-1 and B, made exactly
+    Hermitian; an overflow past the equilibration is a non-finite B.  A
+    diagonal M_eq gives L^-1 and B elementwise, rounded as the products
+    are, and skips the pivot floor: M_ii > 0, so pivot^2 = M_ii d_i^2 is
+    within ulps of 1, or inf where d_i^2 overflows and B is non-finite."""
     dtype = np.result_type(np.asarray(k_stack), np.asarray(m_stack), float)
     k_stack, m_stack = np.asarray(k_stack, dtype), np.asarray(m_stack, dtype)
-    _assert_hermitian(k_stack, "stiffness matrix")
-    _assert_hermitian(m_stack, "mass matrix")
+    k_norm = _hermitian_norm(k_stack, "stiffness matrix")
+    m_norm = _hermitian_norm(m_stack, "mass matrix")
 
     d = 1.0 / np.sqrt(positive_mass_diagonal(m_stack))
     with np.errstate(over="ignore", invalid="ignore"):
         congruence = d[:, :, None] * d[:, None, :]
         m_eq, k_eq = m_stack * congruence, k_stack * congruence
-        try:
-            lower = np.linalg.cholesky(m_eq)
-            quantity = "Cholesky pivot"
-            worst = np.real(np.diagonal(lower, axis1=-2, axis2=-1)).min(-1)
-            worst = worst * worst
-            bad = worst <= PIVOT_REL_TOL
-        except np.linalg.LinAlgError:
-            # the smallest eigenvalue bounds every pivot from below
-            quantity = "smallest eigenvalue"
-            worst = np.linalg.eigvalsh(m_eq)[:, 0]
-            bad = worst <= max(PIVOT_REL_TOL, float(worst.min()))
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise NotPositiveDefiniteError(
-                f"equilibrated mass matrix of pencil {i} has {quantity} "
-                f"{worst[i]:g}, at or below the floor {PIVOT_REL_TOL:g}", i)
-        lower_inv = _lower_inverse(lower)
-        b = lower_inv @ k_eq @ _conj_t(lower_inv)
+        eye = np.eye(m_stack.shape[-1], dtype=dtype)
+        if np.array_equal(m_eq * eye, m_eq):
+            inv = 1.0 / np.sqrt(np.real(np.diagonal(m_eq, 0, -2, -1)))
+            lower_inv = inv[:, :, None] * eye
+            b = inv[:, :, None] * k_eq * inv[:, None, :]
+        else:
+            try:
+                lower = np.linalg.cholesky(m_eq)
+                quantity = "Cholesky pivot"
+                worst = np.real(np.diagonal(lower, 0, -2, -1)).min(-1) ** 2
+                bad = worst <= PIVOT_REL_TOL
+            except np.linalg.LinAlgError:
+                # the smallest eigenvalue bounds every pivot from below
+                quantity = "smallest eigenvalue"
+                worst = np.linalg.eigvalsh(m_eq)[:, 0]
+                bad = worst <= max(PIVOT_REL_TOL, float(worst.min()))
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise NotPositiveDefiniteError(
+                    f"equilibrated mass matrix of pencil {i} has {quantity} "
+                    f"{worst[i]:g}, at or below the floor {PIVOT_REL_TOL:g}",
+                    i)
+            lower_inv = np.linalg.inv(lower)
+            b = lower_inv @ k_eq @ _conj_t(lower_inv)
     assert_finite(b, "equilibrated pencil")
-    return k_stack, m_stack, d, lower_inv, 0.5 * (b + _conj_t(b))
+    return k_norm, m_norm, m_stack, d, lower_inv, 0.5 * (b + _conj_t(b))
 
 
 def general_eig_stack(k_stack: np.ndarray,
@@ -177,9 +177,9 @@ def general_eig_stack(k_stack: np.ndarray,
     of the first failing pencil and the quantity that failed, and carries
     that index as ``index``.  Real stacks stay real.
     """
-    k_stack, m_stack, d, lower_inv, b = _reduce(k_stack, m_stack)
+    k_norm, m_norm, m_stack, d, lower_inv, b = _reduce(k_stack, m_stack)
     w, y = np.linalg.eigh(b)
-    w = clamp_roundoff(w, k_stack, m_stack)
+    w = clamp_roundoff(w, k_norm / m_norm)
 
     # back-transform, M-normalize, then rotate each column so its
     # largest-magnitude component is real positive (a sign for real input)
@@ -196,8 +196,8 @@ def general_eigvals_stack(k_stack: np.ndarray,
                           m_stack: np.ndarray) -> np.ndarray:
     """The (n, m) ascending eigenvalues of ``general_eig_stack`` alone,
     under the same checks, clamp and errors, without the eigenvectors."""
-    k_stack, m_stack, _, _, b = _reduce(k_stack, m_stack)
-    return clamp_roundoff(np.linalg.eigvalsh(b), k_stack, m_stack)
+    k_norm, m_norm, _, _, _, b = _reduce(k_stack, m_stack)
+    return clamp_roundoff(np.linalg.eigvalsh(b), k_norm / m_norm)
 
 
 def general_eig(k_matrix: np.ndarray, m_matrix: np.ndarray) -> EigenSolution:

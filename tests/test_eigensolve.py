@@ -3,17 +3,15 @@ import warnings
 import numpy as np
 import pytest
 
-import mmbands.eigensolve
 from mmbands.assembly import block_for
-from mmbands.core import ModelKind, WaveBlock
+from mmbands.core import ElasticParams, InertiaParams, ModelKind, WaveBlock
 from mmbands.dispersion import default_grid
 from mmbands.eigensolve import (EigenSolution, EigenSolveError,
                                 NegativeEigenvalueError, NotHermitianError,
-                                NotPositiveDefiniteError, _lower_inverse,
-                                general_eig, general_eig_stack,
-                                general_eigvals_stack)
+                                NotPositiveDefiniteError, general_eig,
+                                general_eig_stack, general_eigvals_stack)
 
-from oracles import cubic_pencil_eigenvalues
+from oracles import cubic_pencil_eigenvalues, wide_cone
 
 
 def random_pencil(rng, n=3):
@@ -259,23 +257,39 @@ FAILING_PENCILS = {
          [0.0, 0.0, 1.0]])),
     # K_eq[0, 0] = 1e10 * 1e300 overflows: the error, not a numpy warning
     "non-finite B": (np.diag([1e10, 1.0, 1.0]), np.diag([1e-300, 1.0, 1.0])),
+    # d_0^2 = 1 / 1e-320 overflows, so M_eq[0, 0] and B are not finite
+    "subnormal mass": (np.eye(3), np.diag([1e-320, 1.0, 1.0])),
     "negative eigenvalue": (-np.eye(3), np.eye(3)),
     "non-finite K": (np.diag([1.0, np.nan, 1.0]), np.eye(3)),
     "non-finite M": (np.eye(3), np.diag([np.inf, 1.0, 1.0])),
 }
 
 
+# appended to a stack, this pencil's off-diagonal mass sends the whole
+# stack down the Cholesky route
+CHOLESKY_K, CHOLESKY_M = np.eye(3), np.array(
+    [[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+def with_cholesky_pencil(ks, ms):
+    return (np.concatenate([ks, CHOLESKY_K[None]]),
+            np.concatenate([ms, CHOLESKY_M[None]]))
+
+
 @pytest.mark.parametrize("kind", FAILING_PENCILS)
 def test_eigvals_and_eig_fail_alike(kind):
+    # on a diagonal-mass stack as it stands and on the Cholesky route
     bad_k, bad_m = FAILING_PENCILS[kind]
     ks = np.array([np.eye(3), bad_k, np.eye(3)])
     ms = np.array([np.eye(3), bad_m, np.eye(3)])
     raised = []
-    for solve in (general_eig_stack, general_eigvals_stack):
-        with pytest.raises(EigenSolveError) as info:
-            solve(ks, ms)
-        raised.append((type(info.value), str(info.value), info.value.index))
-    assert raised[0] == raised[1]
+    for stack in ((ks, ms), with_cholesky_pencil(ks, ms)):
+        for solve in (general_eig_stack, general_eigvals_stack):
+            with pytest.raises(EigenSolveError) as info:
+                solve(*stack)
+            raised.append((type(info.value), str(info.value),
+                           info.value.index))
+    assert raised[1:] == raised[:1] * 3
     assert raised[0][2] == 1 and "pencil 1 " in raised[0][1]
 
 
@@ -295,36 +309,52 @@ def test_non_finite_matrix_named_before_the_hermitian_check(matrix, entry):
         assert type(info.value) is EigenSolveError and info.value.index == 2
 
 
-@pytest.mark.parametrize("dtype", [float, complex])
-def test_lower_inverse_of_diagonal_factors_is_exact(dtype):
-    lower = np.zeros((50, 3, 3), dtype)
-    diag = np.random.default_rng(49).uniform(1e-3, 1e3, size=(50, 3))
-    lower[:, range(3), range(3)] = diag
-    assert np.array_equal(_lower_inverse(lower), np.linalg.inv(lower))
+@pytest.mark.parametrize("model", list(ModelKind))
+def test_diagonal_route_matches_the_cholesky_route(model, ref_elastic,
+                                                   inertia_off, inertia_on):
+    # every reference block stack and the wide_cone(100) sets: the scaled
+    # diagonal route reproduces the factor-and-invert route bit for bit
+    sets = [(ref_elastic, inertia_off), (ref_elastic, inertia_on)] + [
+        (ElasticParams(**e), InertiaParams(**i)) for e, i in wide_cone(100)]
+    for elastic, inertia in sets:
+        k = default_grid(elastic, inertia).values
+        for block in (WaveBlock.LONGITUDINAL, WaveBlock.TRANSVERSE):
+            bs = block_for(model, elastic, inertia, block)
+            ks, ms = bs.stiffness_at(k), bs.mass_at(k)
+            cholesky_stack = with_cholesky_pencil(ks, ms)
+            sol, ref = (general_eig_stack(ks, ms),
+                        general_eig_stack(*cholesky_stack))
+            assert np.array_equal(sol.omega_sq, ref.omega_sq[:-1])
+            assert np.array_equal(sol.vectors, ref.vectors[:-1])
+            assert np.array_equal(general_eigvals_stack(ks, ms),
+                                  general_eigvals_stack(*cholesky_stack)[:-1])
 
 
-@pytest.mark.parametrize("dtype", [float, complex])
-def test_lower_inverse_of_random_factors(dtype):
-    rng = np.random.default_rng(50)
-    lower = np.tril(rng.normal(size=(200, 3, 3))).astype(dtype)
-    if dtype is complex:
-        lower += 1j * np.tril(rng.normal(size=(200, 3, 3)), -1)
-    lower[:, range(3), range(3)] = rng.uniform(1.0, 2.0, size=(200, 3))
-    residual = lower @ _lower_inverse(lower) - np.eye(3)
-    assert np.max(np.abs(residual)) <= 1e-13
-
-
-def test_demo_stack_matches_the_general_inverse(monkeypatch, ref_elastic,
-                                                inertia_on):
-    # the demo.cfg set; its masses are diagonal, so the substitution must
-    # reproduce the np.linalg.inv route of the solver bit for bit
+def test_diagonal_masses_are_scaled_and_normed_once(monkeypatch,
+                                                    ref_elastic, inertia_on):
     bs = block_for(ModelKind.RELAXED_CURL, ref_elastic, inertia_on,
                    WaveBlock.LONGITUDINAL)
     k = default_grid(ref_elastic).values
     ks, ms = bs.stiffness_at(k), bs.mass_at(k)
-    sol, w = general_eig_stack(ks, ms), general_eigvals_stack(ks, ms)
-    monkeypatch.setattr(mmbands.eigensolve, "_lower_inverse", np.linalg.inv)
-    ref = general_eig_stack(ks, ms)
-    assert np.array_equal(sol.omega_sq, ref.omega_sq)
-    assert np.array_equal(sol.vectors, ref.vectors)
-    assert np.array_equal(w, general_eigvals_stack(ks, ms))
+    want, want_w = general_eig_stack(ks, ms), general_eigvals_stack(ks, ms)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a diagonal mass was factorized")
+
+    normed, norm = [], np.linalg.norm
+
+    def counted_norm(a, *args, **kwargs):
+        normed.append(a)
+        return norm(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    sol = general_eig_stack(ks, ms)
+    assert np.array_equal(sol.omega_sq, want.omega_sq)
+    assert np.array_equal(sol.vectors, want.vectors)
+    assert np.array_equal(general_eigvals_stack(ks, ms), want_w)
+    # one norm of K and one of M per solve, shared by the checks and clamp
+    assert len(normed) == 4
+    for a, b in zip(normed, [ks, ms, ks, ms]):
+        assert np.array_equal(a, b)
