@@ -103,8 +103,7 @@ def coverage(spectra, omega_ceiling: float, delta_omega: float) -> CoverageMap:
     or [min, ceiling] when unbounded.  Binning (x / delta_omega, floored,
     clipped to the first and last bin) is monotone, so a column covers the
     bins of its min to its max, and none if its min is at or above the
-    ceiling.  ``edge_tags`` name in block-then-column order the columns
-    that reach a run's first or last bin.
+    ceiling.  ``edge_tags`` list owners in block-then-column order.
     """
     _check_axis("omega_ceiling", omega_ceiling)
     _check_axis("delta_omega", delta_omega)
@@ -116,10 +115,12 @@ def coverage(spectra, omega_ceiling: float, delta_omega: float) -> CoverageMap:
 
     spectra = list(spectra)
     tags = [f"{name}:{c}" for name, _, _ in spectra for c in range(3)]
-    ranges = np.array([(col.min(), col.max() if bounded else omega_ceiling)
-                       for _, omegas, flags in spectra
-                       for col, bounded in zip(np.transpose(omegas), flags)]
-                      ).reshape(-1, 2)
+    ranges = []
+    for _, omegas, bounded in spectra:
+        columns = np.transpose(omegas).copy()   # rows: fast to reduce
+        ranges.append((columns.min(axis=1), np.where(
+            bounded, columns.max(axis=1), omega_ceiling)))
+    ranges = np.swapaxes(np.reshape(ranges, (-1, 2, 3)), 1, 2).reshape(-1, 2)
     owner = np.flatnonzero(ranges[:, 0] < omega_ceiling)
     bins = np.clip(ranges[owner] / delta_omega, 0, n_bins - 1).astype(np.int64)
     first, last = bins[np.argsort(bins[:, 0])].T
@@ -127,8 +128,9 @@ def coverage(spectra, omega_ceiling: float, delta_omega: float) -> CoverageMap:
     # a run ends where the next range starts past every bin reached so far
     reach = np.maximum.accumulate(last)
     breaks = first[1:] > reach[:-1] + 1
-    runs = np.column_stack([np.r_[first[:1], first[1:][breaks]],
-                            np.r_[reach[:-1][breaks], reach[-1:]]])
+    starts = np.concatenate([first[:1], first[1:][breaks]])
+    ends = np.concatenate([reach[:-1][breaks], reach[-1:]])
+    runs = np.column_stack([starts, ends])
     run_of = np.searchsorted(runs[:, 0], bins[:, 0], side="right") - 1
     at_edge = bins == runs[run_of]
     edge_tags = tuple(tuple(tuple(tags[o] for o in owner[(run_of == r) & edge])
@@ -140,8 +142,8 @@ def gaps_from_coverage(cov: CoverageMap, min_gap_width: float) -> tuple[Gap, ...
     """Maximal empty intervals of a coverage map, at bin resolution."""
     _check_axis("min_gap_width", min_gap_width, zero_ok=True)
     # the holes around the runs, as [first bin, end bin) pairs
-    holes = np.c_[np.r_[0, cov.runs[:, 1] + 1],
-                  np.r_[cov.runs[:, 0], cov.n_bins]]
+    holes = np.column_stack([np.concatenate([[0], cov.runs[:, 1] + 1]),
+                             np.concatenate([cov.runs[:, 0], [cov.n_bins]])])
     edges = holes[holes[:, 0] < holes[:, 1]] * cov.delta_omega
     edges[:, 1] = np.minimum(edges[:, 1], cov.omega_ceiling)
     wide = edges[:, 1] - edges[:, 0] >= min_gap_width
@@ -166,7 +168,7 @@ def _spectrum(model, bs, grid: KGrid):
     bounded exactly when K2_ii = 0, a coupled one by ``detect_asymptote``."""
     omegas, _ = solve_block(model, bs, grid.values, vectors=False)
     bounded = (np.diagonal(bs.K2) == 0.0 if bs.block is WaveBlock.UNCOUPLED
-               else [detect_asymptote(col, grid) for col in omegas.T])
+               else detect_asymptote(omegas, grid).tolist())
     return bs.block.value, omegas, bounded
 
 
@@ -198,12 +200,11 @@ def detect_gaps(model: ModelKind, elastic: ElasticParams,
 
     ``scope`` is a single WaveBlock for a per-block report or ``COMPLETE``
     for the intersection over the displacement-coupled blocks (optionally
-    also the uncoupled one, see the module docstring).  The blocks are built
-    and solved once; the default ceiling, bin and gap widths follow from the
-    k = 0 row of those solves.
+    also the uncoupled one, see the module docstring).  Each block is built
+    and solved once, on the model's ``default_grid`` unless ``grid`` is given.
     """
     if grid is None:
-        grid = default_grid(elastic, inertia)
+        grid = default_grid(elastic, inertia, model=model)
     blocks, block_names = _blocks_for_scope(scope, include_uncoupled)
     built = model_blocks(model, elastic, inertia)
     spectra = [_spectrum(model, pick_block(built, b), grid) for b in blocks]

@@ -1,21 +1,12 @@
 """Command-line front end: parameter ingestion and file emission.
 
-Subcommands::
-
-    homogenize   effective macroscopic constants            -> JSON
-    cutoffs      k = 0 frequencies per block                 -> JSON
-    disperse     dispersion branches of all blocks           -> CSV
-    modes        mode markers along one named branch         -> CSV
-    gaps         band-gap report                             -> JSON
-    sweep-param  gap counts over a scalar parameter range    -> CSV
-    plot         three-panel dispersion diagram              -> SVG
-
-Parameters are read from a flat ``key = value`` config file (``#`` starts a
-comment) and/or command-line flags, in the engineering units of the usual
-material tables: MPa for moduli, mm for the characteristic length, kg/m^3
-for the density, kg/m for the inertiae.  Frequencies are emitted in rad/s
-(``--hertz`` divides by 2*pi).  Identical inputs produce byte-identical
-outputs.
+The subcommands and their JSON, CSV or SVG outputs are listed in
+``build_parser`` (``mmbands --help``).  Parameters are read from a flat
+``key = value`` config file (``#`` starts a comment) and/or command-line
+flags, in the engineering units of the usual material tables: MPa for
+moduli, mm for the characteristic length, kg/m^3 for the density, kg/m for
+the inertiae.  Frequencies are emitted in rad/s (``--hertz`` divides by
+2*pi).  Identical inputs produce byte-identical outputs.
 
 Exit codes: 0 success, 2 config/usage error, 3 parameter validation
 failure, 4 numerical failure.
@@ -95,7 +86,7 @@ class RunConfig:
         points = DEFAULT_GRID_POINTS if points is None else points
         k_max = self.values.get("k_max")
         if k_max is None:
-            return default_grid(elastic, inertia, points=points)
+            return default_grid(elastic, inertia, points, self.model())
         return KGrid.linear(k_max, points=points)
 
     def gap_options(self) -> dict:
@@ -329,11 +320,8 @@ def _cmd_sweep_param(cfg: RunConfig, args, err) -> int:
 
 
 def _clip_to_ceiling(ks, omegas, ceiling):
-    """Split one branch into polyline segments inside [0, ceiling].
-
-    Crossing points are interpolated so branches leave the panel at the
-    right slope instead of being clamped flat.
-    """
+    """Split one branch into polyline segments inside [0, ceiling], each
+    crossing interpolated so that it leaves the panel at the right slope."""
     points = list(zip(ks.tolist(), omegas.tolist()))
     segments, current = [], []
     for prev, (k, w) in zip([None, *points], points):

@@ -74,21 +74,23 @@ class KGrid:
 
 def default_grid(elastic: ElasticParams,
                  inertia: InertiaParams | None = None,
-                 points: int = DEFAULT_GRID_POINTS) -> KGrid:
+                 points: int = DEFAULT_GRID_POINTS,
+                 model: ModelKind | None = None) -> KGrid:
     """Default sweep grid: linear from 0 to 100 / L_c.
 
     That range takes the dimensionless k * L_c to 100, deep into the
-    saturated tail of every bounded branch.  With L_c = 0 the inertia
-    length sqrt(eta / rho) takes its place.
+    saturated tail of every bounded branch.  With L_c = 0, and for the
+    internal-variable model, which has no curvature term and ignores L_c,
+    the inertia length sqrt(eta / rho) takes its place.
     """
-    length = elastic.L_c
+    length = 0.0 if model is ModelKind.INTERNAL_VARIABLE else elastic.L_c
     if length == 0.0 and inertia is not None and min(inertia.eta,
                                                      inertia.rho) > 0.0:
         length = math.sqrt(inertia.eta / inertia.rho)
     if not length > 0.0:
         raise DegenerateGridError(
-            "default grid needs L_c > 0, or L_c = 0 with eta, rho > 0; "
-            "pass an explicit grid instead")
+            "default grid needs L_c > 0, or eta, rho > 0 where L_c = 0 or "
+            "the model is internal-variable; pass an explicit grid instead")
     return KGrid.linear(100.0 / length, points)
 
 
@@ -152,22 +154,24 @@ def classify_mode_stack(vectors, labels):
                           order[..., -1] + 1, 0), ...], ratio
 
 
-def detect_asymptote(omegas: np.ndarray, grid: KGrid) -> bool:
+def detect_asymptote(omegas: np.ndarray, grid: KGrid):
     """True when omega(k), sampled on the grid, has flattened by its end.
 
     Compares omega at k_max with omega at 0.8 * k_max: a final value that
     moved by less than ``ASYMPTOTE_REL_TOL`` (relative), or is 0 at both,
     marks a horizontal asymptote.  Needs >= 10 samples in the top decade.
+    A bool for 1-D omegas, else a bool array of one verdict per column.
     """
     k = grid.values
     if np.count_nonzero(k >= 0.1 * grid.k_max) < 10:
         raise DegenerateGridError(
             "asymptote detection needs >= 10 samples in the top decade")
-    omega_end = float(omegas[-1])
-    omega_ref = float(omegas[np.argmin(np.abs(k - 0.8 * grid.k_max))])
-    if omega_end <= 0.0:
-        return omega_end == omega_ref == 0.0
-    return abs(omega_end - omega_ref) / omega_end < ASYMPTOTE_REL_TOL
+    ref = np.argmin(np.abs(k - 0.8 * grid.k_max))
+    end, at_ref = np.asarray(omegas, dtype=float)[[-1, ref]]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        flat = np.where(end > 0.0, abs(end - at_ref) / end < ASYMPTOTE_REL_TOL,
+                        (end == 0.0) & (at_ref == 0.0))
+    return bool(flat) if flat.ndim == 0 else flat
 
 
 def _greedy_overlap_match(overlap: np.ndarray, omegas_new: np.ndarray):
@@ -277,8 +281,7 @@ def solve_block(model: ModelKind, bs: BlockSystem, k, *,
             with np.errstate(over="ignore"):
                 omega_sq = np.diagonal(stiffness, axis1=1, axis2=2) / m_diag
             assert_finite(omega_sq, "equilibrated pencil", axis=-1)
-            omega_sq = clamp_roundoff(omega_sq, np.linalg.norm(
-                stiffness, axis=(1, 2)) / np.linalg.norm(masses, axis=(1, 2)))
+            omega_sq = clamp_roundoff(omega_sq, stiffness, masses)
             vecs = np.eye(3) / np.sqrt(m_diag)[:, None] if vectors else None
         elif vectors:
             sol = general_eig_stack(stiffness, masses)
@@ -325,10 +328,8 @@ def cutoffs(model: ModelKind, elastic: ElasticParams,
             inertia: InertiaParams) -> dict[WaveBlock, tuple[Cutoff, ...]]:
     """All k = 0 frequencies per block, ascending, in ``sweep``'s order.
 
-    A cut-off is acoustic exactly when ``sweep`` would name its branch LA
-    or TA.  The gradient micro-inertiae scale with k^2 and therefore cannot
-    move these values; they depend on the constitutive moduli and the free
-    micro-inertia only.
+    The gradient micro-inertiae scale with k^2 and therefore cannot move
+    these values; they depend on the moduli and the free micro-inertia only.
     """
     out: dict[WaveBlock, tuple[Cutoff, ...]] = {}
     blocks = model_blocks(model, elastic, inertia)

@@ -13,6 +13,11 @@ vectorised pass of numpy's LAPACK drivers:
    ``general_eigvals_stack`` takes only the eigenvalues, from
    ``np.linalg.eigvalsh``.  Steps 1-2 and every check are shared.
 
+Each check is one flat pass over the stack, and only a stack that fails it
+is reduced pencil by pencil, to name its first failing pencil.  Norms are
+taken only for a stack that is not exactly Hermitian, and for the clamp's
+|K| / |M| of the pencils with a negative eigenvalue.
+
 LAPACK's Hermitian driver returns orthonormal eigenvectors at exact
 degeneracies as well, such as the transverse double roots of isotropic
 media, so no special casing is needed there.
@@ -32,10 +37,8 @@ CLAMP_REL_TOL = 1e-9
 
 
 class EigenSolveError(Exception):
-    """Base class for failures of the generalized eigensolver.
-
-    ``index`` is the position of the failing pencil in its stack.
-    """
+    """Base class for failures of the generalized eigensolver; ``index``
+    is the position of the failing pencil in its stack."""
 
     def __init__(self, message: str, index: int | None = None):
         super().__init__(message)
@@ -77,73 +80,81 @@ def _conj_t(a: np.ndarray) -> np.ndarray:
 def assert_finite(a: np.ndarray, what: str, axis=(-2, -1)) -> None:
     """Raise EigenSolveError at the first pencil i of a stack with a
     non-finite entry along ``axis``, as "{what} {i} is not finite"."""
-    finite = np.isfinite(a).all(axis=axis)
-    if not finite.all():
-        i = int(np.argmin(finite))
+    if not np.isfinite(a).all():
+        i = int(np.argmin(np.isfinite(a).all(axis=axis)))
         raise EigenSolveError(f"{what} {i} is not finite", i)
 
 
-def _hermitian_norm(a: np.ndarray, name: str) -> np.ndarray:
-    """Frobenius norms of a stack, which must be Hermitian within tolerance."""
+def _assert_hermitian(a: np.ndarray, name: str) -> None:
+    """Raise at the first non-Hermitian pencil; exact ones need no norm."""
     assert_finite(a, f"{name} of pencil")  # inf - inf would pass the norms
-    scale, a_h = np.linalg.norm(a, axis=(-2, -1)), _conj_t(a)
-    deviation = (0.0 if np.array_equal(a, a_h)  # an exact match needs no norm
-                 else np.linalg.norm(a - a_h, axis=(-2, -1)))
-    bad = deviation > HERMITIAN_REL_TOL * scale
+    a_h = _conj_t(a)
+    if (a == a_h).all():
+        return
+    deviation = np.linalg.norm(a - a_h, axis=(-2, -1))
+    bad = deviation > HERMITIAN_REL_TOL * np.linalg.norm(a, axis=(-2, -1))
     if bad.any():
         i = int(np.argmax(bad))
         raise NotHermitianError(
             f"{name} of pencil {i} deviates from its conjugate transpose "
             f"by more than {HERMITIAN_REL_TOL:g} relative", i)
-    return scale
 
 
 def positive_mass_diagonal(m_stack: np.ndarray) -> np.ndarray:
     """The (n, m) diagonals of a mass stack; a non-positive one raises."""
     diag = np.real(np.diagonal(m_stack, axis1=-2, axis2=-1))
-    bad = ~(diag > 0.0)
-    if bad.any():
-        i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
+    positive = diag > 0.0
+    if not positive.all():
+        i, j = np.unravel_index(int(np.argmin(positive)), positive.shape)
         raise NotPositiveDefiniteError(
             f"mass matrix of pencil {i} has diagonal entry {diag[i, j]:g} "
             f"at index {j}, which is not positive", int(i))
     return diag
 
 
-def clamp_roundoff(w: np.ndarray, scale: np.ndarray) -> np.ndarray:
+def clamp_roundoff(w: np.ndarray, k_stack, m_stack) -> np.ndarray:
     """Eigenvalues w (n, m) with roundoff negatives clamped to zero; one
-    below ``-CLAMP_REL_TOL * scale``, scale = |K| / |M|, raises instead."""
-    lowest = w.min(axis=-1)
+    below ``-CLAMP_REL_TOL * |K| / |M|`` of its pencil raises instead."""
+    negative = w < 0.0
+    if not negative.any():
+        return w
+    rows = np.flatnonzero(negative.any(axis=-1))
+    lowest = w[rows].min(axis=-1)
+    scale = (np.linalg.norm(k_stack[rows], axis=(-2, -1))
+             / np.linalg.norm(m_stack[rows], axis=(-2, -1)))
     bad = lowest < -CLAMP_REL_TOL * scale
     if bad.any():
-        i = int(np.argmax(bad))
+        i = int(rows[np.argmax(bad)])
         raise NegativeEigenvalueError(
-            f"eigenvalue {lowest[i]:g} of pencil {i} below "
+            f"eigenvalue {w[i].min():g} of pencil {i} below "
             f"-{CLAMP_REL_TOL:g} * |K|/|M|", i)
-    return np.where(w < 0.0, 0.0, w)
+    return np.where(negative, 0.0, w)
 
 
 def _reduce(k_stack, m_stack):
-    """Checked |K|, |M|, M as an array, D, L^-1 and B, made exactly
-    Hermitian; an overflow past the equilibration is a non-finite B.  A
-    diagonal M_eq gives L^-1 and B elementwise, rounded as the products
-    are, and skips the pivot floor: M_ii > 0, so pivot^2 = M_ii d_i^2 is
-    within ulps of 1, or inf where d_i^2 overflows and B is non-finite."""
+    """Checked K and M as arrays, D, L^-1 and B, made exactly Hermitian;
+    an overflow past the equilibration is a non-finite B.  A diagonal
+    M_eq (every off-diagonal entry 0) gives L^-1 as its (n, m) diagonal
+    and B elementwise on flattened pencils, rounded as the products are,
+    and skips the pivot floor: M_ii > 0, so pivot^2 = M_ii d_i^2 is within
+    ulps of 1, or inf where d_i^2 overflows and B is non-finite."""
     dtype = np.result_type(np.asarray(k_stack), np.asarray(m_stack), float)
     k_stack, m_stack = np.asarray(k_stack, dtype), np.asarray(m_stack, dtype)
-    k_norm = _hermitian_norm(k_stack, "stiffness matrix")
-    m_norm = _hermitian_norm(m_stack, "mass matrix")
+    _assert_hermitian(k_stack, "stiffness matrix")
+    _assert_hermitian(m_stack, "mass matrix")
 
+    n, m = m_stack.shape[0], m_stack.shape[-1]
+    row, col = np.divmod(np.arange(m * m), m)   # entry (row, col) of m x m
     d = 1.0 / np.sqrt(positive_mass_diagonal(m_stack))
     with np.errstate(over="ignore", invalid="ignore"):
-        congruence = d[:, :, None] * d[:, None, :]
-        m_eq, k_eq = m_stack * congruence, k_stack * congruence
-        eye = np.eye(m_stack.shape[-1], dtype=dtype)
-        if np.array_equal(m_eq * eye, m_eq):
-            inv = 1.0 / np.sqrt(np.real(np.diagonal(m_eq, 0, -2, -1)))
-            lower_inv = inv[:, :, None] * eye
-            b = inv[:, :, None] * k_eq * inv[:, None, :]
+        congruence = d[:, row] * d[:, col]
+        m_eq = m_stack.reshape(n, m * m) * congruence
+        k_eq = k_stack.reshape(n, m * m) * congruence
+        if (m_eq[:, row != col] == 0.0).all():  # a nan is off this route
+            lower_inv = 1.0 / np.sqrt(np.real(m_eq[:, ::m + 1]))
+            b = lower_inv[:, row] * k_eq * lower_inv[:, col]
         else:
+            m_eq, k_eq = m_eq.reshape(n, m, m), k_eq.reshape(n, m, m)
             try:
                 lower = np.linalg.cholesky(m_eq)
                 quantity = "Cholesky pivot"
@@ -161,9 +172,10 @@ def _reduce(k_stack, m_stack):
                     f"{worst[i]:g}, at or below the floor {PIVOT_REL_TOL:g}",
                     i)
             lower_inv = np.linalg.inv(lower)
-            b = lower_inv @ k_eq @ _conj_t(lower_inv)
-    assert_finite(b, "equilibrated pencil")
-    return k_norm, m_norm, m_stack, d, lower_inv, 0.5 * (b + _conj_t(b))
+            b = (lower_inv @ k_eq @ _conj_t(lower_inv)).reshape(n, m * m)
+    assert_finite(b, "equilibrated pencil", axis=-1)
+    b = 0.5 * (b + np.conj(b[:, col * m + row]))
+    return k_stack, m_stack, d, lower_inv, b.reshape(n, m, m)
 
 
 def general_eig_stack(k_stack: np.ndarray,
@@ -173,16 +185,16 @@ def general_eig_stack(k_stack: np.ndarray,
     Eigenvalues come back ascending along the last axis and eigenvectors
     M-orthonormal with the phase fixed so that the largest-magnitude
     component is real and positive.  Roundoff negatives are clamped to zero
-    and larger ones raise (``clamp_roundoff``).  Every error names the index
-    of the first failing pencil and the quantity that failed, and carries
-    that index as ``index``.  Real stacks stay real.
+    and larger ones raise (``clamp_roundoff``).  Real stacks stay real.
     """
-    k_norm, m_norm, m_stack, d, lower_inv, b = _reduce(k_stack, m_stack)
+    k_stack, m_stack, d, lower_inv, b = _reduce(k_stack, m_stack)
     w, y = np.linalg.eigh(b)
-    w = clamp_roundoff(w, k_norm / m_norm)
+    w = clamp_roundoff(w, k_stack, m_stack)
 
     # back-transform, M-normalize, then rotate each column so its
     # largest-magnitude component is real positive (a sign for real input)
+    if lower_inv.ndim == 2:     # the diagonal route returns diag(L^-1)
+        lower_inv = lower_inv[:, :, None] * np.eye(b.shape[-1], dtype=b.dtype)
     vecs = d[:, :, None] * (_conj_t(lower_inv) @ y)
     norm_sq = np.real(np.sum(np.conj(vecs) * (m_stack @ vecs), axis=-2))
     vecs = vecs / np.sqrt(norm_sq)[:, None, :]
@@ -196,16 +208,13 @@ def general_eigvals_stack(k_stack: np.ndarray,
                           m_stack: np.ndarray) -> np.ndarray:
     """The (n, m) ascending eigenvalues of ``general_eig_stack`` alone,
     under the same checks, clamp and errors, without the eigenvectors."""
-    k_norm, m_norm, _, _, _, b = _reduce(k_stack, m_stack)
-    return clamp_roundoff(np.linalg.eigvalsh(b), k_norm / m_norm)
+    k_stack, m_stack, _, _, b = _reduce(k_stack, m_stack)
+    return clamp_roundoff(np.linalg.eigvalsh(b), k_stack, m_stack)
 
 
 def general_eig(k_matrix: np.ndarray, m_matrix: np.ndarray) -> EigenSolution:
-    """Solve K v = w M v for a Hermitian K and Hermitian PD M.
-
-    The single-pencil form of ``general_eig_stack``, with the same ordering,
-    normalization, phase convention and errors.
-    """
+    """Solve K v = w M v for a Hermitian K and Hermitian PD M: the
+    single-pencil ``general_eig_stack``, with its conventions and errors."""
     sol = general_eig_stack(np.asarray(k_matrix)[None],
                             np.asarray(m_matrix)[None])
     return EigenSolution(omega_sq=sol.omega_sq[0], vectors=sol.vectors[0])

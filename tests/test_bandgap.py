@@ -13,8 +13,8 @@ from mmbands.bandgap import (COMPLETE, FrequencyAxisError, coverage,
                              default_omega_ceiling, detect_gaps,
                              gaps_from_coverage)
 from mmbands.core import ElasticParams, InertiaParams, ModelKind, WaveBlock
-from mmbands.dispersion import (cutoffs, default_grid, detect_asymptote,
-                                solve_block, sweep)
+from mmbands.dispersion import (KGrid, cutoffs, default_grid,
+                                detect_asymptote, solve_block, sweep)
 
 from conftest import (MU_E_MPA, LAMBDA_E_MPA, MU_C_MPA, MU_MICRO_MPA,
                       LAMBDA_MICRO_MPA, L_C_MM, RHO, ETA, ETA_BAR)
@@ -330,8 +330,15 @@ class TestDetectGaps:
             rho=18.54511583530982, eta=8.043196572761098e-07,
             eta_bar_1=0.006838647881467821, eta_bar_2=47.03589635229227,
             eta_bar_3=2.6350752182554876e-05)
-        report = detect_gaps(ModelKind.INTERNAL_VARIABLE, elastic, inertia)
+        # on the 100 / L_c grid, which samples k = 2.97 rad/m, the
+        # longitudinal acoustic column has not flattened by its end, so it
+        # counts as rising to the ceiling: no gap
+        report = detect_gaps(ModelKind.INTERNAL_VARIABLE, elastic, inertia,
+                             grid=KGrid.linear(100.0 / elastic.L_c))
         assert report.gaps == ()
+        # the model's default grid, 100 / sqrt(eta / rho), reaches its gaps
+        report = detect_gaps(ModelKind.INTERNAL_VARIABLE, elastic, inertia)
+        assert len(report.gaps) == 3
 
     def test_per_block_scope(self, ref_elastic, inertia_off):
         report = detect_gaps(ModelKind.RELAXED_CURL, ref_elastic, inertia_off,

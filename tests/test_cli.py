@@ -197,7 +197,9 @@ class TestGapsCommand:
 
     def test_wide_scale_separation_gives_a_report(self, capsys):
         # unit-tensor roundoff once made this admissible set exit 4 with a
-        # false negative eigenvalue
+        # false negative eigenvalue; the three gaps are those of grids to
+        # 10x and 0.1x the default k_max (100 / sqrt(eta / rho)), while the
+        # 100 / L_c grid (296 rad/m) stopped short of every edge and found 0
         argv = ["gaps", "--model", "internal-variable",
                 "--mu-e", "1.409769906171723e-03",
                 "--lambda-e", "5.970730126236356e-03", "--mu-c", "0",
@@ -211,7 +213,7 @@ class TestGapsCommand:
         assert run(argv) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
-        assert json.loads(captured.out)["n_gaps"] == 0
+        assert json.loads(captured.out)["n_gaps"] == 3
 
     def test_nothing_below_the_ceiling_is_one_full_gap(self, capsys):
         argv = ["gaps", "--config", DEMO_CONFIG, "--block", "uncoupled",
@@ -305,6 +307,22 @@ class TestZeroCharacteristicLength:
             data = json.loads(capsys.readouterr().out)
             assert data.pop("model") == model
             assert data == reference
+
+    @pytest.mark.parametrize("eta_bar", ["0", "0.1"])
+    def test_internal_variable_report_ignores_l_c(self, capsys, eta_bar):
+        # its default grid scales by sqrt(eta/rho) whatever L_c is; a
+        # 100 / L_c grid gave demo.cfg 3 gaps at L_c = 1 mm, 0 at 100 mm and
+        # 4 at 1e200 mm, where it sampled only k = 0
+        flags = ["--eta-bar-1", eta_bar, "--eta-bar-2", eta_bar,
+                 "--eta-bar-3", eta_bar]
+        outputs = set()
+        for l_c in ("0.1", "1", "10", "100", "1e200"):
+            assert run(["gaps", "--config", DEMO_CONFIG, "--model",
+                        "internal-variable", "--l-c", l_c, *flags]) == 0
+            outputs.add(capsys.readouterr().out)
+        assert len(outputs) == 1
+        assert json.loads(outputs.pop())["n_gaps"] == (
+            2 if eta_bar == "0" else 3)
 
     @pytest.mark.parametrize("model", MODELS)
     def test_disperse_succeeds(self, tmp_path, model):
@@ -506,10 +524,14 @@ class TestNonFiniteInputs:
         assert json.loads(proc.stdout)["model"] == "internal-variable"
 
     @pytest.mark.parametrize("argv", [
-        ["gaps", "--eta", "1e-300"], ["cutoffs", "--rho", "1e-320"]])
+        ["gaps", "--eta", "1e-300"], ["cutoffs", "--rho", "1e-320"],
+        ["gaps", "--rho", "1e-320"], ["gaps", "--rho", "1e-320",
+                                      "--eta", "1e-320"]])
     def test_reported_overflow_prints_no_warning(self, argv):
         # the overflow happens past the equilibration, where the solver
-        # reports it as a non-finite pencil: stderr is that one line
+        # reports it as a non-finite pencil: stderr is that one line.  With
+        # both masses subnormal, 0 * inf puts nan off the diagonal of M_eq,
+        # which sends the stack down the Cholesky route
         proc = self.fresh_run(argv)
         assert proc.returncode == 4
         assert proc.stderr == ("numerical failure: relaxed-curl, "

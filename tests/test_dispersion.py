@@ -108,6 +108,17 @@ class TestKGrid:
         with pytest.raises(DegenerateGridError, match="L_c = 0"):
             default_grid(no_length)
 
+    def test_internal_variable_default_grid_ignores_l_c(self, ref_elastic,
+                                                        inertia_on):
+        # the model has no curvature term, so L_c sets no length scale
+        want = default_grid(replace(ref_elastic, L_c=0.0), inertia_on)
+        for l_c in (1e-4, 1e-3, 0.1, 1e197):
+            grid = default_grid(replace(ref_elastic, L_c=l_c), inertia_on,
+                                model=ModelKind.INTERNAL_VARIABLE)
+            assert np.array_equal(grid.values, want.values)
+        with pytest.raises(DegenerateGridError, match="internal-variable"):
+            default_grid(ref_elastic, model=ModelKind.INTERNAL_VARIABLE)
+
 
 class TestClassifyMode:
     LABELS = ("u1", "P_S", "P_D")
@@ -379,6 +390,15 @@ class TestAsymptotes:
     def test_constant_column_is_asymptotic(self):
         grid = KGrid.linear(1.0e5, 60)
         assert detect_asymptote(np.full(60, 1.0e5), grid) is True
+
+    def test_columns_are_judged_at_once(self, ref_elastic):
+        grid = default_grid(ref_elastic, points=60)
+        columns = np.column_stack([np.full(60, 1.0e5), np.zeros(60),
+                                   grid.values, np.zeros(60) - 1.0])
+        flags = detect_asymptote(columns, grid)
+        assert flags.tolist() == [True, True, False, False]
+        assert flags.tolist() == [detect_asymptote(c, grid)
+                                  for c in columns.T]
 
     def test_zero_column_is_asymptotic(self):
         # a micro-rotation with mu_c = 0 and no curvature stays at omega = 0

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -330,8 +331,20 @@ def test_diagonal_route_matches_the_cholesky_route(model, ref_elastic,
                                   general_eigvals_stack(*cholesky_stack)[:-1])
 
 
-def test_diagonal_masses_are_scaled_and_normed_once(monkeypatch,
-                                                    ref_elastic, inertia_on):
+def counted_norms(monkeypatch):
+    """The arrays that np.linalg.norm is called on from now on."""
+    normed, norm = [], np.linalg.norm
+
+    def counted_norm(a, *args, **kwargs):
+        normed.append(a)
+        return norm(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    return normed
+
+
+def test_diagonal_masses_are_scaled_without_norms(monkeypatch, ref_elastic,
+                                                  inertia_on):
     bs = block_for(ModelKind.RELAXED_CURL, ref_elastic, inertia_on,
                    WaveBlock.LONGITUDINAL)
     k = default_grid(ref_elastic).values
@@ -341,20 +354,84 @@ def test_diagonal_masses_are_scaled_and_normed_once(monkeypatch,
     def refuse(*args, **kwargs):
         raise AssertionError("a diagonal mass was factorized")
 
-    normed, norm = [], np.linalg.norm
-
-    def counted_norm(a, *args, **kwargs):
-        normed.append(a)
-        return norm(a, *args, **kwargs)
-
     monkeypatch.setattr(np.linalg, "cholesky", refuse)
     monkeypatch.setattr(np.linalg, "inv", refuse)
-    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    normed = counted_norms(monkeypatch)
     sol = general_eig_stack(ks, ms)
     assert np.array_equal(sol.omega_sq, want.omega_sq)
     assert np.array_equal(sol.vectors, want.vectors)
     assert np.array_equal(general_eigvals_stack(ks, ms), want_w)
-    # one norm of K and one of M per solve, shared by the checks and clamp
+    # exactly Hermitian, no negative eigenvalue: nothing reads a norm
+    assert normed == []
+
+
+def test_clamp_norms_only_the_rows_with_a_negative_eigenvalue(monkeypatch):
+    ks = np.array([np.diag([1.0, 2.0, 3.0])] * 6)
+    ks[4, 1, 1] = -1e-13                        # a roundoff negative
+    ms = np.array([np.diag([1.0, 2.0, 4.0])] * 6)
+    normed = counted_norms(monkeypatch)
+    for solve in (general_eigvals_stack,
+                  lambda k, m: general_eig_stack(k, m).omega_sq):
+        w = solve(ks, ms)
+        assert w[4].tolist() == [0.0, 0.75, 1.0]
+        assert np.array_equal(w[:4], w[5:].repeat(4, axis=0))
     assert len(normed) == 4
     for a, b in zip(normed, [ks, ms, ks, ms]):
-        assert np.array_equal(a, b)
+        assert np.array_equal(a, b[4:5])
+
+
+# the order in which the solver checks a stack: each check runs over the
+# whole stack before the next, and names its first failing pencil
+CHECK_ORDER = {
+    "non-finite K": 0, "non-Hermitian K": 1, "non-finite M": 2,
+    "non-Hermitian M": 3, "non-positive mass diagonal": 4,
+    "no Cholesky factor": 5, "Cholesky pivot floor": 5,
+    "non-finite B": 6, "subnormal mass": 6, "negative eigenvalue": 7}
+STACK_SIZE = 400
+
+
+def alone(kind, index):
+    """(type, message, index) of a failing pencil solved alone, renamed
+    to sit at ``index`` of a stack."""
+    with pytest.raises(EigenSolveError) as info:
+        general_eigvals_stack(*(np.array([a]) for a in FAILING_PENCILS[kind]))
+    assert info.value.index == 0
+    return (type(info.value),
+            re.sub(r"\bpencil 0\b", f"pencil {index}", str(info.value)),
+            index)
+
+
+def assert_stack_raises(placed, want):
+    """A 400-pencil identity stack with FAILING_PENCILS placed at their
+    indices raises ``want`` on both drivers, on the diagonal-mass stack
+    as built and with a Cholesky-route pencil appended."""
+    ks, ms = (np.array([np.eye(3)] * STACK_SIZE) for _ in "km")
+    for index, kind in placed:
+        ks[index], ms[index] = FAILING_PENCILS[kind]
+    for stack in ((ks, ms), with_cholesky_pencil(ks, ms)):
+        for solve in (general_eig_stack, general_eigvals_stack):
+            with pytest.raises(EigenSolveError) as info:
+                solve(*stack)
+            assert (type(info.value), str(info.value),
+                    info.value.index) == want
+
+
+@pytest.mark.parametrize("kind", FAILING_PENCILS)
+def test_one_failing_pencil_is_named_wherever_it_sits(kind):
+    assert set(CHECK_ORDER) == set(FAILING_PENCILS)
+    for index in (0, STACK_SIZE // 2 - 1, STACK_SIZE - 1):
+        assert_stack_raises([(index, kind)], alone(kind, index))
+
+
+@pytest.mark.parametrize("first", FAILING_PENCILS)
+def test_two_failing_pencils_name_the_first_check_that_fails(first):
+    # the earlier check wins, and within one check the lower index; the
+    # two Cholesky-route kinds are left out as a pair, because their shared
+    # factorization names the first of them by its smallest eigenvalue
+    for second in FAILING_PENCILS:
+        if second == first or {first, second} == {
+                "no Cholesky factor", "Cholesky pivot floor"}:
+            continue
+        (i, a), (j, b) = placed = [(57, first), (311, second)]
+        winner = (i, a) if CHECK_ORDER[a] <= CHECK_ORDER[b] else (j, b)
+        assert_stack_raises(placed, alone(winner[1], winner[0]))
