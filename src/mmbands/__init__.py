@@ -10,7 +10,7 @@ import types
 
 from .assembly import (BlockLeakageError, BlockSystem, FullSystem,
                        assemble_full, block_basis, block_decompose,
-                       block_for, model_blocks, pick_block, DOF_NAMES)
+                       block_for, model_blocks, DOF_NAMES)
 from .bandgap import (COMPLETE, CoverageMap, FrequencyAxisError, Gap,
                       GapReport, coverage, default_omega_ceiling,
                       detect_gaps, gaps_from_coverage)

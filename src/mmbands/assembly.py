@@ -23,7 +23,9 @@ The basis takes u in quadrature (a factor i: u lags P by a quarter
 period).  As K1 is imaginary and couples only u with P, and the other
 matrices are real without u-P entries, every block is real symmetric.
 The system is linear in eleven coefficients, so ``model_blocks`` contracts
-them with per-model unit tensors built once from ``assemble_full``.
+them with per-model unit tensors built once from ``assemble_full``.  The
+two transverse blocks are identical by isotropy, so ``model_blocks`` keeps
+one block per ``WaveBlock`` kind, keyed by it.
 """
 
 import functools
@@ -326,9 +328,11 @@ def _unit_tensor(model: ModelKind) -> np.ndarray:
 
 
 def model_blocks(model: ModelKind, elastic: ElasticParams,
-                 inertia: InertiaParams) -> tuple[BlockSystem, ...]:
-    """``block_decompose(assemble_full(...))`` as one tensor contraction;
-    an overflowing mu_e * L_c**2 raises OverflowError where it is used."""
+                 inertia: InertiaParams) -> dict[WaveBlock, BlockSystem]:
+    """The distinct blocks of ``block_decompose(assemble_full(...))``, by
+    kind, from one tensor contraction: longitudinal, transverse (the x2
+    block; the x3 one is identical) and uncoupled, in that order.  An
+    overflowing mu_e * L_c**2 raises OverflowError where it is used."""
     el, inr, units = elastic, inertia, _unit_tensor(model)
     with np.errstate(over="ignore"):  # named below: inf * 0 would be nan
         curvature = el.mu_e * np.float64(el.L_c) ** 2 if units[5].any() else 0.0
@@ -339,20 +343,12 @@ def model_blocks(model: ModelKind, elastic: ElasticParams,
     coefficients = [el.mu_e, el.lambda_e, el.mu_c, el.mu_micro,
                     el.lambda_micro, curvature, inr.rho, inr.eta,
                     inr.eta_bar_1, inr.eta_bar_2, inr.eta_bar_3]
-    return _split(np.tensordot(coefficients, units, axes=1))
-
-
-def pick_block(blocks, block: WaveBlock, transverse_axis: int = 2):
-    """The ``block`` of a ``model_blocks`` tuple; ``transverse_axis`` picks
-    one of the two identical transverse blocks (polarization along x2, x3)."""
-    if transverse_axis not in (2, 3):
-        raise ValueError("transverse_axis must be 2 or 3")
-    # WaveBlock order: longitudinal, transverse (x2 or x3 here), uncoupled
-    return blocks[(0, transverse_axis - 1, 3)[list(WaveBlock).index(block)]]
+    longitudinal, transverse, _, uncoupled = _split(
+        np.tensordot(coefficients, units, axes=1))
+    return {bs.block: bs for bs in (longitudinal, transverse, uncoupled)}
 
 
 def block_for(model: ModelKind, elastic: ElasticParams, inertia: InertiaParams,
-              block: WaveBlock, transverse_axis: int = 2) -> BlockSystem:
-    """Assemble and return a single 3x3 block (see ``pick_block``)."""
-    blocks = model_blocks(model, elastic, inertia)
-    return pick_block(blocks, block, transverse_axis)
+              block: WaveBlock) -> BlockSystem:
+    """Assemble and return a single 3x3 block of ``model_blocks``."""
+    return model_blocks(model, elastic, inertia)[block]

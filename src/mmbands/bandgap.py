@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import model_blocks, pick_block
+from .assembly import model_blocks
 from .core import ElasticParams, InertiaParams, ModelKind, WaveBlock
 from .dispersion import KGrid, default_grid, detect_asymptote, solve_block
 
@@ -176,9 +176,8 @@ def _ceiling(model, blocks, spectra) -> float:
     """Headroom above the largest k = 0 frequency: row 0 of each solved
     spectrum, else a k = 0 solve (closed form if uncoupled) of the block."""
     rows = {name: omegas[0] for name, omegas, _ in spectra}
-    rows.update((b.value, solve_block(model, pick_block(blocks, b), [0.0],
-                                      vectors=False)[0][0])
-                for b in WaveBlock if b.value not in rows)
+    rows.update((b.value, solve_block(model, bs, [0.0], vectors=False)[0][0])
+                for b, bs in blocks.items() if b.value not in rows)
     return CEILING_HEADROOM * float(max(row.max() for row in rows.values()))
 
 
@@ -207,7 +206,7 @@ def detect_gaps(model: ModelKind, elastic: ElasticParams,
         grid = default_grid(elastic, inertia, model=model)
     blocks, block_names = _blocks_for_scope(scope, include_uncoupled)
     built = model_blocks(model, elastic, inertia)
-    spectra = [_spectrum(model, pick_block(built, b), grid) for b in blocks]
+    spectra = [_spectrum(model, built[b], grid) for b in blocks]
     if omega_ceiling is None:
         omega_ceiling = _ceiling(model, built, spectra)
     if delta_omega is None:

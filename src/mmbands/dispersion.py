@@ -8,7 +8,8 @@ every sample.  Labels are decided once, at k = 0, by ascending cut-off: the
 most displacement-like coupled branch at omega(0) = 0 is acoustic, and an
 uncoupled branch is named by its micro mode.  ``cutoffs`` applies the same
 labels to its k = 0 solve, so a cut-off is acoustic exactly when its
-branch is LA or TA.
+branch is LA or TA.  Both take one block per ``WaveBlock`` from
+``model_blocks``: the transverse block stands for both polarizations.
 """
 
 import math
@@ -126,7 +127,6 @@ class DispersionCurve:
     block: WaveBlock
     grid: KGrid
     branches: tuple[Branch, Branch, Branch]
-    transverse_axis: int = 2
 
 
 def classify_mode_stack(vectors, labels):
@@ -294,8 +294,7 @@ def solve_block(model: ModelKind, bs: BlockSystem, k, *,
 
 
 def sweep(model: ModelKind, elastic: ElasticParams, inertia: InertiaParams,
-          block: WaveBlock, grid: KGrid, *,
-          transverse_axis: int = 2) -> DispersionCurve:
+          block: WaveBlock, grid: KGrid) -> DispersionCurve:
     """Dispersion branches of one block over a wavenumber grid.
 
     A coupled block's eigenpairs are joined by greedy maximal overlap
@@ -303,7 +302,7 @@ def sweep(model: ModelKind, elastic: ElasticParams, inertia: InertiaParams,
     (sequentially only at exact ties); each uncoupled column is a branch.
     A zero eigenvector is re-raised with the model, block and k added.
     """
-    bs = block_for(model, elastic, inertia, block, transverse_axis)
+    bs = block_for(model, elastic, inertia, block)
     omegas, vecs = solve_block(model, bs, grid.values)
     order, names = _label_branches(block, omegas[0], vecs[0], bs.labels)
     if block is WaveBlock.UNCOUPLED:
@@ -321,7 +320,7 @@ def sweep(model: ModelKind, elastic: ElasticParams, inertia: InertiaParams,
         raise _located(exc, model, block, grid.values) from exc
     branches = tuple(Branch(names[b], omegas[:, b].copy(), vecs[:, b].copy(),
                             dominant[:, b], ratio[:, b]) for b in range(3))
-    return DispersionCurve(block, grid, branches, transverse_axis)
+    return DispersionCurve(block, grid, branches)
 
 
 def cutoffs(model: ModelKind, elastic: ElasticParams,
@@ -332,9 +331,7 @@ def cutoffs(model: ModelKind, elastic: ElasticParams,
     these values; they depend on the moduli and the free micro-inertia only.
     """
     out: dict[WaveBlock, tuple[Cutoff, ...]] = {}
-    blocks = model_blocks(model, elastic, inertia)
-    # blocks[2] is the x3 transverse block, identical to blocks[1]
-    for bs in (blocks[0], blocks[1], blocks[3]):
+    for bs in model_blocks(model, elastic, inertia).values():
         try:
             sol = general_eig(bs.stiffness_at(0.0), bs.mass_at(0.0))
         except EigenSolveError as exc:

@@ -74,7 +74,8 @@ class EigenSolution:
 
 
 def _conj_t(a: np.ndarray) -> np.ndarray:
-    return np.conj(np.swapaxes(a, -1, -2))
+    a_t = np.swapaxes(a, -1, -2)  # a real array is its own conjugate: a view
+    return np.conj(a_t) if np.iscomplexobj(a) else a_t
 
 
 def assert_finite(a: np.ndarray, what: str, axis=(-2, -1)) -> None:

@@ -353,8 +353,13 @@ class TestUnitTensors:
             assert validate(elastic, inertia).ok
             want = block_decompose(assemble_full(model, elastic, inertia))
             got = model_blocks(model, elastic, inertia)
-            for b, (g, w) in enumerate(zip(got, want)):
-                assert (g.block, g.labels) == (w.block, w.labels)
+            # one block per kind, in WaveBlock order; the x3 transverse
+            # block of the derivation is compared with the x2 one
+            assert list(got) == list(WaveBlock)
+            assert [(g.block, g.labels) for g in got.values()] == [
+                (w.block, w.labels) for w in (want[0], want[1], want[3])]
+            for b, w in enumerate(want):
+                g = got[w.block]
                 for name in ("M0", "M2", "K0", "K1", "K2"):
                     a, ref = getattr(g, name), getattr(w, name)
                     assert a.dtype == ref.dtype == np.float64
@@ -366,7 +371,8 @@ class TestUnitTensors:
     def test_uncoupled_block_exactly_diagonal_over_the_wide_cone(self, model):
         for elastic, inertia in map(as_params, wide_cone(seed=11)):
             assert validate(elastic, inertia).ok
-            uncoupled = model_blocks(model, elastic, inertia)[3]
+            uncoupled = model_blocks(model, elastic, inertia)[
+                WaveBlock.UNCOUPLED]
             for name in ("M0", "M2", "K0", "K1", "K2"):
                 matrix = getattr(uncoupled, name)
                 assert np.array_equal(matrix, np.diag(np.diag(matrix)))
@@ -410,18 +416,28 @@ class TestUnitTensors:
             self, ref_elastic, inertia_on):
         model = ModelKind.INTERNAL_VARIABLE
         got = model_blocks(model, replace(ref_elastic, L_c=1e197), inertia_on)
-        for g, w in zip(got, model_blocks(model, ref_elastic, inertia_on)):
+        want = model_blocks(model, ref_elastic, inertia_on)
+        assert list(got) == list(want)
+        for kind, w in want.items():
+            g = got[kind]
             for name in ("M0", "M2", "K0", "K1", "K2"):
                 assert np.array_equal(getattr(g, name), getattr(w, name))
 
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_transverse_units_identical(self, model):
+        # the x2 and x3 transverse blocks of every unit are bitwise equal,
+        # so model_blocks keeps one for every parameter set
+        units = mmbands.assembly._unit_tensor(model)
+        assert units[..., 3:6, 3:6].any()
+        assert np.array_equal(units[..., 3:6, 3:6], units[..., 6:9, 6:9])
+
     def test_block_for_picks_from_model_blocks(self, ref_elastic, inertia_on):
         blocks = model_blocks(ModelKind.RELAXED_DIV, ref_elastic, inertia_on)
-        picks = [(WaveBlock.LONGITUDINAL, 2), (WaveBlock.TRANSVERSE, 2),
-                 (WaveBlock.TRANSVERSE, 3), (WaveBlock.UNCOUPLED, 2)]
-        for want, (block, axis) in zip(blocks, picks):
+        for block in WaveBlock:
+            want = blocks[block]
             got = block_for(ModelKind.RELAXED_DIV, ref_elastic, inertia_on,
-                            block, axis)
-            assert got.labels == want.labels
+                            block)
+            assert (got.block, got.labels) == (block, want.labels)
             for name in ("M0", "M2", "K0", "K1", "K2"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))
 

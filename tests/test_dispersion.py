@@ -493,16 +493,6 @@ class TestSweepInvariants:
             denom = np.maximum(np.abs(ba.omegas), 1.0)
             assert np.max(np.abs(ba.omegas - shared) / denom) < 1e-6
 
-    def test_transverse_axes_identical(self, ref_elastic, inertia_on):
-        grid = KGrid.linear(5.0e4, 80)
-        a = sweep(ModelKind.RELAXED_CURL, ref_elastic, inertia_on,
-                  WaveBlock.TRANSVERSE, grid, transverse_axis=2)
-        b = sweep(ModelKind.RELAXED_CURL, ref_elastic, inertia_on,
-                  WaveBlock.TRANSVERSE, grid, transverse_axis=3)
-        for ba, bb in zip(a.branches, b.branches):
-            assert np.array_equal(ba.omegas, bb.omegas)
-            assert ba.label == bb.label
-
     @pytest.mark.parametrize("model", ALL_MODELS)
     def test_sqrt_scaling_of_frequencies(self, model, ref_elastic,
                                          inertia_on):
