@@ -23,9 +23,9 @@ The basis takes u in quadrature (a factor i: u lags P by a quarter
 period).  As K1 is imaginary and couples only u with P, and the other
 matrices are real without u-P entries, every block is real symmetric.
 The system is linear in eleven coefficients, so ``model_blocks`` contracts
-them with per-model unit tensors built once from ``assemble_full``.  The
-two transverse blocks are identical by isotropy, so ``model_blocks`` keeps
-one block per ``WaveBlock`` kind, keyed by it.
+them with per-model unit tensors, built once from ``assemble_full`` and
+checked once.  The two transverse blocks are identical by isotropy, so
+``model_blocks`` keeps one block per ``WaveBlock`` kind, keyed by it.
 """
 
 import functools
@@ -163,13 +163,10 @@ class _KPolynomial:
 
 @dataclass(frozen=True)
 class FullSystem(_KPolynomial):
-    """Coefficient matrices of the 12x12 plane-wave system.
-
-    ``M(k) = M0 + k^2 M2`` is Hermitian positive definite for admissible
-    parameters; ``K(k) = K0 + k K1 + k^2 K2`` is Hermitian with K(0)
-    positive semidefinite.  K1 is purely imaginary (the ik coupling between
-    displacement and micro-distortion).
-    """
+    """Coefficient matrices of the 12x12 plane-wave system: M(k) is Hermitian
+    positive definite for admissible parameters, K(k) Hermitian with K(0)
+    positive semidefinite, and K1 purely imaginary (the ik coupling between
+    displacement and micro-distortion)."""
 
 
 @dataclass(frozen=True)
@@ -260,6 +257,9 @@ _BLOCK_T, _BLOCK_META = _build_block_basis()
 # the uncoupled modes never couple: that block counts as three 1x1 blocks
 _OFF_BLOCK = np.kron(np.diag([1, 1, 1, 0]), np.ones((3, 3))) + np.eye(12) == 0
 _BLOCKS = np.arange(4)
+# model_blocks keeps blocks 0, 1, 3 (2 repeats 1), the last one's diagonal
+_KEPT = np.array([0, 1, 3])
+_IN_KEPT = ~_OFF_BLOCK.reshape(4, 3, 4, 3)[_KEPT, :, _KEPT][:, None]
 
 
 def block_basis() -> np.ndarray:
@@ -289,9 +289,8 @@ def _split(transformed: np.ndarray) -> tuple[BlockSystem, ...]:
     # diagonal[b, m] is the 3x3 block b of matrix m
     diagonal = np.where(_OFF_BLOCK, 0.0, transformed.real).reshape(
         5, 4, 3, 4, 3)[:, _BLOCKS, :, _BLOCKS]
-    return tuple(BlockSystem(block=kind, labels=labels,
-                             **dict(zip(_MATRICES, diagonal[b])))
-                 for b, (kind, labels) in enumerate(_BLOCK_META))
+    return tuple(BlockSystem(*diagonal[b], *meta)
+                 for b, meta in enumerate(_BLOCK_META))
 
 
 def _stacked(system: FullSystem) -> np.ndarray:
@@ -327,13 +326,26 @@ def _unit_tensor(model: ModelKind) -> np.ndarray:
     return 0.5 * (units + np.swapaxes(units, -1, -2))
 
 
+@functools.cache
+def _block_tensor(model: ModelKind) -> np.ndarray:
+    """(11, 135): ``_unit_tensor`` in the kept blocks, too small for OpenBLAS
+    to thread.  Any nonzero off-block or imaginary unit entry raises
+    BlockLeakageError; without one, no finite contraction has one either."""
+    units = _unit_tensor(model)
+    if units.imag.any() or units[:, :, _OFF_BLOCK].any():
+        raise BlockLeakageError(f"{model.value}: a unit tensor has an "
+                                "off-block or imaginary entry")
+    kept = units.reshape(11, 5, 4, 3, 4, 3)[:, :, _KEPT, :, _KEPT]
+    return np.moveaxis(kept, 0, 1).reshape(11, -1)
+
+
 def model_blocks(model: ModelKind, elastic: ElasticParams,
                  inertia: InertiaParams) -> dict[WaveBlock, BlockSystem]:
     """The distinct blocks of ``block_decompose(assemble_full(...))``, by
     kind, from one tensor contraction: longitudinal, transverse (the x2
     block; the x3 one is identical) and uncoupled, in that order.  An
     overflowing mu_e * L_c**2 raises OverflowError where it is used."""
-    el, inr, units = elastic, inertia, _unit_tensor(model)
+    el, inr, units = elastic, inertia, _block_tensor(model)
     with np.errstate(over="ignore"):  # named below: inf * 0 would be nan
         curvature = el.mu_e * np.float64(el.L_c) ** 2 if units[5].any() else 0.0
     if not np.isfinite(curvature):
@@ -343,9 +355,11 @@ def model_blocks(model: ModelKind, elastic: ElasticParams,
     coefficients = [el.mu_e, el.lambda_e, el.mu_c, el.mu_micro,
                     el.lambda_micro, curvature, inr.rho, inr.eta,
                     inr.eta_bar_1, inr.eta_bar_2, inr.eta_bar_3]
-    longitudinal, transverse, _, uncoupled = _split(
-        np.tensordot(coefficients, units, axes=1))
-    return {bs.block: bs for bs in (longitudinal, transverse, uncoupled)}
+    entries = np.tensordot(coefficients, units, axes=1).real
+    # as in _split: an inf or nan coefficient leaves nan off that diagonal
+    blocks = np.where(_IN_KEPT, entries.reshape(3, 5, 3, 3), 0.0)
+    return {_BLOCK_META[b][0]: BlockSystem(*matrices, *_BLOCK_META[b])
+            for b, matrices in zip(_KEPT, blocks)}
 
 
 def block_for(model: ModelKind, elastic: ElasticParams, inertia: InertiaParams,

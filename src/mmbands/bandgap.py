@@ -56,16 +56,29 @@ class CoverageMap:
     """Occupied bins of the frequency axis up to a ceiling.
 
     ``runs[r] = (first_bin, last_bin)`` are the maximal occupied runs in
-    ascending order.  ``edge_tags[r]`` holds two tuples naming, as
-    ``block:column``, the columns that reach the run's first and its last
-    bin: the owners of the gap edges just below and just above the run.
+    ascending order.  Column ``owners[i] % 3`` of block
+    ``names[owners[i] // 3]`` covers the bins ``owner_bins[i]``.
     """
 
     omega_ceiling: float
     delta_omega: float
     n_bins: int
     runs: np.ndarray
-    edge_tags: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
+    names: tuple[str, ...]
+    owners: np.ndarray
+    owner_bins: np.ndarray
+
+    @property
+    def edge_tags(self) -> tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]:
+        """Per run, the ``block:column`` names of the columns that reach its
+        first and its last bin (the owners of the gap edges just below and
+        above it), in block-then-column order; built on demand."""
+        bins = self.owner_bins
+        run = np.searchsorted(self.runs[:, 0], bins[:, 0], "right") - 1
+        return tuple(tuple(tuple(f"{self.names[c // 3]}:{c % 3}"
+                                 for c in self.owners[(run == r) & edge])
+                           for edge in (bins == self.runs[run]).T)
+                     for r in range(len(self.runs)))
 
 
 @dataclass(frozen=True)
@@ -103,7 +116,7 @@ def coverage(spectra, omega_ceiling: float, delta_omega: float) -> CoverageMap:
     or [min, ceiling] when unbounded.  Binning (x / delta_omega, floored,
     clipped to the first and last bin) is monotone, so a column covers the
     bins of its min to its max, and none if its min is at or above the
-    ceiling.  ``edge_tags`` list owners in block-then-column order.
+    ceiling.
     """
     _check_axis("omega_ceiling", omega_ceiling)
     _check_axis("delta_omega", delta_omega)
@@ -114,7 +127,6 @@ def coverage(spectra, omega_ceiling: float, delta_omega: float) -> CoverageMap:
     n_bins = math.ceil(omega_ceiling / delta_omega)
 
     spectra = list(spectra)
-    tags = [f"{name}:{c}" for name, _, _ in spectra for c in range(3)]
     ranges = []
     for _, omegas, bounded in spectra:
         columns = np.transpose(omegas).copy()   # rows: fast to reduce
@@ -131,11 +143,8 @@ def coverage(spectra, omega_ceiling: float, delta_omega: float) -> CoverageMap:
     starts = np.concatenate([first[:1], first[1:][breaks]])
     ends = np.concatenate([reach[:-1][breaks], reach[-1:]])
     runs = np.column_stack([starts, ends])
-    run_of = np.searchsorted(runs[:, 0], bins[:, 0], side="right") - 1
-    at_edge = bins == runs[run_of]
-    edge_tags = tuple(tuple(tuple(tags[o] for o in owner[(run_of == r) & edge])
-                            for edge in at_edge.T) for r in range(len(runs)))
-    return CoverageMap(omega_ceiling, delta_omega, n_bins, runs, edge_tags)
+    return CoverageMap(omega_ceiling, delta_omega, n_bins, runs,
+                       tuple(name for name, _, _ in spectra), owner, bins)
 
 
 def gaps_from_coverage(cov: CoverageMap, min_gap_width: float) -> tuple[Gap, ...]:
@@ -149,18 +158,6 @@ def gaps_from_coverage(cov: CoverageMap, min_gap_width: float) -> tuple[Gap, ...
     wide = edges[:, 1] - edges[:, 0] >= min_gap_width
     return tuple(Gap(omega_lo=lo, omega_hi=hi)
                  for lo, hi in edges[wide].tolist())
-
-
-def _blocks_for_scope(scope, include_uncoupled: bool):
-    """Blocks to solve, and the report names of the blocks they stand for."""
-    if scope == COMPLETE:
-        extra = (WaveBlock.UNCOUPLED,) if include_uncoupled else ()
-        names = ("longitudinal", "transverse", "transverse-3")
-        return ((WaveBlock.LONGITUDINAL, WaveBlock.TRANSVERSE) + extra,
-                names + tuple(b.value for b in extra))
-    if isinstance(scope, WaveBlock):
-        return (scope,), (scope.value,)
-    raise ValueError(f"scope must be a WaveBlock or {COMPLETE!r}: {scope!r}")
 
 
 def _spectrum(model, bs, grid: KGrid):
@@ -204,7 +201,16 @@ def detect_gaps(model: ModelKind, elastic: ElasticParams,
     """
     if grid is None:
         grid = default_grid(elastic, inertia, model=model)
-    blocks, block_names = _blocks_for_scope(scope, include_uncoupled)
+    if scope == COMPLETE:
+        extra = (WaveBlock.UNCOUPLED,) if include_uncoupled else ()
+        blocks = (WaveBlock.LONGITUDINAL, WaveBlock.TRANSVERSE, *extra)
+        block_names = ("longitudinal", "transverse", "transverse-3",
+                       *(b.value for b in extra))
+    elif isinstance(scope, WaveBlock):
+        blocks, block_names = (scope,), (scope.value,)
+    else:
+        raise ValueError(f"scope must be a WaveBlock or {COMPLETE!r}: "
+                         f"{scope!r}")
     built = model_blocks(model, elastic, inertia)
     spectra = [_spectrum(model, built[b], grid) for b in blocks]
     if omega_ceiling is None:

@@ -13,6 +13,7 @@ failure, 4 numerical failure.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -149,15 +150,12 @@ def _check_validation(elastic, inertia, out) -> bool:
 
 
 def _omega_scale(args) -> tuple[float, str]:
-    if getattr(args, "hertz", False):
-        return 1.0 / (2.0 * math.pi), "Hz"
-    return 1.0, "rad/s"
+    return (1.0 / (2.0 * math.pi), "Hz") if args.hertz else (1.0, "rad/s")
 
 
 def _write_output(text: str, args) -> None:
-    path = getattr(args, "output", None)
-    if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -432,6 +430,7 @@ def _cmd_plot(cfg: RunConfig, args, err) -> int:
     return EXIT_OK
 
 
+@functools.cache  # parse_args leaves it unchanged: one parser per process
 def build_parser() -> argparse.ArgumentParser:
     # one shared parent holds the common flags: built once, not per subcommand
     common = argparse.ArgumentParser(add_help=False)
@@ -483,9 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors, matching our contract
         return int(exc.code or 0)

@@ -49,23 +49,14 @@ class WaveBlock(Enum):
 
 @dataclass(frozen=True)
 class ElasticParams:
-    """The six constitutive constants of the isotropic models (SI units).
+    """The six constitutive constants of the isotropic models (SI units)."""
 
-    Attributes:
-        mu_e: shear-like coupling modulus [Pa]
-        lambda_e: first coupling modulus [Pa]
-        mu_c: rotational (Cosserat) coupling modulus [Pa]
-        mu_micro: micro shear modulus [Pa]
-        lambda_micro: micro first modulus [Pa]
-        L_c: characteristic length [m]
-    """
-
-    mu_e: float
-    lambda_e: float
-    mu_c: float
-    mu_micro: float
-    lambda_micro: float
-    L_c: float
+    mu_e: float             # shear-like coupling modulus [Pa]
+    lambda_e: float         # first coupling modulus [Pa]
+    mu_c: float             # rotational (Cosserat) coupling modulus [Pa]
+    mu_micro: float         # micro shear modulus [Pa]
+    lambda_micro: float     # micro first modulus [Pa]
+    L_c: float              # characteristic length [m]
 
     @classmethod
     def from_engineering(cls, mu_e_mpa, lambda_e_mpa, mu_c_mpa,
@@ -83,21 +74,14 @@ class ElasticParams:
 
 @dataclass(frozen=True)
 class InertiaParams:
-    """Mass density and micro-inertia constants (SI units).
+    """Mass density and micro-inertia constants (SI units).  The gradient
+    micro-inertiae act on parts of grad(u_tt) [kg/m]."""
 
-    Attributes:
-        rho: macroscopic mass density [kg/m^3]
-        eta: free micro-inertia [kg/m]
-        eta_bar_1: gradient micro-inertia on the deviatoric-symmetric part [kg/m]
-        eta_bar_2: gradient micro-inertia on the skew part [kg/m]
-        eta_bar_3: gradient micro-inertia on the spherical part [kg/m]
-    """
-
-    rho: float
-    eta: float
-    eta_bar_1: float = 0.0
-    eta_bar_2: float = 0.0
-    eta_bar_3: float = 0.0
+    rho: float              # macroscopic mass density [kg/m^3]
+    eta: float              # free micro-inertia [kg/m]
+    eta_bar_1: float = 0.0  # on its deviatoric-symmetric part
+    eta_bar_2: float = 0.0  # on its skew part
+    eta_bar_3: float = 0.0  # on its spherical part
 
     def with_eta_bar(self, value: float) -> "InertiaParams":
         """Return a copy with all three gradient micro-inertiae set to ``value``."""

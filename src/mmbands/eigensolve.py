@@ -60,17 +60,11 @@ class NegativeEigenvalueError(EigenSolveError):
 
 @dataclass(frozen=True)
 class EigenSolution:
-    """Eigenpairs of the pencil (K, M), sorted by ascending eigenvalue.
+    """Eigenpairs of the pencil (K, M), sorted by ascending eigenvalue; a
+    stack of pencils is a leading axis of both arrays."""
 
-    For a stack of pencils both arrays carry the stack as a leading axis.
-
-    Attributes:
-        omega_sq: real eigenvalues [rad^2/s^2], ascending, ties allowed
-        vectors: M-orthonormal eigenvectors as columns, real for real input
-    """
-
-    omega_sq: np.ndarray
-    vectors: np.ndarray
+    omega_sq: np.ndarray    # real eigenvalues [rad^2/s^2], ties allowed
+    vectors: np.ndarray     # M-orthonormal columns, real for real input
 
 
 def _conj_t(a: np.ndarray) -> np.ndarray:

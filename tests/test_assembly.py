@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -334,6 +335,9 @@ class TestBlockDecomposition:
             block_decompose(corrupted)
 
 
+CACHED = (mmbands.assembly._unit_tensor, mmbands.assembly._block_tensor)
+
+
 def as_params(kwargs):
     """ElasticParams and InertiaParams from a wide-cone pair of kwargs."""
     return ElasticParams(**kwargs[0]), InertiaParams(**kwargs[1])
@@ -441,16 +445,28 @@ class TestUnitTensors:
             for name in ("M0", "M2", "K0", "K1", "K2"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))
 
+    @staticmethod
+    def clear_caches():
+        # the cached functions themselves, even while a test patches them
+        for cached in CACHED:
+            cached.cache_clear()
+
     def test_built_once_per_model(self, monkeypatch, ref_elastic, inertia_on):
-        calls = []
+        calls, checks = [], []
         original = mmbands.assembly.assemble_full
+        units = mmbands.assembly._unit_tensor
 
         def counting(model, elastic, inertia):
             calls.append(model)
             return original(model, elastic, inertia)
 
+        def counting_units(model):
+            checks.append(model)
+            return units(model)
+
         monkeypatch.setattr(mmbands.assembly, "assemble_full", counting)
-        mmbands.assembly._unit_tensor.cache_clear()
+        monkeypatch.setattr(mmbands.assembly, "_unit_tensor", counting_units)
+        self.clear_caches()
         model = ModelKind.MINDLIN_ERINGEN
         block_for(model, ref_elastic, inertia_on, WaveBlock.LONGITUDINAL)
         built = len(calls)
@@ -460,12 +476,80 @@ class TestUnitTensors:
             model_blocks(model, ref_elastic, inertia_on)
         assert built > 0 and len(calls) == built
         assert set(calls) == {model}
+        # the block tensor, and its leak check, is built once too
+        assert checks == [model]
+        assert mmbands.assembly._block_tensor.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("entry, message", [
+        ((3, 2, 0, 11), "off-block"),     # mu_micro unit, K0: u1 with P_V
+        ((6, 0, 4, 4), "imaginary")])     # rho unit, M0: P_(12) diagonal
+    def test_leaking_unit_raises_naming_the_model(
+            self, monkeypatch, ref_elastic, inertia_on, entry, message):
+        units = mmbands.assembly._unit_tensor
+
+        def leaking(model):
+            bad = units(model).copy()
+            bad[entry] += 1e-3j if message == "imaginary" else 1e-3
+            return bad
+
+        self.clear_caches()
+        monkeypatch.setattr(mmbands.assembly, "_unit_tensor", leaking)
+        for model in (ModelKind.RELAXED_CURL, ModelKind.RELAXED_DIV):
+            for _ in range(2):      # a failed build is not cached
+                with pytest.raises(BlockLeakageError,
+                                   match=f"^{model.value}: .* {message}"):
+                    model_blocks(model, ref_elastic, inertia_on)
+        monkeypatch.undo()
+        self.clear_caches()
+        assert model_blocks(ModelKind.RELAXED_CURL, ref_elastic, inertia_on)
+
+    @staticmethod
+    def split_contraction(model, el, inr):
+        """The reference: ``_split`` of the full unit-tensor contraction,
+        keeping its longitudinal, x2 transverse and uncoupled blocks."""
+        units = mmbands.assembly._unit_tensor(model)
+        curvature = el.mu_e * el.L_c ** 2 if units[5].any() else 0.0
+        coefficients = [el.mu_e, el.lambda_e, el.mu_c, el.mu_micro,
+                        el.lambda_micro, curvature, inr.rho, inr.eta,
+                        inr.eta_bar_1, inr.eta_bar_2, inr.eta_bar_3]
+        blocks = mmbands.assembly._split(
+            np.tensordot(coefficients, units, axes=1))
+        return blocks[0], blocks[1], blocks[3]
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_blocks_bit_identical_to_the_split_contraction(
+            self, model, ref_elastic, inertia_on):
+        cases = list(map(as_params, wide_cone(seed=12)))
+        # built directly, unvalidated: extreme and non-finite coefficients
+        for value in (math.inf, math.nan, 1e300, 1e-300):
+            cases += [(replace(ref_elastic, mu_e=value), inertia_on),
+                      (ref_elastic, replace(inertia_on, eta_bar_1=value))]
+        compared = 0
+        for elastic, inertia in cases:
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    got = model_blocks(model, elastic, inertia)
+                except OverflowError:   # a non-finite curvature modulus
+                    assert not math.isfinite(elastic.mu_e * elastic.L_c ** 2)
+                    continue
+                want = self.split_contraction(model, elastic, inertia)
+            assert [(g.block, g.labels) for g in got.values()] == [
+                (w.block, w.labels) for w in want]
+            for g, w in zip(got.values(), want):
+                for name in ("M0", "M2", "K0", "K1", "K2"):
+                    a, ref = getattr(g, name), getattr(w, name)
+                    # tobytes: signed zeros and nan payloads count
+                    assert a.dtype == ref.dtype and a.shape == ref.shape
+                    assert a.tobytes() == ref.tobytes(), (elastic, inertia)
+            compared += 1
+        assert compared >= len(cases) - 2
 
     def test_not_built_at_import(self):
         code = ("import mmbands, mmbands.assembly as a; "
-                "print(a._unit_tensor.cache_info().currsize)")
+                "print(a._unit_tensor.cache_info().currsize, "
+                "a._block_tensor.cache_info().currsize)")
         src = str(Path(mmbands.assembly.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True, env=env).stdout
-        assert out.strip() == "0"
+        assert out.split() == ["0", "0"]

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import mmbands.dispersion
-from mmbands.cli import _csv_text, run
+from mmbands.cli import _csv_text, build_parser, run
 
 from conftest import (MU_E_MPA, LAMBDA_E_MPA, MU_C_MPA, MU_MICRO_MPA,
                       LAMBDA_MICRO_MPA, L_C_MM, RHO, ETA, ETA_BAR)
@@ -603,3 +603,30 @@ class TestCsvByteContract:
     def test_non_str_cell_is_a_type_error(self):
         with pytest.raises(TypeError):
             _csv_text(["k"], [[0.0]])
+
+
+class TestParserReuse:
+    """``run`` parses with one parser per process, left unchanged by every
+    call, so no flag or error of one call reaches the next."""
+
+    SEQUENCE = [(["gaps", "--hertz"], 0), (["gaps"], 0),
+                (["gaps", "--no-such-flag"], 2),
+                (["disperse", "--grid-points", "60"], 0),
+                (["sweep-param", "--param", "eta_bar_2",
+                  "--values", "0,0.1"], 0)]
+
+    def test_calls_in_one_process_match_fresh_runs(self, capsys):
+        build_parser.cache_clear()
+        got = []
+        for argv, _ in self.SEQUENCE:
+            code = run(argv + ["--config", DEMO_CONFIG])
+            got.append((code, *capsys.readouterr()))
+        info = build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, len(self.SEQUENCE) - 1)
+        assert build_parser() is build_parser()
+        units = [json.loads(out)["unit"] for _, out, _ in got[:2]]
+        assert units == ["Hz", "rad/s"]
+        for (argv, want), (code, out, err) in zip(self.SEQUENCE, got):
+            fresh = TestNonFiniteInputs.fresh_run(argv)
+            assert code == want == fresh.returncode, argv
+            assert (out, err) == (fresh.stdout, fresh.stderr), argv
