@@ -257,9 +257,11 @@ _BLOCK_T, _BLOCK_META = _build_block_basis()
 # the uncoupled modes never couple: that block counts as three 1x1 blocks
 _OFF_BLOCK = np.kron(np.diag([1, 1, 1, 0]), np.ones((3, 3))) + np.eye(12) == 0
 _BLOCKS = np.arange(4)
-# model_blocks keeps blocks 0, 1, 3 (2 repeats 1), the last one's diagonal
+# the blocks model_blocks keeps (2 repeats 1) and the coefficients it contracts
 _KEPT = np.array([0, 1, 3])
-_IN_KEPT = ~_OFF_BLOCK.reshape(4, 3, 4, 3)[_KEPT, :, _KEPT][:, None]
+_COEFFICIENTS = ("mu_e", "lambda_e", "mu_c", "mu_micro", "lambda_micro",
+                 "mu_e * L_c**2", "rho", "eta", "eta_bar_1", "eta_bar_2",
+                 "eta_bar_3")
 
 
 def block_basis() -> np.ndarray:
@@ -344,20 +346,22 @@ def model_blocks(model: ModelKind, elastic: ElasticParams,
     """The distinct blocks of ``block_decompose(assemble_full(...))``, by
     kind, from one tensor contraction: longitudinal, transverse (the x2
     block; the x3 one is identical) and uncoupled, in that order.  An
-    overflowing mu_e * L_c**2 raises OverflowError where it is used."""
+    overflowing mu_e * L_c**2 raises OverflowError where it is used, any
+    other non-finite coefficient ValueError (finite ones keep off-block 0s)."""
     el, inr, units = elastic, inertia, _block_tensor(model)
     with np.errstate(over="ignore"):  # named below: inf * 0 would be nan
         curvature = el.mu_e * np.float64(el.L_c) ** 2 if units[5].any() else 0.0
-    if not np.isfinite(curvature):
-        raise OverflowError(
-            f"{model.value}: curvature modulus mu_e * L_c**2 is not finite "
-            f"(mu_e = {el.mu_e:g} Pa, L_c = {el.L_c:g} m)")
-    coefficients = [el.mu_e, el.lambda_e, el.mu_c, el.mu_micro,
-                    el.lambda_micro, curvature, inr.rho, inr.eta,
-                    inr.eta_bar_1, inr.eta_bar_2, inr.eta_bar_3]
-    entries = np.tensordot(coefficients, units, axes=1).real
-    # as in _split: an inf or nan coefficient leaves nan off that diagonal
-    blocks = np.where(_IN_KEPT, entries.reshape(3, 5, 3, 3), 0.0)
+    coefficients = np.array([el.mu_e, el.lambda_e, el.mu_c, el.mu_micro,
+                             el.lambda_micro, curvature, inr.rho, inr.eta,
+                             inr.eta_bar_1, inr.eta_bar_2, inr.eta_bar_3])
+    if not (finite := np.isfinite(coefficients)).all():
+        if not finite[5]:
+            raise OverflowError(
+                f"{model.value}: curvature modulus mu_e * L_c**2 is not "
+                f"finite (mu_e = {el.mu_e:g} Pa, L_c = {el.L_c:g} m)")
+        bad = ", ".join(np.compress(~finite, _COEFFICIENTS))
+        raise ValueError(f"{model.value}: coefficient {bad} is not finite")
+    blocks = np.tensordot(coefficients, units, axes=1).real.reshape(3, 5, 3, 3)
     return {_BLOCK_META[b][0]: BlockSystem(*matrices, *_BLOCK_META[b])
             for b, matrices in zip(_KEPT, blocks)}
 

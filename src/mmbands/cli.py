@@ -8,8 +8,10 @@ moduli, mm for the characteristic length, kg/m^3 for the density, kg/m for
 the inertiae.  Frequencies are emitted in rad/s (``--hertz`` divides by
 2*pi).  Identical inputs produce byte-identical outputs.
 
-Exit codes: 0 success, 2 config/usage error, 3 parameter validation
-failure, 4 numerical failure.
+Each ``_cmd_*`` handler returns its output text; ``run`` alone writes it
+and maps errors to the exit codes: 0 success, 2 config/usage error
+(including an unreadable or undecodable config file and an unwritable
+``--output``), 3 parameter validation failure, 4 numerical failure.
 """
 
 import argparse
@@ -49,6 +51,10 @@ _BLOCK_ORDER = (WaveBlock.UNCOUPLED, WaveBlock.LONGITUDINAL,
 
 class ConfigError(Exception):
     """Malformed or incomplete run configuration."""
+
+
+class ValidationError(Exception):
+    """Parameters that fail ``validate``, one line per failed invariant."""
 
 
 @dataclass
@@ -116,7 +122,7 @@ def parse_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
     for lineno, line in enumerate(lines, start=1):
         body = line.split("#", 1)[0].strip()
@@ -140,25 +146,29 @@ def build_config(args) -> RunConfig:
     return RunConfig(values=values)
 
 
-def _check_validation(elastic, inertia, out) -> bool:
-    report = validate(elastic, inertia)
-    for failure in report.failures():
-        print(f"invalid parameters: {failure.name}"
-              + (f" ({failure.message})" if failure.message else ""),
-              file=out)
-    return report.ok
+def _validated(elastic: ElasticParams, inertia: InertiaParams):
+    """The pair if it passes ``validate``, else ValidationError."""
+    if failures := validate(elastic, inertia).failures():
+        raise ValidationError("\n".join(
+            f"invalid parameters: {failure.name}"
+            + (f" ({failure.message})" if failure.message else "")
+            for failure in failures))
+    return elastic, inertia
 
 
 def _omega_scale(args) -> tuple[float, str]:
     return (1.0 / (2.0 * math.pi), "Hz") if args.hertz else (1.0, "rad/s")
 
 
-def _write_output(text: str, args) -> None:
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
+def _write_output(text: str, path) -> None:
+    if not path:
         sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _json_dumps(payload) -> str:
@@ -173,7 +183,7 @@ def _csv_text(header, rows) -> str:
     return "\n".join(map(",".join, chain([header], rows))) + "\n"
 
 
-def _cmd_homogenize(cfg: RunConfig, args, err) -> int:
+def _cmd_homogenize(cfg: RunConfig, args) -> str:
     elastic = cfg.elastic()
     try:
         inertia = cfg.inertia()
@@ -181,35 +191,27 @@ def _cmd_homogenize(cfg: RunConfig, args, err) -> int:
         # homogenization needs no inertia; a passing placeholder lets the
         # elastic invariants still be checked
         inertia = InertiaParams(rho=1.0, eta=1.0)
-    if not _check_validation(elastic, inertia, err):
-        return EXIT_VALIDATION
-    macro = homogenize(elastic)
-    payload = {f"{name}_mpa": getattr(macro, name) / PA_PER_MPA
-               for name in ("mu_macro", "lambda_macro", "e_macro")}
-    payload["nu_macro"] = macro.nu_macro
-    _write_output(_json_dumps(payload), args)
-    return EXIT_OK
+    macro = homogenize(_validated(elastic, inertia)[0])
+    return _json_dumps({f"{name}_mpa": getattr(macro, name) / PA_PER_MPA
+                        for name in ("mu_macro", "lambda_macro", "e_macro")}
+                       | {"nu_macro": macro.nu_macro})
 
 
-def _cmd_cutoffs(cfg: RunConfig, args, err) -> int:
-    model, elastic, inertia = cfg.model(), cfg.elastic(), cfg.inertia()
-    if not _check_validation(elastic, inertia, err):
-        return EXIT_VALIDATION
+def _cmd_cutoffs(cfg: RunConfig, args) -> str:
+    model = cfg.model()
+    elastic, inertia = _validated(cfg.elastic(), cfg.inertia())
     scale, unit = _omega_scale(args)
-    table = cutoffs(model, elastic, inertia)
-    payload = {"model": model.value, "unit": unit, "blocks": {
+    return _json_dumps({"model": model.value, "unit": unit, "blocks": {
         block.value: [{"omega": c.omega * scale, "acoustic": c.acoustic,
                        "mode": c.mode} for c in cuts]
-        for block, cuts in table.items()}}
-    _write_output(_json_dumps(payload), args)
-    return EXIT_OK
+        for block, cuts in cutoffs(model, elastic, inertia).items()}})
 
 
-def _sweep_all_blocks(cfg: RunConfig):
-    model, elastic, inertia = cfg.model(), cfg.elastic(), cfg.inertia()
-    grid = cfg.grid(elastic, inertia)
+def _sweeps(cfg: RunConfig, elastic, inertia, blocks=_BLOCK_ORDER):
+    """Sweeps of validated parameters by block, and the grid they share."""
+    model, grid = cfg.model(), cfg.grid(elastic, inertia)
     return {block: sweep(model, elastic, inertia, block, grid)
-            for block in _BLOCK_ORDER}, grid
+            for block in blocks}, grid
 
 
 def _branch_columns(branch, scale):
@@ -218,53 +220,44 @@ def _branch_columns(branch, scale):
             branch.dominant.tolist(), map(repr, branch.ratio.tolist()))
 
 
-def _cmd_disperse(cfg: RunConfig, args, err) -> int:
-    elastic, inertia = cfg.elastic(), cfg.inertia()
-    if not _check_validation(elastic, inertia, err):
-        return EXIT_VALIDATION
+def _cmd_disperse(cfg: RunConfig, args) -> str:
+    curves, grid = _sweeps(cfg, *_validated(cfg.elastic(), cfg.inertia()))
     scale, _ = _omega_scale(args)
-    curves, grid = _sweep_all_blocks(cfg)
     ks = list(map(repr, grid.values.tolist()))  # formatted once, not per row
     rows = chain.from_iterable(
         zip(ks, repeat(block.value), repeat(branch.label),
             *_branch_columns(branch, scale))
         for block in _BLOCK_ORDER for branch in curves[block].branches)
-    _write_output(_csv_text(["k", "block", "branch_label", "omega",
-                             "dominant_mode", "ratio"], rows), args)
-    return EXIT_OK
+    return _csv_text(["k", "block", "branch_label", "omega",
+                      "dominant_mode", "ratio"], rows)
 
 
-def _cmd_modes(cfg: RunConfig, args, err) -> int:
-    elastic, inertia = cfg.elastic(), cfg.inertia()
-    if not _check_validation(elastic, inertia, err):
-        return EXIT_VALIDATION
+def _cmd_modes(cfg: RunConfig, args) -> str:
     block = WaveBlock(args.block)  # argparse admits WaveBlock values only
-    model = cfg.model()
-    grid = cfg.grid(elastic, inertia)
-    curve = sweep(model, elastic, inertia, block, grid)
-    branch = next((b for b in curve.branches if b.label == args.branch), None)
-    if branch is None:
-        names = ", ".join(b.label for b in curve.branches)
+    curves, grid = _sweeps(cfg, *_validated(cfg.elastic(), cfg.inertia()),
+                           blocks=[block])
+    branches = {b.label: b for b in curves[block].branches}
+    if args.branch not in branches:
         raise ConfigError(f"no branch {args.branch!r} in block "
-                          f"{block.value} (have: {names})")
+                          f"{block.value} (have: {', '.join(branches)})")
     scale, _ = _omega_scale(args)
     rows = zip(map(repr, grid.values.tolist()),
-               *_branch_columns(branch, scale))
-    _write_output(_csv_text(["k", "omega", "dominant_mode", "ratio"], rows),
-                  args)
-    return EXIT_OK
+               *_branch_columns(branches[args.branch], scale))
+    return _csv_text(["k", "omega", "dominant_mode", "ratio"], rows)
 
 
-def _cmd_gaps(cfg: RunConfig, args, err) -> int:
-    model, elastic, inertia = cfg.model(), cfg.elastic(), cfg.inertia()
-    if not _check_validation(elastic, inertia, err):
-        return EXIT_VALIDATION
-    scope = COMPLETE if args.block is None else WaveBlock(args.block)
-    grid = cfg.grid(elastic, inertia)
-    report = detect_gaps(model, elastic, inertia, scope, grid=grid,
-                         **cfg.gap_options())
+def _gap_report(cfg: RunConfig, scope):
+    model = cfg.model()
+    elastic, inertia = _validated(cfg.elastic(), cfg.inertia())
+    return detect_gaps(model, elastic, inertia, scope,
+                       grid=cfg.grid(elastic, inertia), **cfg.gap_options())
+
+
+def _cmd_gaps(cfg: RunConfig, args) -> str:
+    report = _gap_report(
+        cfg, COMPLETE if args.block is None else WaveBlock(args.block))
     scale, unit = _omega_scale(args)
-    _write_output(_json_dumps({
+    return _json_dumps({
         "model": report.model.value,
         "scope": report.scope,
         "blocks": list(report.blocks),
@@ -275,11 +268,10 @@ def _cmd_gaps(cfg: RunConfig, args, err) -> int:
         "n_gaps": len(report.gaps),
         "gaps": [{"omega_lo": g.omega_lo * scale,
                   "omega_hi": g.omega_hi * scale} for g in report.gaps],
-    }), args)
-    return EXIT_OK
+    })
 
 
-def _cmd_sweep_param(cfg: RunConfig, args, err) -> int:
+def _cmd_sweep_param(cfg: RunConfig, args) -> str:
     if args.param not in _FLOAT_KEYS:
         raise ConfigError(f"--param must be one of: {', '.join(_FLOAT_KEYS)}")
     if args.values:
@@ -303,18 +295,12 @@ def _cmd_sweep_param(cfg: RunConfig, args, err) -> int:
     scale, _ = _omega_scale(args)
     rows = []
     for value in values:
-        run = RunConfig(values={**cfg.values, args.param: value})
-        model, elastic, inertia = run.model(), run.elastic(), run.inertia()
-        if not _check_validation(elastic, inertia, err):
-            return EXIT_VALIDATION
-        report = detect_gaps(model, elastic, inertia, COMPLETE,
-                             grid=run.grid(elastic, inertia),
-                             **run.gap_options())
+        report = _gap_report(
+            RunConfig(values={**cfg.values, args.param: value}), COMPLETE)
         joined = ";".join(f"{g.omega_lo * scale!r}:{g.omega_hi * scale!r}"
                           for g in report.gaps)
         rows.append([repr(float(value)), str(len(report.gaps)), joined])
-    _write_output(_csv_text(["param_value", "n_gaps", "gaps"], rows), args)
-    return EXIT_OK
+    return _csv_text(["param_value", "n_gaps", "gaps"], rows)
 
 
 def _clip_to_ceiling(ks, omegas, ceiling):
@@ -414,20 +400,18 @@ def render_dispersion_svg(curves, grid, ceiling, scale=1.0,
     return "\n".join(parts) + "\n"
 
 
-def _cmd_plot(cfg: RunConfig, args, err) -> int:
-    model, elastic, inertia = cfg.model(), cfg.elastic(), cfg.inertia()
-    if not _check_validation(elastic, inertia, err):
-        return EXIT_VALIDATION
+def _cmd_plot(cfg: RunConfig, args) -> str:
+    model = cfg.model()
+    elastic, inertia = _validated(cfg.elastic(), cfg.inertia())
     if not args.output:
         raise ConfigError("plot requires --output")
-    curves, grid = _sweep_all_blocks(cfg)
+    curves, grid = _sweeps(cfg, elastic, inertia)
     ceiling = cfg.values.get("omega_ceiling")
     if ceiling is None:
         ceiling = default_omega_ceiling(model, elastic, inertia)
     scale, unit = _omega_scale(args)
-    svg = render_dispersion_svg(curves, grid, ceiling, scale=scale, unit=unit)
-    _write_output(svg, args)
-    return EXIT_OK
+    return render_dispersion_svg(curves, grid, ceiling, scale=scale,
+                                 unit=unit)
 
 
 @functools.cache  # parse_args leaves it unchanged: one parser per process
@@ -487,16 +471,18 @@ def run(argv) -> int:
     except SystemExit as exc:
         # argparse exits with 2 on usage errors, matching our contract
         return int(exc.code or 0)
-    err = sys.stderr
     try:
-        cfg = build_config(args)
-        return args.handler(cfg, args, err)
+        _write_output(args.handler(build_config(args), args), args.output)
+    except ValidationError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_VALIDATION
     except (ConfigError, DegenerateGridError, FrequencyAxisError) as exc:
-        print(f"error: {exc}", file=err)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (EigenSolveError, BlockLeakageError, OverflowError) as exc:
-        print(f"numerical failure: {exc}", file=err)
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    return EXIT_OK
 
 
 def main() -> None:

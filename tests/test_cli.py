@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import mmbands.dispersion
-from mmbands.cli import _csv_text, build_parser, run
+from mmbands.cli import _csv_text, build_config, build_parser, run
 
 from conftest import (MU_E_MPA, LAMBDA_E_MPA, MU_C_MPA, MU_MICRO_MPA,
                       LAMBDA_MICRO_MPA, L_C_MM, RHO, ETA, ETA_BAR)
@@ -34,6 +34,12 @@ eta_bar_3 = {ETA_BAR}
 
 
 DEMO_CONFIG = str(Path(__file__).resolve().parents[1] / "demo.cfg")
+
+# every subcommand, with the flags it requires besides its parameters
+COMMANDS = {"homogenize": [], "cutoffs": [], "disperse": [], "gaps": [],
+            "modes": ["--block", "transverse", "--branch", "TA"],
+            "sweep-param": ["--param", "eta_bar_2", "--range", "0:0.2:3"],
+            "plot": []}
 
 
 @pytest.fixture()
@@ -420,6 +426,24 @@ class TestErrorPaths:
     def test_missing_config_file(self):
         assert run(["gaps", "--config", "/nonexistent/file.cfg"]) == 2
 
+    def test_undecodable_config_file(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.cfg"
+        bad.write_bytes(b"model = relaxed-curl\xff\n")
+        assert run(["gaps", "--config", str(bad)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: cannot read config file {bad}: 'utf-8' codec can't "
+            "decode byte 0xff in position 20: invalid start byte\n"))
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unwritable_output(self, tmp_path, capsys, command):
+        path = tmp_path / "missing-dir" / "out"
+        code = run([command, "--config", DEMO_CONFIG, *COMMANDS[command],
+                    "--output", str(path)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert len(err.splitlines()) == 1
+
     def test_zero_eigenvector_is_a_numerical_failure(self, monkeypatch,
                                                      capsys):
         solve = mmbands.dispersion.general_eig_stack
@@ -461,16 +485,25 @@ class TestNonFiniteInputs:
         ("gaps", "--eta-bar-1", "nan", "eta_bar_i >= 0"),
         ("gaps", "--l-c", "inf", "L_c >= 0"),
         ("cutoffs", "--mu-c", "inf", "mu_c >= 0"),
-        ("homogenize", "--mu-micro", "inf", "mu_micro > 0")])
+        ("homogenize", "--mu-micro", "inf", "mu_micro > 0"),
+        ("disperse", "--mu-e", "nan", "mu_e > 0"),
+        ("modes", "--eta", "inf", "eta > 0"),
+        ("sweep-param", "--lambda-e", "nan", "3*lambda_e + 2*mu_e > 0"),
+        ("plot", "--eta-bar-3", "inf", "eta_bar_i >= 0")])
     def test_non_finite_parameter_is_a_validation_failure(
-            self, capsys, command, flag, value, check):
+            self, tmp_path, capsys, command, flag, value, check):
         # these used to exit 4 ("diagonal entry nan"), 2 or, for homogenize,
         # 0 with a NaN that is not valid JSON
-        code = run([command, "--config", DEMO_CONFIG, flag, value])
-        out, err = capsys.readouterr()
-        assert code == 3
-        assert out == ""
-        assert f"invalid parameters: {check} (not finite)\n" in err
+        path = tmp_path / "out"
+        argv = [command, "--config", DEMO_CONFIG, flag, value,
+                *COMMANDS[command]]
+        for output in ([], ["--output", str(path)]):
+            code = run(argv + output)
+            out, err = capsys.readouterr()
+            assert code == 3
+            assert out == ""
+            assert not path.exists()
+            assert f"invalid parameters: {check} (not finite)\n" in err
 
     @staticmethod
     def fresh_run(argv):
@@ -603,6 +636,22 @@ class TestCsvByteContract:
     def test_non_str_cell_is_a_type_error(self):
         with pytest.raises(TypeError):
             _csv_text(["k"], [[0.0]])
+
+
+class TestHandlerContract:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_handler_returns_what_run_writes(self, tmp_path, capsys,
+                                             command):
+        # a handler only computes its text: run alone writes it
+        path = tmp_path / "out"
+        argv = [command, "--config", DEMO_CONFIG, "--grid-points", "60",
+                *COMMANDS[command], "--output", str(path)]
+        args = build_parser().parse_args(argv)
+        text = args.handler(build_config(args), args)
+        assert capsys.readouterr() == ("", "")
+        assert not path.exists()
+        assert run(argv) == 0
+        assert path.read_text(encoding="utf-8") == text
 
 
 class TestParserReuse:
