@@ -13,7 +13,7 @@ from .assembly import (BlockLeakageError, BlockSystem, FullSystem,
                        block_for, model_blocks, DOF_NAMES)
 from .bandgap import (COMPLETE, CoverageMap, FrequencyAxisError, Gap,
                       GapReport, coverage, default_omega_ceiling,
-                      detect_gaps, gaps_from_coverage)
+                      detect_gaps, gap_reports, gaps_from_coverage)
 from .core import (ElasticParams, InertiaParams, InvariantCheck, MacroParams,
                    ModelKind, ValidationReport, WaveBlock, homogenize,
                    validate)

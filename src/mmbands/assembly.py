@@ -190,10 +190,7 @@ def assemble_full(model: ModelKind, elastic: ElasticParams,
     """
     n = len(DOF_NAMES)
     m0 = np.diag([inertia.rho] * 3 + [inertia.eta] * 9).astype(complex)
-    m2 = np.zeros((n, n), dtype=complex)
-    k0 = np.zeros((n, n), dtype=complex)
-    k1 = np.zeros((n, n), dtype=complex)
-    k2 = np.zeros((n, n), dtype=complex)
+    m2, k0, k1, k2 = np.zeros((4, n, n), dtype=complex)
 
     curvature_modulus = elastic.mu_e * elastic.L_c ** 2
 

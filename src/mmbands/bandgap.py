@@ -20,6 +20,9 @@ displacement-free micro-modes can be added with ``include_uncoupled``; they
 are left out by default because several model variants let those modes
 sweep the whole frequency axis, hiding the optic-branch gaps that the
 coupled blocks exhibit.
+
+``gap_reports`` solves each distinct block (kind, matrices, wavenumbers: to
+the byte) once per scan of reports; ``detect_gaps`` is its one-run case.
 """
 
 import math
@@ -87,10 +90,6 @@ class Gap:
 
     omega_lo: float
     omega_hi: float
-
-    @property
-    def width(self) -> float:
-        return self.omega_hi - self.omega_lo
 
 
 @dataclass(frozen=True)
@@ -160,20 +159,29 @@ def gaps_from_coverage(cov: CoverageMap, min_gap_width: float) -> tuple[Gap, ...
                  for lo, hi in edges[wide].tolist())
 
 
-def _spectrum(model, bs, grid: KGrid):
+def _solved(store: dict, model, bs, k) -> np.ndarray:
+    """``solve_block`` omegas, solved once per ``store`` and byte-equal key."""
+    key = (bs.block, *(a.tobytes() for a in (k, bs.M0, bs.M2, bs.K0, bs.K1,
+                                              bs.K2)))
+    if key not in store:
+        store[key] = solve_block(model, bs, k, vectors=False)[0]
+    return store[key]
+
+
+def _spectrum(store, model, bs, grid: KGrid):
     """``(name, omegas, bounded)`` of a built block: an uncoupled column is
     bounded exactly when K2_ii = 0, a coupled one by ``detect_asymptote``."""
-    omegas, _ = solve_block(model, bs, grid.values, vectors=False)
+    omegas = _solved(store, model, bs, grid.values)
     bounded = (np.diagonal(bs.K2) == 0.0 if bs.block is WaveBlock.UNCOUPLED
                else detect_asymptote(omegas, grid).tolist())
     return bs.block.value, omegas, bounded
 
 
-def _ceiling(model, blocks, spectra) -> float:
+def _ceiling(store, model, blocks, spectra) -> float:
     """Headroom above the largest k = 0 frequency: row 0 of each solved
     spectrum, else a k = 0 solve (closed form if uncoupled) of the block."""
     rows = {name: omegas[0] for name, omegas, _ in spectra}
-    rows.update((b.value, solve_block(model, bs, [0.0], vectors=False)[0][0])
+    rows.update((b.value, _solved(store, model, bs, np.zeros(1))[0])
                 for b, bs in blocks.items() if b.value not in rows)
     return CEILING_HEADROOM * float(max(row.max() for row in rows.values()))
 
@@ -182,16 +190,26 @@ def default_omega_ceiling(model: ModelKind, elastic: ElasticParams,
                           inertia: InertiaParams) -> float:
     """Default detection ceiling: headroom above the largest cut-off, from
     k = 0 solves of the blocks, as ``detect_gaps`` reads it from row 0."""
-    return _ceiling(model, model_blocks(model, elastic, inertia), ())
+    return _ceiling({}, model, model_blocks(model, elastic, inertia), ())
 
 
-def detect_gaps(model: ModelKind, elastic: ElasticParams,
-                inertia: InertiaParams, scope=COMPLETE, *,
-                grid: KGrid | None = None,
-                omega_ceiling: float | None = None,
-                delta_omega: float | None = None,
-                min_gap_width: float | None = None,
-                include_uncoupled: bool = False) -> GapReport:
+def detect_gaps(model, elastic, inertia, scope=COMPLETE, **options):
+    """The GapReport of one run: ``gap_reports`` of it alone."""
+    return next(gap_reports([(model, elastic, inertia, scope, options)]))
+
+
+def gap_reports(runs):
+    """Yield the report of each ``(model, elastic, inertia, scope, options)``
+    run (``options``: the keywords of ``_report``), taking each run after the
+    previous report; each distinct block solve is made once per call."""
+    store = {}
+    for model, elastic, inertia, scope, options in runs:
+        yield _report(store, model, elastic, inertia, scope, **options)
+
+
+def _report(store, model, elastic, inertia, scope=COMPLETE, *, grid=None,
+            omega_ceiling=None, delta_omega=None, min_gap_width=None,
+            include_uncoupled=False) -> GapReport:
     """Solve the requested blocks and report their band-gaps.
 
     ``scope`` is a single WaveBlock for a per-block report or ``COMPLETE``
@@ -207,24 +225,22 @@ def detect_gaps(model: ModelKind, elastic: ElasticParams,
         block_names = ("longitudinal", "transverse", "transverse-3",
                        *(b.value for b in extra))
     elif isinstance(scope, WaveBlock):
-        blocks, block_names = (scope,), (scope.value,)
+        blocks, block_names, scope = (scope,), (scope.value,), scope.value
     else:
         raise ValueError(f"scope must be a WaveBlock or {COMPLETE!r}: "
                          f"{scope!r}")
     built = model_blocks(model, elastic, inertia)
-    spectra = [_spectrum(model, built[b], grid) for b in blocks]
+    spectra = [_spectrum(store, model, built[b], grid) for b in blocks]
     if omega_ceiling is None:
-        omega_ceiling = _ceiling(model, built, spectra)
+        omega_ceiling = _ceiling(store, model, built, spectra)
     if delta_omega is None:
         delta_omega = omega_ceiling / CEILING_TO_DELTA
     if min_gap_width is None:
         min_gap_width = omega_ceiling / CEILING_TO_MIN_GAP
 
-    cov = coverage(spectra, omega_ceiling, delta_omega)
-    gaps = gaps_from_coverage(cov, min_gap_width)
-
-    scope_name = scope if isinstance(scope, str) else scope.value
-    return GapReport(gaps=gaps, scope=scope_name, blocks=block_names,
+    gaps = gaps_from_coverage(coverage(spectra, omega_ceiling, delta_omega),
+                              min_gap_width)
+    return GapReport(gaps=gaps, scope=scope, blocks=block_names,
                      omega_ceiling=omega_ceiling, delta_omega=delta_omega,
                      min_gap_width=min_gap_width, model=model,
                      elastic=elastic, inertia=inertia)

@@ -18,13 +18,14 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from itertools import chain, repeat
 
 from .assembly import BlockLeakageError
 from .bandgap import (COMPLETE, FrequencyAxisError, default_omega_ceiling,
-                      detect_gaps)
+                      detect_gaps, gap_reports)
 from .core import (ElasticParams, InertiaParams, ModelKind, WaveBlock,
                    homogenize, validate, PA_PER_MPA)
 from .dispersion import (DEFAULT_GRID_POINTS, DegenerateGridError, KGrid,
@@ -96,9 +97,13 @@ class RunConfig:
             return default_grid(elastic, inertia, points, self.model())
         return KGrid.linear(k_max, points=points)
 
-    def gap_options(self) -> dict:
-        keys = ("omega_ceiling", "delta_omega", "min_gap_width")
-        return {key: self.values.get(key) for key in keys} | {
+    def gap_run(self, scope):
+        model = self.model()
+        elastic, inertia = _validated(self.elastic(), self.inertia())
+        return model, elastic, inertia, scope, {
+            "grid": self.grid(elastic, inertia),
+            **{key: self.values.get(key) for key in (
+                "omega_ceiling", "delta_omega", "min_gap_width")},
             "include_uncoupled": bool(self.values.get("include_uncoupled"))}
 
 
@@ -246,29 +251,19 @@ def _cmd_modes(cfg: RunConfig, args) -> str:
     return _csv_text(["k", "omega", "dominant_mode", "ratio"], rows)
 
 
-def _gap_report(cfg: RunConfig, scope):
-    model = cfg.model()
-    elastic, inertia = _validated(cfg.elastic(), cfg.inertia())
-    return detect_gaps(model, elastic, inertia, scope,
-                       grid=cfg.grid(elastic, inertia), **cfg.gap_options())
-
-
 def _cmd_gaps(cfg: RunConfig, args) -> str:
-    report = _gap_report(
-        cfg, COMPLETE if args.block is None else WaveBlock(args.block))
+    *run, options = cfg.gap_run(
+        COMPLETE if args.block is None else WaveBlock(args.block))
+    report = detect_gaps(*run, **options)
     scale, unit = _omega_scale(args)
     return _json_dumps({
-        "model": report.model.value,
-        "scope": report.scope,
-        "blocks": list(report.blocks),
-        "unit": unit,
-        "omega_ceiling": report.omega_ceiling * scale,
-        "delta_omega": report.delta_omega * scale,
-        "min_gap_width": report.min_gap_width * scale,
+        "model": report.model.value, "scope": report.scope,
+        "blocks": list(report.blocks), "unit": unit,
+        **{key: getattr(report, key) * scale for key in (
+            "omega_ceiling", "delta_omega", "min_gap_width")},
         "n_gaps": len(report.gaps),
         "gaps": [{"omega_lo": g.omega_lo * scale,
-                  "omega_hi": g.omega_hi * scale} for g in report.gaps],
-    })
+                  "omega_hi": g.omega_hi * scale} for g in report.gaps]})
 
 
 def _cmd_sweep_param(cfg: RunConfig, args) -> str:
@@ -287,19 +282,17 @@ def _cmd_sweep_param(cfg: RunConfig, args) -> str:
             raise ConfigError("--range: expected lo:hi:count")
         if count < 2:
             raise ConfigError("--range: count must be >= 2")
-        step = (hi - lo) / (count - 1)
-        values = [lo + i * step for i in range(count)]
+        values = [lo + i * ((hi - lo) / (count - 1)) for i in range(count)]
     else:
         raise ConfigError("sweep-param needs --values or --range")
 
     scale, _ = _omega_scale(args)
-    rows = []
-    for value in values:
-        report = _gap_report(
-            RunConfig(values={**cfg.values, args.param: value}), COMPLETE)
-        joined = ";".join(f"{g.omega_lo * scale!r}:{g.omega_hi * scale!r}"
-                          for g in report.gaps)
-        rows.append([repr(float(value)), str(len(report.gaps)), joined])
+    # lazy: a value's config and solver errors come before the next value's
+    runs = (RunConfig(values={**cfg.values, args.param: value}).gap_run(
+        COMPLETE) for value in values)
+    rows = ([repr(float(value)), str(len(report.gaps)), ";".join(
+        f"{g.omega_lo * scale!r}:{g.omega_hi * scale!r}" for g in report.gaps)]
+        for value, report in zip(values, gap_reports(runs)))
     return _csv_text(["param_value", "n_gaps", "gaps"], rows)
 
 
@@ -334,18 +327,14 @@ def render_dispersion_svg(curves, grid, ceiling, scale=1.0,
     colors = ("#1f77b4", "#d62728", "#2ca02c")
     k_max = grid.k_max
 
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width:.0f}" height="{height:.0f}" '
-        f'viewBox="0 0 {width:.0f} {height:.0f}">',
-        '<rect width="100%" height="100%" fill="white"/>',
-    ]
+    parts = ['<?xml version="1.0" encoding="UTF-8"?>',
+             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+             f'width="{width:.0f}" height="{height:.0f}" '
+             f'viewBox="0 0 {width:.0f} {height:.0f}">',
+             '<rect width="100%" height="100%" fill="white"/>']
 
     for p, block in enumerate(_BLOCK_ORDER):
-        curve = curves[block]
-        x0 = margin_l + p * (panel_w + gap)
-        y0 = margin_t
+        x0, y0 = margin_l + p * (panel_w + gap), margin_t
 
         def to_xy(k, w):
             return (x0 + k / k_max * panel_w,
@@ -356,7 +345,6 @@ def render_dispersion_svg(curves, grid, ceiling, scale=1.0,
         parts.append(f'<text x="{x0 + panel_w / 2:.2f}" y="{y0 - 8:.2f}" '
                      f'font-family="sans-serif" font-size="13" '
                      f'text-anchor="middle">{block.value}</text>')
-        # y ticks
         for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
             w = frac * ceiling
             _, y = to_xy(0.0, w)
@@ -366,7 +354,6 @@ def render_dispersion_svg(curves, grid, ceiling, scale=1.0,
                 parts.append(f'<text x="{x0 - 7:.2f}" y="{y + 3.5:.2f}" '
                              f'font-family="sans-serif" font-size="10" '
                              f'text-anchor="end">{w * scale:.3g}</text>')
-        # x ticks
         for frac in (0.0, 0.5, 1.0):
             k = frac * k_max
             x, y = to_xy(k, 0.0)
@@ -375,13 +362,12 @@ def render_dispersion_svg(curves, grid, ceiling, scale=1.0,
             parts.append(f'<text x="{x:.2f}" y="{y + 16:.2f}" '
                          f'font-family="sans-serif" font-size="10" '
                          f'text-anchor="middle">{k:.3g}</text>')
-        for idx, branch in enumerate(curve.branches):
+        for idx, branch in enumerate(curves[block].branches):
             for seg in _clip_to_ceiling(grid.values, branch.omegas, ceiling):
                 points = [to_xy(k, w) for k, w in seg]
                 coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
                 parts.append(f'<polyline fill="none" stroke="{colors[idx]}" '
                              f'stroke-width="1.5" points="{coords}"/>')
-            # branch name near its k = 0 end
             w0 = min(float(branch.omegas[0]), ceiling * 0.98)
             x, y = to_xy(0.02 * k_max, w0)
             parts.append(f'<text x="{x:.2f}" y="{y - 4:.2f}" '
@@ -396,8 +382,7 @@ def render_dispersion_svg(curves, grid, ceiling, scale=1.0,
     parts.append(f'<text x="{width / 2:.0f}" y="{height - 8:.0f}" '
                  f'font-family="sans-serif" font-size="11" '
                  f'text-anchor="middle">k [rad/m]</text>')
-    parts.append('</svg>')
-    return "\n".join(parts) + "\n"
+    return "\n".join(parts + ["</svg>"]) + "\n"
 
 
 def _cmd_plot(cfg: RunConfig, args) -> str:
@@ -448,6 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
              "gap counts over a parameter range (CSV)"),
             ("plot", _cmd_plot, "three-panel dispersion diagram (SVG)")):
         sub = subs.add_parser(name, help=helptext, parents=[common])
+        # argparse reads "-1e2", "-inf" or "-1,-2" as options: take as values
+        sub._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.I)
         sub.set_defaults(handler=handler)
         if name == "gaps":
             sub.add_argument("--block", choices=[b.value for b in WaveBlock],

@@ -10,7 +10,7 @@ import mmbands.dispersion
 import mmbands.eigensolve
 from mmbands.assembly import model_blocks
 from mmbands.bandgap import (COMPLETE, FrequencyAxisError, coverage,
-                             default_omega_ceiling, detect_gaps,
+                             default_omega_ceiling, detect_gaps, gap_reports,
                              gaps_from_coverage)
 from mmbands.core import ElasticParams, InertiaParams, ModelKind, WaveBlock
 from mmbands.dispersion import (KGrid, cutoffs, default_grid,
@@ -434,3 +434,80 @@ class TestDetectGaps:
         assert report.elastic == ref_elastic
         assert report.inertia == inertia_on
         assert report.scope == COMPLETE
+
+
+class TestGapReports:
+    """A scan of gap reports: each run's report is the one detect_gaps
+    gives, and each distinct block is solved once per scan, never longer."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        solves = []
+        solve = mmbands.bandgap.solve_block
+
+        def counting_solve(model, bs, k, **kwargs):
+            solves.append((bs.block, len(k)))
+            return solve(model, bs, k, **kwargs)
+
+        monkeypatch.setattr(mmbands.bandgap, "solve_block", counting_solve)
+        return solves
+
+    def test_reports_equal_one_run_reports(self, ref_elastic, inertia_on,
+                                           inertia_off, monkeypatch):
+        grid = default_grid(ref_elastic, points=120)
+        runs = [(ModelKind.RELAXED_CURL, ref_elastic, inertia_on, COMPLETE,
+                 {}),
+                (ModelKind.RELAXED_CURL, ref_elastic, inertia_on,
+                 WaveBlock.LONGITUDINAL, {}),
+                (ModelKind.RELAXED_CURL, ref_elastic, inertia_on, COMPLETE,
+                 {"include_uncoupled": True, "delta_omega": 50.0}),
+                (ModelKind.RELAXED_CURL, ref_elastic,
+                 replace(inertia_on, eta_bar_2=0.0), COMPLETE, {}),
+                (ModelKind.RELAXED_DIV, ref_elastic, inertia_on, COMPLETE,
+                 {}),
+                (ModelKind.RELAXED_CURL, ref_elastic, inertia_off,
+                 WaveBlock.UNCOUPLED, {"grid": grid}),
+                (ModelKind.RELAXED_CURL, ref_elastic, inertia_on, COMPLETE,
+                 {})]
+        want = [detect_gaps(*run[:4], **run[4]) for run in runs]
+        solves = self.counting(monkeypatch)
+        assert list(gap_reports(runs)) == want
+        # run 1 reuses the longitudinal block and the ceiling's uncoupled
+        # k = 0 row of run 0, run 2 both coupled blocks, run 3 the
+        # longitudinal block and that row (eta_bar_2 moves only the
+        # transverse block), and run 6, a repeat of run 0, solves nothing
+        lon, tra, unc = WaveBlock
+        assert solves == [(lon, 400), (tra, 400), (unc, 1), (tra, 1),
+                          (unc, 400), (tra, 400),
+                          (lon, 400), (tra, 400), (unc, 1),
+                          (unc, 120), (lon, 1), (tra, 1)]
+
+    def test_takes_a_run_after_the_previous_report(self, ref_elastic,
+                                                    inertia_on):
+        log = []
+
+        def runs():
+            for value in (0.0, 0.1):
+                log.append(("run", value))
+                yield (ModelKind.RELAXED_CURL, ref_elastic,
+                       replace(inertia_on, eta_bar_2=value), COMPLETE, {})
+
+        for report in gap_reports(runs()):
+            log.append(("report", report.inertia.eta_bar_2))
+        assert log == [("run", 0.0), ("report", 0.0),
+                       ("run", 0.1), ("report", 0.1)]
+
+    def test_equal_one_run_calls_each_solve(self, ref_elastic, inertia_on,
+                                            monkeypatch):
+        solves = self.counting(monkeypatch)
+        reports = [detect_gaps(ModelKind.RELAXED_CURL, ref_elastic,
+                               inertia_on) for _ in range(2)]
+        assert reports[0] == reports[1]
+        assert solves == 2 * [
+            (WaveBlock.LONGITUDINAL, 400), (WaveBlock.TRANSVERSE, 400),
+            (WaveBlock.UNCOUPLED, 1)]
+
+    def test_unknown_option_is_rejected(self, ref_elastic, inertia_on):
+        with pytest.raises(TypeError):
+            detect_gaps(ModelKind.RELAXED_CURL, ref_elastic, inertia_on,
+                        ceiling=1e6)

@@ -1,3 +1,4 @@
+import collections
 import csv
 import io
 import json
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import mmbands.bandgap
 import mmbands.dispersion
 from mmbands.cli import _csv_text, build_config, build_parser, run
 
@@ -378,6 +380,128 @@ class TestSweepParamCommand:
         code = run(["sweep-param", "--config", config_file, "--param",
                     "model", "--values", "1"])
         assert code == 2
+
+
+class TestSweepParamScan:
+    """sweep-param solves each distinct block once per command: a block that
+    the swept value leaves equal to the byte reuses its spectrum, and every
+    row is still the gaps report at its value."""
+
+    VALUES = "0.0,0.05,0.1,0.2"
+
+    @staticmethod
+    def counting(monkeypatch):
+        """Patch the gap solve; the counter maps (block, number of k) to
+        the solves made."""
+        solves = collections.Counter()
+        solve = mmbands.bandgap.solve_block
+
+        def counting_solve(model, bs, k, **kwargs):
+            solves[bs.block.value, len(k)] += 1
+            return solve(model, bs, k, **kwargs)
+
+        monkeypatch.setattr(mmbands.bandgap, "solve_block", counting_solve)
+        return solves
+
+    @staticmethod
+    def sweep(capsys, param, values, *extra):
+        code = run(["sweep-param", "--config", DEMO_CONFIG, "--param", param,
+                    "--values", values, *extra])
+        out = capsys.readouterr().out
+        assert code == 0
+        return list(csv.reader(io.StringIO(out)))[1:]
+
+    # solves per block over the four values: longitudinal, transverse, the
+    # uncoupled k = 0 row that the default ceiling reads, and the uncoupled
+    # block on the grid.  eta_bar_2 weighs skew(grad u) and mu_c the skew
+    # coupling, which only the transverse wave has; eta_bar_3, lambda_e and
+    # lambda_micro trace terms, which only the longitudinal wave has; no
+    # eta_bar enters the uncoupled block, the frequency-axis settings no
+    # block, and L_c no internal-variable block
+    @pytest.mark.parametrize("param, values, extra, want", [
+        ("eta_bar_2", VALUES, [], (1, 4, 1, 0)),
+        ("eta_bar_3", VALUES, [], (4, 1, 1, 0)),
+        ("mu_c", "0,500,1000,2000", [], (1, 4, 4, 0)),
+        ("lambda_e", "300,400,500,600", [], (4, 1, 1, 0)),
+        ("delta_omega", "10,20,30,40", [], (1, 1, 1, 0)),
+        ("omega_ceiling", "1e5,2e5,3e5,4e5", [], (1, 1, 0, 0)),
+        ("mu_micro", "50,100,150,200", [], (4, 4, 4, 0)),
+        ("eta_bar_1", VALUES, [], (4, 4, 1, 0)),
+        ("eta_bar_2", VALUES, ["--include-uncoupled"], (1, 4, 0, 1)),
+        ("L_c", "0.5,1,1.5,2", ["--model", "internal-variable"],
+         (1, 1, 1, 0))])
+    def test_each_distinct_block_is_solved_once(self, monkeypatch, capsys,
+                                                param, values, extra, want):
+        solves = self.counting(monkeypatch)
+        assert len(self.sweep(capsys, param, values, *extra)) == 4
+        keys = [("longitudinal", 400), ("transverse", 400), ("uncoupled", 1),
+                ("uncoupled", 400)]
+        assert solves == {key: n for key, n in zip(keys, want) if n}
+
+    def test_no_solve_outlives_a_command(self, monkeypatch, capsys):
+        solves = self.counting(monkeypatch)
+        rows = [self.sweep(capsys, "eta_bar_2", self.VALUES)
+                for _ in range(2)]
+        assert rows[0] == rows[1]
+        assert solves == {("longitudinal", 400): 2, ("transverse", 400): 8,
+                          ("uncoupled", 1): 2}
+
+    @pytest.mark.parametrize("param, values", [
+        ("eta_bar_2", "0.0,0.05,0.2"), ("eta_bar_3", "0.0,0.2,0.0"),
+        ("mu_c", "0.0,500.0,2000.0"), ("delta_omega", "20.0,100.0"),
+        ("L_c", "0.5,2.0"), ("k_max", "20000.0,200000.0")])
+    def test_rows_are_the_gap_reports(self, capsys, param, values):
+        rows = self.sweep(capsys, param, values)
+        assert [row[0] for row in rows] == values.split(",")
+        flag = "--" + param.replace("_", "-").lower()
+        for value, n_gaps, gaps in rows:
+            assert run(["gaps", "--config", DEMO_CONFIG, flag, value]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert n_gaps == str(report["n_gaps"])
+            assert gaps == ";".join(f"{g['omega_lo']!r}:{g['omega_hi']!r}"
+                                    for g in report["gaps"])
+
+    @pytest.mark.parametrize("values, code, err", [
+        ("1e300,-1", 4, "numerical failure: relaxed-curl, longitudinal "
+         "block, k = 250.627 rad/m: stiffness matrix of pencil 1 is not "
+         "finite\n"),
+        ("-1,1e300", 3, "invalid parameters: mu_e > 0\n")])
+    def test_each_value_fails_before_the_next_is_read(self, values, code,
+                                                      err):
+        proc = TestNonFiniteInputs.fresh_run(
+            ["sweep-param", "--param", "mu_e", "--values", values])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", err)
+
+
+class TestNegativeFlagValues:
+    """A "-"-led float literal is a flag value in the separate form as in
+    the --flag=value form; argparse alone reads only digit-led ones so."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["gaps", "--lambda-e", "-1e2"], 0),
+        (["gaps", "--lambda-e", "-100"], 0),
+        (["gaps", "--lambda-e", "-.5"], 0),
+        (["gaps", "--mu-e", "-inf"], 3),
+        (["gaps", "--mu-e", "-Infinity"], 3),
+        (["gaps", "--eta-bar-2", "-nan"], 3),
+        (["sweep-param", "--param", "lambda_e", "--values", "-100,-50"], 0),
+        (["sweep-param", "--param", "lambda_e", "--range", "-100:-50:2"], 0),
+        (["sweep-param", "--param", "mu_e", "--values", "-1,1e300"], 3)])
+    def test_separate_form_matches_equals_form(self, capsys, argv, code):
+        joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+        got = []
+        for form in (argv, joined):
+            got.append((run(form + ["--config", DEMO_CONFIG]),
+                        *capsys.readouterr()))
+        assert got[0] == got[1]
+        assert got[0][0] == code
+        assert (got[0][2] == "") == (code == 0)
+
+    @pytest.mark.parametrize("value", ["--hertz", "-x", "-h"])
+    def test_an_option_is_still_no_value(self, capsys, value):
+        assert run(["gaps", "--config", DEMO_CONFIG, "--mu-e", value]) == 2
+        assert "argument --mu-e: expected one argument" in (
+            capsys.readouterr().err)
 
 
 class TestPlotCommand:

@@ -27,7 +27,8 @@ ALL_BLOCKS = [WaveBlock.LONGITUDINAL, WaveBlock.TRANSVERSE,
 
 def spectrum(model, elastic, inertia, block, grid):
     """Gap detection's (name, omegas, bounded) of one block, built here."""
-    return _spectrum(model, block_for(model, elastic, inertia, block), grid)
+    return _spectrum({}, model, block_for(model, elastic, inertia, block),
+                     grid)
 
 
 def admissible_set(seed, mu_c_zero):
