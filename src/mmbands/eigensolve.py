@@ -8,8 +8,9 @@ vectorised pass of numpy's LAPACK drivers:
    its degrees of freedom (the eigenvalues are unchanged);
 2. a factor M_eq = L L^H, diag(M_eq)^1/2 if every M_eq is diagonal, else
    Cholesky, reduces it to the standard Hermitian problem B = L^-1 K_eq L^-H;
-3. ``general_eig_stack`` diagonalizes B with ``np.linalg.eigh`` and carries
-   the eigenvectors back through D L^-H, in real arithmetic for real input;
+3. ``general_eig_stack`` diagonalizes B with ``np.linalg.eigh``, carries
+   the eigenvectors back through D L^-H (a matmul on either route) in real
+   arithmetic for real input, and M-normalizes and phases them row by row;
    ``general_eigvals_stack`` takes only the eigenvalues, from
    ``np.linalg.eigvalsh``.  Steps 1-2 and every check are shared.
 
@@ -186,16 +187,22 @@ def general_eig_stack(k_stack: np.ndarray,
     w, y = np.linalg.eigh(b)
     w = clamp_roundoff(w, k_stack, m_stack)
 
-    # back-transform, M-normalize, then rotate each column so its
+    # back-transform, M-normalize, then rotate each column so its first
     # largest-magnitude component is real positive (a sign for real input)
     if lower_inv.ndim == 2:     # the diagonal route returns diag(L^-1)
         lower_inv = lower_inv[:, :, None] * np.eye(b.shape[-1], dtype=b.dtype)
     vecs = d[:, :, None] * (_conj_t(lower_inv) @ y)
-    norm_sq = np.real(np.sum(np.conj(vecs) * (m_stack @ vecs), axis=-2))
-    vecs = vecs / np.sqrt(norm_sq)[:, None, :]
-    top = np.argmax(np.abs(vecs), axis=-2)[:, None, :]
-    pivot = np.take_along_axis(vecs, top, axis=-2)
-    vecs = vecs * (np.conj(pivot) / np.abs(pivot))
+    terms = np.conj(vecs) * (m_stack @ vecs)    # summed over the rows
+    vecs /= np.sqrt(np.real(sum(terms[:, 1:].swapaxes(0, 1),
+                                terms[:, 0])))[:, None, :]
+    (n, m), mags = w.shape, np.abs(vecs)
+    top, largest = 0, mags[:, 0]
+    for i in range(1, m):
+        top = np.where(mags[:, i] > largest, i, top)
+        largest = np.maximum(largest, mags[:, i])
+    pivot = vecs.reshape(-1)[(np.arange(n)[:, None] * m + top) * m
+                             + np.arange(m)]
+    vecs *= (np.conj(pivot) / np.abs(pivot))[:, None, :]
     return EigenSolution(omega_sq=w, vectors=vecs)
 
 

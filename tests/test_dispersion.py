@@ -191,6 +191,28 @@ class TestClassifyMode:
         assert np.array_equal(stacked[0].reshape(-1), names[:204])
         assert np.array_equal(stacked[1].reshape(-1), ratios[:204])
 
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_other_component_counts_match_per_vector_oracle(self, size):
+        # the passes run over any length of the last axis, not just 3
+        rng = np.random.default_rng(size)
+        labels = tuple(f"c{i}" for i in range(size))
+        ties = (rng.choice([0.0, 0.8, 1.0, 1.25], size=(300, size))
+                * rng.choice([1, -1, 1j, -1j], size=(300, size)))
+        ties = ties[np.abs(ties).max(axis=1) > 0.0]
+        generic = rng.normal(size=(200, size))
+        vectors = np.concatenate([np.eye(size), np.ones((1, size)), ties,
+                                  generic])
+        names, ratios = classify_mode_stack(vectors, labels)
+        want = [classify_vector(v, labels, MODE_RATIO_THRESHOLD)
+                for v in vectors]
+        assert names.tolist() == [name for name, _ in want]
+        assert ratios.tolist() == [ratio for _, ratio in want]
+        assert names[size] == "Mixed" and ratios[size] == 1.0
+        stacked = classify_mode_stack(vectors[:300].reshape(30, 10, size),
+                                      labels)
+        assert np.array_equal(stacked[0].reshape(-1), names[:300])
+        assert np.array_equal(stacked[1].reshape(-1), ratios[:300])
+
     def test_stack_zero_vector_names_its_index(self):
         vectors = np.ones((6, 3, 3))
         vectors[4, 1] = 0.0
@@ -711,8 +733,9 @@ def test_branch_order_matches_sequential_oracle(model, block, inertia,
         assert np.all(dof == dof[0])
         assert np.array_equal(branch.vectors, np.tile(
             np.eye(3)[dof[0]] / np.sqrt(inertia.eta), (len(grid), 1)))
-    # the coupled blocks never tie, and the uncoupled block (an exact double
-    # root at every k) is not continued at all
+    # every step of the coupled blocks is strictly diagonally dominant, and
+    # the uncoupled block (an exact double root at every k) is not
+    # continued at all
     assert tied_steps == []
 
 
@@ -768,6 +791,81 @@ def test_continuation_matches_oracle_at_engineered_ties():
         omegas[1:][tied] = rng.choice([1.0, 2.0], size=(tied.sum(), 3))
         expected = greedy_continuation(overlap, omegas)
         assert np.array_equal(_continue_branches(overlap, omegas), expected)
+
+
+def counted_greedy(monkeypatch):
+    """Patch ``_greedy_overlap_match`` to record the frequencies of each
+    step it matches; returns that list."""
+    match, matched = mmbands.dispersion._greedy_overlap_match, []
+    monkeypatch.setattr(mmbands.dispersion, "_greedy_overlap_match",
+                        lambda o, w: matched.append(w) or match(o, w))
+    return matched
+
+
+def test_long_continuation_matches_oracle_and_matches_only_needed_steps(
+        monkeypatch):
+    matched = counted_greedy(monkeypatch)
+    rng = np.random.default_rng(31)
+    for _ in range(6):
+        n = int(rng.integers(1000, 2101))      # steps
+        # strictly dominant: every off-diagonal entry below 0.5 <= diagonal
+        overlap = 0.5 * rng.random((n, 3, 3))
+        overlap[:, range(3), range(3)] += 0.5 + 0.5 * rng.random((n, 3))
+        omegas = np.sort(rng.random((n + 1, 3)), axis=1)
+        run = int(rng.integers(1, n - 12))
+        equal, not_number, infinite = rng.choice(
+            np.setdiff1d(np.arange(1, n - 1), range(run, run + 10)), 3,
+            replace=False)
+        # rows swapped by a non-identity permutation, so a match reorders
+        # the branches for the dominant steps that follow it
+        swapped = [0, *range(run, run + 10), n - 1]
+        for j in swapped:
+            overlap[j] = overlap[j][[[1, 0, 2], [2, 0, 1],
+                                     [1, 2, 0]][rng.integers(3)]]
+        # random entries, one off-diagonal above every diagonal one
+        overlap[run + 4] = rng.random((3, 3))
+        overlap[run + 4, 0, 1] = 1.0
+        # an off-diagonal entry equal to the diagonal of its column (and
+        # below that of its row) is not strictly dominant
+        overlap[equal, 0, 0] = 2.0
+        overlap[equal, 0, 1] = overlap[equal, 1, 1]
+        overlap[not_number, 1, 2] = np.nan
+        overlap[infinite, 2, 0] = np.inf
+        odd = sorted([*swapped, equal, not_number, infinite])
+        dominant_inf = int(rng.integers(run + 11, n - 1))
+        if dominant_inf not in odd:     # an infinite diagonal entry is fine
+            overlap[dominant_inf, 1, 1] = np.inf
+        matched.clear()
+        columns = _continue_branches(overlap, omegas)
+        assert np.array_equal(columns, greedy_continuation(overlap, omegas))
+        assert np.array_equal(matched, omegas[np.array(odd) + 1])
+
+
+def test_continuation_falls_back_on_a_real_non_dominant_step(monkeypatch):
+    # relaxed-curl transverse, wide_cone(100)[5] (L_c = 0): the step from
+    # k = 0 swaps TA and TO1, the only step whose overlaps are not strictly
+    # diagonally dominant
+    elastic, inertia = wide_cone_params(100)[5]
+    model, block = ModelKind.RELAXED_CURL, WaveBlock.TRANSVERSE
+    grid = default_grid(elastic, inertia)
+    bs = block_for(model, elastic, inertia, block)
+    omegas, vectors = solve_block(model, bs, grid.values)
+    overlap = np.abs(np.conj(np.swapaxes(vectors[:-1], 1, 2))
+                     @ (bs.mass_at(grid.values[1:]) @ vectors[1:]))
+    columns = np.array(greedy_continuation(overlap, omegas))
+    assert columns[1].tolist() != [0, 1, 2]
+
+    matched = counted_greedy(monkeypatch)
+    curve = sweep(model, elastic, inertia, block, grid)
+    assert np.array_equal(matched, omegas[1:2])
+    order, _ = mmbands.dispersion._label_branches(block, omegas[0],
+                                                  vectors[0], bs.labels)
+    rows = np.arange(len(grid))
+    for branch, b in zip(curve.branches, order):
+        assert np.array_equal(branch.omegas, omegas[rows, columns[:, b]])
+        assert np.array_equal(branch.vectors,
+                              vectors[rows, :, columns[:, b]])
+    assert_modes_match_oracle(curve, bs.labels)
 
 
 def wide_cone_params(seed):
