@@ -24,8 +24,7 @@ period).  As K1 is imaginary and couples only u with P, and the other
 matrices are real without u-P entries, every block is real symmetric.
 The system is linear in eleven coefficients, so ``model_blocks`` contracts
 them with per-model unit tensors, built once from ``assemble_full`` and
-checked once.  The two transverse blocks are identical by isotropy, so
-``model_blocks`` keeps one block per ``WaveBlock`` kind, keyed by it.
+checked once, keeping one block per ``WaveBlock`` kind.
 """
 
 import functools

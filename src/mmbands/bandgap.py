@@ -20,9 +20,6 @@ displacement-free micro-modes can be added with ``include_uncoupled``; they
 are left out by default because several model variants let those modes
 sweep the whole frequency axis, hiding the optic-branch gaps that the
 coupled blocks exhibit.
-
-``gap_reports`` solves each distinct block (kind, matrices, wavenumbers: to
-the byte) once per scan of reports; ``detect_gaps`` is its one-run case.
 """
 
 import math

@@ -219,20 +219,32 @@ def _sweeps(cfg: RunConfig, elastic, inertia, blocks=_BLOCK_ORDER):
             for block in blocks}, grid
 
 
-def _branch_columns(branch, scale):
+def _cells(column, memo: dict) -> list:
+    """``repr`` of each float of a column, made once per distinct column
+    bytes in ``memo``, and once in all where every int64 bit pattern is
+    equal (a flat branch; 0.0 and -0.0, or two nan payloads, differ)."""
+    if (key := column.tobytes()) not in memo:
+        bits, first = column.view("i8"), repr(float(column[0]))
+        memo[key] = ([first] * column.size if (bits == bits[0]).all()
+                     else list(map(repr, column.tolist())))
+    return memo[key]
+
+
+def _branch_columns(branch, scale, memo: dict):
     """omega, dominant_mode and ratio cells of one branch, as strings."""
-    return (map(repr, (branch.omegas * scale).tolist()),
-            branch.dominant.tolist(), map(repr, branch.ratio.tolist()))
+    return (_cells(branch.omegas * scale, memo), branch.dominant.tolist(),
+            _cells(branch.ratio, memo))
 
 
 def _cmd_disperse(cfg: RunConfig, args) -> str:
     curves, grid = _sweeps(cfg, *_validated(cfg.elastic(), cfg.inertia()))
     scale, _ = _omega_scale(args)
-    ks = list(map(repr, grid.values.tolist()))  # formatted once, not per row
+    ks = list(map(repr, grid.values.tolist()))  # each k once, not per row
     rows = chain.from_iterable(
         zip(ks, repeat(block.value), repeat(branch.label),
-            *_branch_columns(branch, scale))
-        for block in _BLOCK_ORDER for branch in curves[block].branches)
+            *_branch_columns(branch, scale, memo))
+        for block in _BLOCK_ORDER for memo in [{}]  # one memo per block
+        for branch in curves[block].branches)
     return _csv_text(["k", "block", "branch_label", "omega",
                       "dominant_mode", "ratio"], rows)
 
@@ -247,7 +259,7 @@ def _cmd_modes(cfg: RunConfig, args) -> str:
                           f"{block.value} (have: {', '.join(branches)})")
     scale, _ = _omega_scale(args)
     rows = zip(map(repr, grid.values.tolist()),
-               *_branch_columns(branches[args.branch], scale))
+               *_branch_columns(branches[args.branch], scale, {}))
     return _csv_text(["k", "omega", "dominant_mode", "ratio"], rows)
 
 
@@ -301,15 +313,15 @@ def _clip_to_ceiling(ks, omegas, ceiling):
     crossing interpolated so that it leaves the panel at the right slope."""
     points = list(zip(ks.tolist(), omegas.tolist()))
     segments, current = [], []
-    for prev, (k, w) in zip([None, *points], points):
-        if w <= ceiling:
-            if prev is not None and prev[1] > ceiling:
-                t = (ceiling - w) / (prev[1] - w)
-                current.append((k + t * (prev[0] - k), ceiling))
-            current.append((k, w))
+    for prev, point in zip([None, *points], points):
+        inside = point[1] <= ceiling
+        if prev is not None and inside != (prev[1] <= ceiling):
+            (k, w), (k_out, w_out) = (point, prev) if inside else (prev, point)
+            t = (ceiling - w) / (w_out - w)
+            current.append((k + t * (k_out - k), ceiling))
+        if inside:
+            current.append(point)
         elif current:
-            t = (ceiling - prev[1]) / (w - prev[1])
-            current.append((prev[0] + t * (k - prev[0]), ceiling))
             segments.append(current)
             current = []
     if current:
@@ -333,6 +345,10 @@ def render_dispersion_svg(curves, grid, ceiling, scale=1.0,
              f'viewBox="0 0 {width:.0f} {height:.0f}">',
              '<rect width="100%" height="100%" fill="white"/>']
 
+    def text(x, y, size, body, attrs='text-anchor="middle"', fmt=".2f"):
+        parts.append(f'<text x="{x:{fmt}}" y="{y:{fmt}}" font-family='
+                     f'"sans-serif" font-size="{size}" {attrs}>{body}</text>')
+
     for p, block in enumerate(_BLOCK_ORDER):
         x0, y0 = margin_l + p * (panel_w + gap), margin_t
 
@@ -342,26 +358,21 @@ def render_dispersion_svg(curves, grid, ceiling, scale=1.0,
 
         parts.append(f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{panel_w:.2f}" '
                      f'height="{panel_h:.2f}" fill="none" stroke="#444444"/>')
-        parts.append(f'<text x="{x0 + panel_w / 2:.2f}" y="{y0 - 8:.2f}" '
-                     f'font-family="sans-serif" font-size="13" '
-                     f'text-anchor="middle">{block.value}</text>')
+        text(x0 + panel_w / 2, y0 - 8, 13, block.value)
         for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
             w = frac * ceiling
             _, y = to_xy(0.0, w)
             parts.append(f'<line x1="{x0 - 4:.2f}" y1="{y:.2f}" '
                          f'x2="{x0:.2f}" y2="{y:.2f}" stroke="#444444"/>')
             if p == 0:
-                parts.append(f'<text x="{x0 - 7:.2f}" y="{y + 3.5:.2f}" '
-                             f'font-family="sans-serif" font-size="10" '
-                             f'text-anchor="end">{w * scale:.3g}</text>')
+                text(x0 - 7, y + 3.5, 10, f"{w * scale:.3g}",
+                     'text-anchor="end"')
         for frac in (0.0, 0.5, 1.0):
             k = frac * k_max
             x, y = to_xy(k, 0.0)
             parts.append(f'<line x1="{x:.2f}" y1="{y:.2f}" x2="{x:.2f}" '
                          f'y2="{y + 4:.2f}" stroke="#444444"/>')
-            parts.append(f'<text x="{x:.2f}" y="{y + 16:.2f}" '
-                         f'font-family="sans-serif" font-size="10" '
-                         f'text-anchor="middle">{k:.3g}</text>')
+            text(x, y + 16, 10, f"{k:.3g}")
         for idx, branch in enumerate(curves[block].branches):
             for seg in _clip_to_ceiling(grid.values, branch.omegas, ceiling):
                 points = [to_xy(k, w) for k, w in seg]
@@ -370,18 +381,12 @@ def render_dispersion_svg(curves, grid, ceiling, scale=1.0,
                              f'stroke-width="1.5" points="{coords}"/>')
             w0 = min(float(branch.omegas[0]), ceiling * 0.98)
             x, y = to_xy(0.02 * k_max, w0)
-            parts.append(f'<text x="{x:.2f}" y="{y - 4:.2f}" '
-                         f'font-family="sans-serif" font-size="10" '
-                         f'fill="{colors[idx]}">{branch.label}</text>')
+            text(x, y - 4, 10, branch.label, f'fill="{colors[idx]}"')
 
-    parts.append(f'<text x="{margin_l / 2:.0f}" y="{margin_t + panel_h / 2:.0f}" '
-                 f'font-family="sans-serif" font-size="11" '
-                 f'transform="rotate(-90 {margin_l / 2:.0f} '
-                 f'{margin_t + panel_h / 2:.0f})" text-anchor="middle">'
-                 f'omega [{unit}]</text>')
-    parts.append(f'<text x="{width / 2:.0f}" y="{height - 8:.0f}" '
-                 f'font-family="sans-serif" font-size="11" '
-                 f'text-anchor="middle">k [rad/m]</text>')
+    x, y = margin_l / 2, margin_t + panel_h / 2
+    text(x, y, 11, f"omega [{unit}]", f'transform="rotate(-90 {x:.0f} '
+         f'{y:.0f})" text-anchor="middle"', ".0f")
+    text(width / 2, height - 8, 11, "k [rad/m]", fmt=".0f")
     return "\n".join(parts + ["</svg>"]) + "\n"
 
 
@@ -394,9 +399,7 @@ def _cmd_plot(cfg: RunConfig, args) -> str:
     ceiling = cfg.values.get("omega_ceiling")
     if ceiling is None:
         ceiling = default_omega_ceiling(model, elastic, inertia)
-    scale, unit = _omega_scale(args)
-    return render_dispersion_svg(curves, grid, ceiling, scale=scale,
-                                 unit=unit)
+    return render_dispersion_svg(curves, grid, ceiling, *_omega_scale(args))
 
 
 @functools.cache  # parse_args leaves it unchanged: one parser per process

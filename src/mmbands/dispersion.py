@@ -4,12 +4,9 @@
 of a coupled block as one stack, the diagonal uncoupled block in closed
 form.  ``sweep`` strings the eigenpairs into branches that keep their
 physical identity through avoided crossings, and marks the dominant DOF of
-every sample.  Labels are decided once, at k = 0, by ascending cut-off: the
-most displacement-like coupled branch at omega(0) = 0 is acoustic, and an
-uncoupled branch is named by its micro mode.  ``cutoffs`` applies the same
-labels to its k = 0 solve, so a cut-off is acoustic exactly when its
-branch is LA or TA.  Both take one block per ``WaveBlock`` from
-``model_blocks``: the transverse block stands for both polarizations.
+every sample.  Labels are decided once, at k = 0 (``_label_branches``);
+``cutoffs`` applies the same labels to its k = 0 solve, so a cut-off is
+acoustic exactly when its branch is LA or TA.
 """
 
 import math
@@ -206,8 +203,7 @@ def _continue_branches(overlap: np.ndarray, omegas: np.ndarray):
     largest entry left, a diagonal one, and striking its row and column
     leaves a dominant matrix, whatever the branch order.  Only the other
     steps run ``_greedy_overlap_match`` in branch order, at most 2 per
-    sweep (mean 0.38) in 7,165 coupled wide-cone sweeps.  1,000 steps take
-    0.04-0.06 ms, or 8-14 ms if no step is dominant (2-core VM).
+    sweep (mean 0.38) in 7,165 coupled wide-cone sweeps.
     """
     n, m = overlap.shape[:2]
     dominant = np.ones(n, dtype=bool)
@@ -254,16 +250,17 @@ def _located(exc, model: ModelKind, block: WaveBlock, k: np.ndarray):
 
 
 def solve_block(model: ModelKind, bs: BlockSystem, k, *,
-                vectors: bool = True):
+                vectors: bool = True, masses=None):
     """Omegas (n_k, 3) and vectors (n_k, 3, 3) of a built block at 1-D k.
 
-    Rows are ascending for a coupled block; column i of the uncoupled one
-    is micro mode i, omega^2 = K_ii / M_ii, under the solver's checks.  Each
-    column is continuous in k.  ``vectors=False`` skips the eigenvectors
-    (None).  Solver errors name the model, block and k.
+    Rows ascend for a coupled block; column i of the uncoupled one is micro
+    mode i, omega^2 = K_ii / M_ii, under the solver's checks.  Each column
+    is continuous in k.  ``vectors=False`` skips the eigenvectors (None);
+    ``masses`` is ``bs.mass_at(k)``, if known.  Errors name model, block, k.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # the checks name it
-        masses, stiffness = bs.mass_at(k), bs.stiffness_at(k)
+        masses = bs.mass_at(k) if masses is None else masses
+        stiffness = bs.stiffness_at(k)
     try:
         if bs.block is WaveBlock.UNCOUPLED:
             m_diag = positive_mass_diagonal(masses)
@@ -293,14 +290,16 @@ def sweep(model: ModelKind, elastic: ElasticParams, inertia: InertiaParams,
     A zero eigenvector is re-raised with the model, block and k added.
     """
     bs = block_for(model, elastic, inertia, block)
-    omegas, vecs = solve_block(model, bs, grid.values)
+    with np.errstate(over="ignore", invalid="ignore"):  # solve_block names it
+        masses = bs.mass_at(grid.values)
+    omegas, vecs = solve_block(model, bs, grid.values, masses=masses)
     order, names = _label_branches(block, omegas[0], vecs[0], bs.labels)
     if block is WaveBlock.UNCOUPLED:
         columns = np.broadcast_to(order, omegas.shape)
     else:
         # overlap[j - 1, r, c] = |v_r(k_{j-1})^H M(k_j) v_c(k_j)|
         overlap = np.abs(np.conj(np.swapaxes(vecs[:-1], 1, 2))
-                         @ (bs.mass_at(grid.values[1:]) @ vecs[1:]))
+                         @ (masses[1:] @ vecs[1:]))
         columns = _continue_branches(overlap, omegas)[:, order]
     rows = np.arange(len(grid))[:, None]
     omegas, vecs = omegas[rows, columns], vecs[rows, :, columns]

@@ -9,8 +9,8 @@ vectorised pass of numpy's LAPACK drivers:
 2. a factor M_eq = L L^H, diag(M_eq)^1/2 if every M_eq is diagonal, else
    Cholesky, reduces it to the standard Hermitian problem B = L^-1 K_eq L^-H;
 3. ``general_eig_stack`` diagonalizes B with ``np.linalg.eigh``, carries
-   the eigenvectors back through D L^-H (a matmul on either route) in real
-   arithmetic for real input, and M-normalizes and phases them row by row;
+   the eigenvectors back through D L^-H (a row scaling if L is diagonal),
+   real for real input, and M-normalizes and phases them row by row;
    ``general_eigvals_stack`` takes only the eigenvalues, from
    ``np.linalg.eigvalsh``.  Steps 1-2 and every check are shared.
 
@@ -187,15 +187,17 @@ def general_eig_stack(k_stack: np.ndarray,
     w, y = np.linalg.eigh(b)
     w = clamp_roundoff(w, k_stack, m_stack)
 
-    # back-transform, M-normalize, then rotate each column so its first
-    # largest-magnitude component is real positive (a sign for real input)
-    if lower_inv.ndim == 2:     # the diagonal route returns diag(L^-1)
-        lower_inv = lower_inv[:, :, None] * np.eye(b.shape[-1], dtype=b.dtype)
-    vecs = d[:, :, None] * (_conj_t(lower_inv) @ y)
-    terms = np.conj(vecs) * (m_stack @ vecs)    # summed over the rows
+    # back-transform and M-normalize (a diagonal L^-1 or M scales rows, and
+    # + 0.0 gives exact zeros the +0.0 of a matmul's zero-started sums), then
+    # phase each column by its first largest-magnitude component
+    (n, m), m_diag = w.shape, np.diagonal(m_stack, 0, -2, -1)[:, :, None]
+    vecs = d[:, :, None] * (lower_inv[:, :, None] * y + 0.0
+                            if lower_inv.ndim == 2 else _conj_t(lower_inv) @ y)
+    diagonal = (m_stack[:, ~np.eye(m, dtype=bool)] == 0.0).all()
+    terms = np.conj(vecs) * (m_diag * vecs if diagonal else m_stack @ vecs)
     vecs /= np.sqrt(np.real(sum(terms[:, 1:].swapaxes(0, 1),
                                 terms[:, 0])))[:, None, :]
-    (n, m), mags = w.shape, np.abs(vecs)
+    mags = np.abs(vecs)
     top, largest = 0, mags[:, 0]
     for i in range(1, m):
         top = np.where(mags[:, i] > largest, i, top)

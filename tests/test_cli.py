@@ -9,11 +9,13 @@ import sys
 import xml.dom.minidom
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mmbands.bandgap
 import mmbands.dispersion
-from mmbands.cli import _csv_text, build_config, build_parser, run
+from mmbands import WaveBlock, sweep
+from mmbands.cli import _cells, _csv_text, build_config, build_parser, run
 
 from conftest import (MU_E_MPA, LAMBDA_E_MPA, MU_C_MPA, MU_MICRO_MPA,
                       LAMBDA_MICRO_MPA, L_C_MM, RHO, ETA, ETA_BAR)
@@ -760,6 +762,108 @@ class TestCsvByteContract:
     def test_non_str_cell_is_a_type_error(self):
         with pytest.raises(TypeError):
             _csv_text(["k"], [[0.0]])
+
+
+def _one_repr_per_cell(argv, blocks, branch=None):
+    """The CSV of ``disperse`` over ``blocks``, or of ``modes`` for one
+    ``branch``, from the same ``sweep`` results with one ``repr`` per cell."""
+    args = build_parser().parse_args(argv)
+    cfg = build_config(args)
+    elastic, inertia = cfg.elastic(), cfg.inertia()
+    grid = cfg.grid(elastic, inertia)
+    scale = 1.0 / (2.0 * math.pi) if args.hertz else 1.0
+    lines = [["k", "omega", "dominant_mode", "ratio"] if branch else
+             ["k", "block", "branch_label", "omega", "dominant_mode", "ratio"]]
+    for block in blocks:
+        for b in sweep(cfg.model(), elastic, inertia, block, grid).branches:
+            if branch not in (None, b.label):
+                continue
+            lead = [] if branch else [block.value, b.label]
+            lines += [[repr(k), *lead, repr(w), name, repr(r)]
+                      for k, w, name, r in zip(
+                          grid.values.tolist(), (b.omegas * scale).tolist(),
+                          b.dominant.tolist(), b.ratio.tolist())]
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
+class TestCsvAgainstOneReprPerCell:
+    """``disperse`` and ``modes`` print what formatting every cell on its
+    own prints, where the uncoupled block holds constant columns (flat
+    branches in internal-variable and relaxed-div, all-inf ratios) and
+    byte-equal ones (double roots in the curvature models)."""
+
+    BLOCKS = [WaveBlock.UNCOUPLED, WaveBlock.LONGITUDINAL,
+              WaveBlock.TRANSVERSE]
+
+    @pytest.mark.parametrize("extra", [
+        ["--model", "internal-variable"], ["--model", "relaxed-div"], [],
+        ["--hertz"], ["--model", "internal-variable", "--hertz"],
+        ["--mu-c", "0"]])
+    def test_disperse(self, capsys, extra):
+        argv = ["disperse", "--config", DEMO_CONFIG, *extra]
+        assert run(argv) == 0
+        assert capsys.readouterr().out == _one_repr_per_cell(argv,
+                                                             self.BLOCKS)
+
+    @pytest.mark.parametrize("block, branch, extra", [
+        ("uncoupled", "TSO", []), ("uncoupled", "TRO", ["--hertz"]),
+        ("uncoupled", "TCVO", ["--model", "internal-variable"]),
+        ("transverse", "TA", [])])
+    def test_modes(self, capsys, block, branch, extra):
+        argv = ["modes", "--config", DEMO_CONFIG, "--block", block,
+                "--branch", branch, *extra]
+        assert run(argv) == 0
+        assert capsys.readouterr().out == _one_repr_per_cell(
+            argv, [WaveBlock(block)], branch)
+
+    @pytest.mark.parametrize("model", ["relaxed-curl", "internal-variable"])
+    def test_the_uncoupled_block_repeats_columns(self, model):
+        # the inputs above reach the shared and the constant-column paths
+        args = build_parser().parse_args(
+            ["disperse", "--config", DEMO_CONFIG, "--model", model])
+        cfg = build_config(args)
+        elastic, inertia = cfg.elastic(), cfg.inertia()
+        branches = sweep(cfg.model(), elastic, inertia, WaveBlock.UNCOUPLED,
+                         cfg.grid(elastic, inertia)).branches
+        omegas = [b.omegas.tobytes() for b in branches]
+        assert len(set(omegas)) == 2
+        assert all(np.isinf(b.ratio).all() for b in branches)
+        flat = [np.unique(b.omegas).size == 1 for b in branches]
+        assert all(flat) if model == "internal-variable" else not any(flat)
+
+
+class TestCellFormatter:
+    @staticmethod
+    def one_by_one(column):
+        return [repr(x) for x in column.tolist()]
+
+    @pytest.mark.parametrize("column", [
+        [0.0, -0.0, 0.0], [-0.0] * 4, [0.0] * 4, [math.nan] * 3,
+        [math.inf] * 5, [-math.inf, math.inf], [1.5, 1.5, 2.5],
+        [0.1 + 0.2] * 3, [5e-324, 1.7976931348623157e308]])
+    def test_cells_are_the_reprs(self, column):
+        column = np.array(column)
+        assert _cells(column, {}) == self.one_by_one(column)
+
+    def test_signed_zeros_and_nan_payloads_stay_apart(self):
+        memo = {}
+        zeros, negative_zeros = np.zeros(4), np.full(4, -0.0)
+        assert _cells(zeros, memo) == ["0.0"] * 4
+        assert _cells(negative_zeros, memo) == ["-0.0"] * 4
+        assert len(memo) == 2
+        # two nan payloads: not one bit pattern, still formatted per cell
+        payloads = np.array([math.nan, -math.nan, math.nan])
+        assert len(set(payloads.view(np.int64).tolist())) == 2
+        assert _cells(payloads, memo) == ["nan"] * 3
+
+    def test_byte_equal_columns_share_one_memo_entry(self):
+        memo = {}
+        column = np.linspace(0.0, 1.0, 7)
+        first = _cells(column, memo)
+        assert _cells(column.copy(), memo) is first
+        table = np.column_stack([column, column])   # strided column views
+        assert _cells(table[:, 1], memo) is first
+        assert len(memo) == 1 and first == self.one_by_one(column)
 
 
 class TestHandlerContract:

@@ -1,5 +1,6 @@
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from mmbands.core import ElasticParams, InertiaParams, ModelKind, WaveBlock
 from mmbands.dispersion import default_grid
 from mmbands.eigensolve import (EigenSolution, EigenSolveError,
                                 NegativeEigenvalueError, NotHermitianError,
-                                NotPositiveDefiniteError, general_eig,
-                                general_eig_stack, general_eigvals_stack)
+                                NotPositiveDefiniteError, _reduce,
+                                general_eig, general_eig_stack,
+                                general_eigvals_stack)
 
 from oracles import cubic_pencil_eigenvalues, wide_cone
 
@@ -329,6 +331,46 @@ def test_diagonal_route_matches_the_cholesky_route(model, ref_elastic,
             assert np.array_equal(sol.vectors, ref.vectors[:-1])
             assert np.array_equal(general_eigvals_stack(ks, ms),
                                   general_eigvals_stack(*cholesky_stack)[:-1])
+
+
+def dense_back_transform(ks, ms):
+    """``general_eig_stack`` vectors of a diagonal-mass stack by the dense
+    route: d * (L^-H @ y) with diag(L^-1) made a matrix, and the M-norm
+    taken with the full M, then the same phase rule (first largest); and
+    the plain broadcast d * (diag(L^-1) * y), before normalization."""
+    _, m_stack, d, lower_inv, b = _reduce(ks, ms)
+    assert lower_inv.ndim == 2                  # the diagonal route
+    y = np.linalg.eigh(b)[1]
+    dense_inv = lower_inv[:, :, None] * np.eye(b.shape[-1])
+    vecs = d[:, :, None] * (np.swapaxes(dense_inv, 1, 2) @ y)
+    norm_sq = (vecs * (m_stack @ vecs)).sum(axis=1)
+    vecs /= np.sqrt(norm_sq)[:, None, :]
+    top = np.argmax(np.abs(vecs), axis=1)[:, None, :]
+    pivot = np.take_along_axis(vecs, top, axis=1)
+    return vecs * (pivot / np.abs(pivot)), d[:, :, None] * (
+        lower_inv[:, :, None] * y)
+
+
+def test_row_scaled_back_transform_matches_the_dense_one(ref_elastic,
+                                                         inertia_on):
+    # the diagonal route scales rows instead of multiplying by a dense
+    # diag(L^-1), and normalizes with diag(M): the bytes, signed zeros
+    # included, are the dense route's on stacks with exact-zero components
+    # (k = 0 rows, mu_c = 0); a plain broadcast would differ in the sign
+    # of some zeros
+    zeros = sign_flips = 0
+    for elastic in (ref_elastic, replace(ref_elastic, mu_c=0.0)):
+        k = default_grid(elastic, inertia_on, points=60).values
+        for model in ModelKind:
+            for block in WaveBlock:
+                bs = block_for(model, elastic, inertia_on, block)
+                ks, ms = bs.stiffness_at(k), bs.mass_at(k)
+                want, plain = dense_back_transform(ks, ms)
+                assert (general_eig_stack(ks, ms).vectors.tobytes()
+                        == want.tobytes()), (model, block, elastic)
+                zeros += np.count_nonzero(want == 0.0)
+                sign_flips += np.count_nonzero(np.signbit(plain[plain == 0]))
+    assert zeros > 0 and sign_flips > 0
 
 
 def counted_norms(monkeypatch):
