@@ -109,10 +109,10 @@ def coverage(spectra, omega_ceiling: float, delta_omega: float) -> CoverageMap:
 
     ``spectra`` holds one ``(name, omegas (n_k, 3), bounded (3,))`` per
     block.  A column covers [min, max] of its samples (module docstring),
-    or [min, ceiling] when unbounded.  Binning (x / delta_omega, floored,
-    clipped to the first and last bin) is monotone, so a column covers the
-    bins of its min to its max, and none if its min is at or above the
-    ceiling.
+    or [min, ceiling] when unbounded.  Binning (min(x, ceiling) /
+    delta_omega, floored, clipped to the first and last bin) is monotone,
+    so a column covers the bins of its min to its max, and none if its min
+    is at or above the ceiling.
     """
     _check_axis("omega_ceiling", omega_ceiling)
     _check_axis("delta_omega", delta_omega)
@@ -130,7 +130,8 @@ def coverage(spectra, omega_ceiling: float, delta_omega: float) -> CoverageMap:
             bounded, columns.max(axis=1), omega_ceiling)))
     ranges = np.swapaxes(np.reshape(ranges, (-1, 2, 3)), 1, 2).reshape(-1, 2)
     owner = np.flatnonzero(ranges[:, 0] < omega_ceiling)
-    bins = np.clip(ranges[owner] / delta_omega, 0, n_bins - 1).astype(np.int64)
+    bins = np.clip(np.minimum(ranges[owner], omega_ceiling) / delta_omega, 0,
+                   n_bins - 1).astype(np.int64)
     first, last = bins[np.argsort(bins[:, 0])].T
 
     # a run ends where the next range starts past every bin reached so far

@@ -9,9 +9,9 @@ the inertiae.  Frequencies are emitted in rad/s (``--hertz`` divides by
 2*pi).  Identical inputs produce byte-identical outputs.
 
 Each ``_cmd_*`` handler returns its output text; ``run`` alone writes it
-and maps errors to the exit codes: 0 success, 2 config/usage error
-(including an unreadable or undecodable config file and an unwritable
-``--output``), 3 parameter validation failure, 4 numerical failure.
+and maps errors to exit codes: 0 success, 2 config/usage error (also an
+unreadable config file, an unwritable ``--output`` or a grid too large to
+allocate), 3 parameter validation failure, 4 numerical failure.
 """
 
 import argparse
@@ -466,7 +466,8 @@ def run(argv) -> int:
     except ValidationError as exc:
         print(exc, file=sys.stderr)
         return EXIT_VALIDATION
-    except (ConfigError, DegenerateGridError, FrequencyAxisError) as exc:
+    except (ConfigError, DegenerateGridError, FrequencyAxisError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (EigenSolveError, BlockLeakageError, OverflowError) as exc:

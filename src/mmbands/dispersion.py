@@ -220,18 +220,21 @@ def _continue_branches(overlap: np.ndarray, omegas: np.ndarray):
 def _label_branches(block: WaveBlock, omega0s, vectors0, labels):
     """Eigenpair indices in branch order, and their names, from k = 0.
 
-    Branches go by ascending cut-off, the eigenpair index breaking ties.
-    Uncoupled block: eigenpair i is the micro mode of DOF i, named symmetric
-    shear (TSO), rotational (TRO) or constant-volume (TCVO).  Coupled: of
-    the eigenpairs with omega(0) <= 1e-6 * max(top cut-off, 1 rad/s), the
-    most displacement-like is acoustic (LA/TA) and first, whatever the
-    solver's order at an exact tie (mu_c = 0); the others are optic.
+    Branches go by ascending cut-off.  An uncoupled eigenpair is the micro
+    mode of its dominant DOF, symmetric shear (TSO), rotational (TRO) or
+    constant-volume (TCVO), the DOF index breaking ties (TSO, TCVO at k = 0)
+    whatever the solver's order.  Coupled: the eigenpair index breaks ties;
+    of those with omega(0) <= 1e-6 * max(top cut-off, 1 rad/s), the most
+    displacement-like is acoustic (LA/TA) and first, whatever the solver's
+    order at an exact tie (mu_c = 0); the others are optic.
     """
     n = len(omega0s)
-    order = sorted(range(n), key=lambda j: float(omega0s[j]))
     if block is WaveBlock.UNCOUPLED:
+        dof = np.argmax(np.abs(vectors0), axis=0).tolist()
+        order = sorted(range(n), key=lambda j: (float(omega0s[j]), dof[j]))
         by_dof = {"P_(23)": "TSO", "P_[23]": "TRO", "P_V": "TCVO"}
-        return order, [by_dof[labels[i]] for i in order]
+        return order, [by_dof[labels[dof[j]]] for j in order]
+    order = sorted(range(n), key=lambda j: float(omega0s[j]))
     prefix = "L" if block is WaveBlock.LONGITUDINAL else "T"
     zero = [j for j in order
             if omega0s[j] <= 1e-6 * max(float(np.max(omega0s)), 1.0)]
@@ -250,17 +253,16 @@ def _located(exc, model: ModelKind, block: WaveBlock, k: np.ndarray):
 
 
 def solve_block(model: ModelKind, bs: BlockSystem, k, *,
-                vectors: bool = True, masses=None):
+                vectors: bool = True):
     """Omegas (n_k, 3) and vectors (n_k, 3, 3) of a built block at 1-D k.
 
     Rows ascend for a coupled block; column i of the uncoupled one is micro
     mode i, omega^2 = K_ii / M_ii, under the solver's checks.  Each column
-    is continuous in k.  ``vectors=False`` skips the eigenvectors (None);
-    ``masses`` is ``bs.mass_at(k)``, if known.  Errors name model, block, k.
+    is continuous in k.  ``vectors=False`` skips the eigenvectors (None).
+    Errors name model, block, k.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # the checks name it
-        masses = bs.mass_at(k) if masses is None else masses
-        stiffness = bs.stiffness_at(k)
+        masses, stiffness = bs.mass_at(k), bs.stiffness_at(k)
     try:
         if bs.block is WaveBlock.UNCOUPLED:
             m_diag = positive_mass_diagonal(masses)
@@ -284,22 +286,20 @@ def sweep(model: ModelKind, elastic: ElasticParams, inertia: InertiaParams,
     """Dispersion branches of one block over a wavenumber grid.
 
     A coupled block's eigenpairs are joined by greedy maximal overlap
-    |v_prev^H M v_new| between adjacent grid points: a step whose overlaps
-    are strictly diagonally dominant keeps every eigen-index, and only the
-    others are matched one by one; each uncoupled column is a branch.
-    A zero eigenvector is re-raised with the model, block and k added.
+    |v_prev^T (m * v_new)|, m the diagonal of M, between adjacent grid
+    points: a step whose overlaps are strictly diagonally dominant keeps
+    every eigen-index, and only the others are matched one by one; each
+    uncoupled column is a branch.  Errors name the model, block and k.
     """
     bs = block_for(model, elastic, inertia, block)
-    with np.errstate(over="ignore", invalid="ignore"):  # solve_block names it
-        masses = bs.mass_at(grid.values)
-    omegas, vecs = solve_block(model, bs, grid.values, masses=masses)
+    omegas, vecs = solve_block(model, bs, grid.values)
     order, names = _label_branches(block, omegas[0], vecs[0], bs.labels)
     if block is WaveBlock.UNCOUPLED:
         columns = np.broadcast_to(order, omegas.shape)
     else:
-        # overlap[j - 1, r, c] = |v_r(k_{j-1})^H M(k_j) v_c(k_j)|
-        overlap = np.abs(np.conj(np.swapaxes(vecs[:-1], 1, 2))
-                         @ (masses[1:] @ vecs[1:]))
+        # overlap[j - 1, r, c] = |v_r(k_{j-1})^T M(k_j) v_c(k_j)|
+        m = bs.M0.diagonal() + grid.values[1:, None] ** 2 * bs.M2.diagonal()
+        overlap = np.abs(vecs[:-1].swapaxes(1, 2) @ (m[..., None] * vecs[1:]))
         columns = _continue_branches(overlap, omegas)[:, order]
     rows = np.arange(len(grid))[:, None]
     omegas, vecs = omegas[rows, columns], vecs[rows, :, columns]
@@ -326,10 +326,6 @@ def cutoffs(model: ModelKind, elastic: ElasticParams,
         except EigenSolveError as exc:
             raise _located(exc, model, bs.block, np.zeros(1)) from exc
         omega0, vectors = np.sqrt(sol.omega_sq), sol.vectors
-        if bs.block is WaveBlock.UNCOUPLED:
-            # the diagonal block's eigenpairs in DOF order, as sweep has them
-            dof = np.argsort(np.argmax(np.abs(vectors), axis=0))
-            omega0, vectors = omega0[dof], vectors[:, dof]
         order, names = _label_branches(bs.block, omega0, vectors, bs.labels)
         out[bs.block] = tuple(
             Cutoff(omega=float(omega0[i]), acoustic=name in ("LA", "TA"),

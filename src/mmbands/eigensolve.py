@@ -187,14 +187,14 @@ def general_eig_stack(k_stack: np.ndarray,
     w, y = np.linalg.eigh(b)
     w = clamp_roundoff(w, k_stack, m_stack)
 
-    # back-transform and M-normalize (a diagonal L^-1 or M scales rows, and
+    # back-transform and M-normalize (a diagonal L^-1 and M scale rows, and
     # + 0.0 gives exact zeros the +0.0 of a matmul's zero-started sums), then
     # phase each column by its first largest-magnitude component
     (n, m), m_diag = w.shape, np.diagonal(m_stack, 0, -2, -1)[:, :, None]
     vecs = d[:, :, None] * (lower_inv[:, :, None] * y + 0.0
                             if lower_inv.ndim == 2 else _conj_t(lower_inv) @ y)
-    diagonal = (m_stack[:, ~np.eye(m, dtype=bool)] == 0.0).all()
-    terms = np.conj(vecs) * (m_diag * vecs if diagonal else m_stack @ vecs)
+    terms = np.conj(vecs) * (m_diag * vecs if lower_inv.ndim == 2
+                             else m_stack @ vecs)
     vecs /= np.sqrt(np.real(sum(terms[:, 1:].swapaxes(0, 1),
                                 terms[:, 0])))[:, None, :]
     mags = np.abs(vecs)

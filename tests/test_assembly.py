@@ -373,13 +373,20 @@ class TestUnitTensors:
 
     @pytest.mark.parametrize("model", ALL_MODELS)
     def test_uncoupled_block_exactly_diagonal_over_the_wide_cone(self, model):
+        # every kept block has an exactly diagonal mass (sweep's overlaps
+        # and the solver's diagonal route rely on it), the uncoupled block
+        # an exactly diagonal stiffness as well
+        def diagonal(matrix):
+            return np.array_equal(matrix, np.diag(np.diag(matrix)))
+
         for elastic, inertia in map(as_params, wide_cone(seed=11)):
             assert validate(elastic, inertia).ok
-            uncoupled = model_blocks(model, elastic, inertia)[
-                WaveBlock.UNCOUPLED]
-            for name in ("M0", "M2", "K0", "K1", "K2"):
-                matrix = getattr(uncoupled, name)
-                assert np.array_equal(matrix, np.diag(np.diag(matrix)))
+            blocks = model_blocks(model, elastic, inertia)
+            for block in blocks.values():
+                assert diagonal(block.M0) and diagonal(block.M2), block.block
+            uncoupled = blocks[WaveBlock.UNCOUPLED]
+            for name in ("K0", "K1", "K2"):
+                assert diagonal(getattr(uncoupled, name))
 
     def test_uncoupled_off_diagonal_entry_names_the_matrix(
             self, ref_elastic, inertia_off):

@@ -570,6 +570,56 @@ class TestErrorPaths:
         assert err.startswith(f"error: cannot write {path}: ")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("line, argv, code, err", [
+        ("include_uncoupled = yes", ["gaps"], 0, ""),
+        ("include_uncoupled = off", ["gaps"], 0, ""),
+        ("include_uncoupled = maybe", ["gaps"], 2,
+         "key include_uncoupled: expected a boolean, got 'maybe'"),
+        ("mu_e = 2x", ["gaps"], 2, "key mu_e: expected a number, got '2x'"),
+        ("mu_e 200", ["gaps"], 2, "{path}:14: expected 'key = value'"),
+        ("", ["sweep-param", "--param", "eta_bar_2", "--values", "1,,2"], 2,
+         "--values: expected comma-separated numbers"),
+        ("", ["sweep-param", "--param", "eta_bar_2", "--range", "0:1"], 2,
+         "--range: expected lo:hi:count"),
+        ("", ["sweep-param", "--param", "eta_bar_2", "--range", "0:1:1"], 2,
+         "--range: count must be >= 2"),
+        ("", ["sweep-param", "--param", "eta_bar_2"], 2,
+         "sweep-param needs --values or --range")])
+    def test_config_and_sweep_param_parsing(self, tmp_path, capsys, line,
+                                            argv, code, err):
+        path = tmp_path / "params.cfg"
+        path.write_text(CONFIG_TEXT + line + "\n", encoding="utf-8")
+        assert run([argv[0], "--config", str(path), *argv[1:]]) == code
+        out, got = capsys.readouterr()
+        assert got == (f"error: {err.format(path=path)}\n" if code else "")
+        if code == 0:
+            blocks = json.loads(out)["blocks"]
+            assert ("uncoupled" in blocks) == line.endswith("yes")
+
+    def test_unallocatable_grid_is_a_config_error(self, capsys):
+        # 10**15 points (7 PiB) exceed any address space: numpy refuses
+        # them outright, before anything is allocated
+        code = run(["disperse", "--config", DEMO_CONFIG,
+                    "--grid-points", str(10 ** 15)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Unable to allocate ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["gaps", "--omega-ceiling", "1e-320"],
+        ["sweep-param", "--param", "omega_ceiling", "--values", "1e-320"]])
+    def test_subnormal_omega_ceiling_warns_nothing(self, capsys, argv):
+        # a range above the ceiling over a subnormal bin width overflowed
+        # (a RuntimeWarning, an error under this suite's filters)
+        assert run(argv + ["--config", DEMO_CONFIG]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        if argv[0] == "gaps":
+            assert json.loads(out)["gaps"] == []
+        else:
+            assert out == "param_value,n_gaps,gaps\n1e-320,0,\n"
+
     def test_zero_eigenvector_is_a_numerical_failure(self, monkeypatch,
                                                      capsys):
         solve = mmbands.dispersion.general_eig_stack

@@ -321,6 +321,31 @@ class TestCutoffs:
                     rel=1e-12, abs=1e-6)
 
     @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_uncoupled_names_ignore_the_solver_order(
+            self, model, ref_elastic, inertia_on, monkeypatch):
+        # TSO and TCVO tie exactly at k = 0; a solver that hands back the
+        # uncoupled eigenpairs reversed must give the same table
+        want = cutoffs(model, ref_elastic, inertia_on)
+        uncoupled = block_for(model, ref_elastic, inertia_on,
+                              WaveBlock.UNCOUPLED).stiffness_at(0.0)
+        solve, reversed_calls = mmbands.dispersion.general_eig, []
+
+        def reversing(k_matrix, m_matrix):
+            sol = solve(k_matrix, m_matrix)
+            if not np.array_equal(k_matrix, uncoupled):
+                return sol
+            reversed_calls.append(1)
+            return EigenSolution(sol.omega_sq[::-1], sol.vectors[:, ::-1])
+
+        monkeypatch.setattr(mmbands.dispersion, "general_eig", reversing)
+        got = cutoffs(model, ref_elastic, inertia_on)
+        assert reversed_calls == [1]
+        assert got == want
+        table = got[WaveBlock.UNCOUPLED]
+        assert [c.mode for c in table] == ["P_(23)", "P_V", "P_[23]"]
+        assert table[0].omega == table[1].omega
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
     def test_cutoffs_shared_across_models(self, model, ref_elastic,
                                           inertia_off):
         # every variant's curvature scales with k^2, so the k = 0 spectra
@@ -394,7 +419,7 @@ class TestAsymptotes:
         assert bounded[0] is True
 
     @pytest.mark.parametrize("model", ALL_MODELS)
-    @pytest.mark.parametrize("block", ALL_BLOCKS[:2])
+    @pytest.mark.parametrize("block", [WaveBlock.LONGITUDINAL, WaveBlock.TRANSVERSE])
     def test_top_coupled_column_is_unbounded(self, model, block, ref_elastic,
                                              inertia_off):
         # without gradient inertia the displacement stiffness grows as k^2
@@ -737,6 +762,31 @@ def test_branch_order_matches_sequential_oracle(model, block, inertia,
     # the uncoupled block (an exact double root at every k) is not
     # continued at all
     assert tied_steps == []
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+@pytest.mark.parametrize("block",
+                         [WaveBlock.LONGITUDINAL, WaveBlock.TRANSVERSE])
+def test_wide_cone_branches_match_dense_overlap_oracle(model, block):
+    # sweep forms the overlaps from M's diagonal, the sequential oracle
+    # from the dense |V^T (M V)|; these sets have 7 non-dominant steps
+    for elastic, inertia in wide_cone_params(seed=100)[:6]:
+        grid = default_grid(elastic, inertia, model=model)
+        bs = block_for(model, elastic, inertia, block)
+        masses = bs.mass_at(grid.values)
+        sol = general_eig_stack(bs.stiffness_at(grid.values), masses)
+        omegas, vectors = np.sqrt(sol.omega_sq), sol.vectors
+        overlap = np.abs(np.swapaxes(vectors[:-1], 1, 2)
+                         @ (masses[1:] @ vectors[1:]))
+        columns = np.array(greedy_continuation(overlap, omegas))
+        order, _ = mmbands.dispersion._label_branches(
+            block, omegas[0], vectors[0], bs.labels)
+        curve = sweep(model, elastic, inertia, block, grid)
+        rows = np.arange(len(grid))
+        for b, branch in zip(order, curve.branches):
+            assert np.array_equal(branch.omegas, omegas[rows, columns[:, b]])
+            assert np.array_equal(branch.vectors,
+                                  vectors[rows, :, columns[:, b]])
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)
