@@ -40,14 +40,8 @@ DOF_NAMES = ("u1", "u2", "u3",
 _I3 = np.eye(3)
 _E1 = np.array([1.0, 0.0, 0.0])
 
-_SQRT2 = np.sqrt(2.0)
-_SQRT3 = np.sqrt(3.0)
-_SQRT6 = np.sqrt(6.0)
-
 # off-block or imaginary magnitude, relative to the matrix maximum, that fails
 LEAK_REL_TOL = 1e-12
-# unit-tensor entries below this magnitude are roundoff of exact zeros
-UNIT_SNAP_TOL = 1e-12
 
 _MATRICES = ("M0", "M2", "K0", "K1", "K2")
 _STIFFNESS = np.array([[[name[0] == "K"]] for name in _MATRICES])
@@ -217,13 +211,13 @@ def assemble_full(model: ModelKind, elastic: ElasticParams,
 
 
 def _build_block_basis() -> tuple[np.ndarray, tuple]:
-    """Rows of the unitary change of basis, grouped by block.
+    """Integer rows of the block change of basis, grouped by block.
 
     The displacement enters in quadrature (coefficient i), the
     micro-distortion through its spherical part P_S, the diagonal
     deviatoric combinations P_D and P_V, and the symmetric / skew
-    off-diagonal pairs P_(ij) / P_[ij]; the normalizations make the matrix
-    unitary so eigenvector components stay comparable across DOFs.
+    off-diagonal pairs P_(ij) / P_[ij].  The rows over their norms give
+    the unitary ``_BLOCK_T``, so eigenvector components stay comparable.
     """
     def unit(coeffs):
         return np.array([coeffs.get(name, 0) for name in DOF_NAMES], complex)
@@ -231,25 +225,27 @@ def _build_block_basis() -> tuple[np.ndarray, tuple]:
     blocks = (
         (WaveBlock.LONGITUDINAL, ("u1", "P_S", "P_D"), (
             unit({"u1": 1j}),
-            unit({"P11": 1 / _SQRT3, "P22": 1 / _SQRT3, "P33": 1 / _SQRT3}),
-            unit({"P11": 2 / _SQRT6, "P22": -1 / _SQRT6, "P33": -1 / _SQRT6}),
+            unit({"P11": 1, "P22": 1, "P33": 1}),
+            unit({"P11": 2, "P22": -1, "P33": -1}),
         )),
         *((WaveBlock.TRANSVERSE, (f"u{a}", f"P_(1{a})", f"P_[1{a}]"), (
             unit({f"u{a}": 1j}),
-            unit({f"P1{a}": 1 / _SQRT2, f"P{a}1": 1 / _SQRT2}),
-            unit({f"P1{a}": 1 / _SQRT2, f"P{a}1": -1 / _SQRT2}),
+            unit({f"P1{a}": 1, f"P{a}1": 1}),
+            unit({f"P1{a}": 1, f"P{a}1": -1}),
         )) for a in "23"),
         (WaveBlock.UNCOUPLED, ("P_(23)", "P_[23]", "P_V"), (
-            unit({"P23": 1 / _SQRT2, "P32": 1 / _SQRT2}),
-            unit({"P23": 1 / _SQRT2, "P32": -1 / _SQRT2}),
-            unit({"P22": 1 / _SQRT2, "P33": -1 / _SQRT2}),
+            unit({"P23": 1, "P32": 1}),
+            unit({"P23": 1, "P32": -1}),
+            unit({"P22": 1, "P33": -1}),
         )),
     )
     return (np.array([r for _, _, rs in blocks for r in rs]),
             tuple((kind, labels) for kind, labels, _ in blocks))
 
 
-_BLOCK_T, _BLOCK_META = _build_block_basis()
+_BLOCK_ROWS, _BLOCK_META = _build_block_basis()
+_BLOCK_NORMS = np.linalg.norm(_BLOCK_ROWS, axis=1)
+_BLOCK_T = _BLOCK_ROWS / _BLOCK_NORMS[:, None]
 # the uncoupled modes never couple: that block counts as three 1x1 blocks
 _OFF_BLOCK = np.kron(np.diag([1, 1, 1, 0]), np.ones((3, 3))) + np.eye(12) == 0
 _BLOCKS = np.arange(4)
@@ -300,7 +296,6 @@ def block_decompose(system: FullSystem) -> tuple[BlockSystem, ...]:
     return _split(_BLOCK_T @ _stacked(system) @ _BLOCK_T.conj().T)
 
 
-@functools.cache
 def _unit_tensor(model: ModelKind) -> np.ndarray:
     """(11, 5, 12, 12): block-basis M0..K2 at each unit coefficient.
 
@@ -308,10 +303,10 @@ def _unit_tensor(model: ModelKind) -> np.ndarray:
     eta_bar.  The stiffness takes only the moduli and the mass only the
     inertiae, so assembly c gives the stiffness of modulus c and the mass
     of inertia c; mu_e L_c^2 is unit mu_e at L_c = 1 minus L_c = 0 (exact).
-    Each exact entry is 0 or at least 1/3 in magnitude, but the change of
-    basis leaves up to 4.9e-17 (and asymmetries up to 4.5e-17) where it is
-    0, which the coefficients scale into false eigenvalues: entries below
-    ``UNIT_SNAP_TOL`` are set to 0, and each unit made exactly symmetric.
+    The integer rows transform these assemblies exactly (a u row is the
+    single term i, and P rows combine only integer entries), so off-block
+    and imaginary entries are 0 and each unit is symmetric, with no
+    cleanup; the row norms are divided out after, row then column.
     """
     pairs = [(ElasticParams(*row, L_c=0.0), InertiaParams(*row))
              for row in np.eye(5)]
@@ -319,9 +314,8 @@ def _unit_tensor(model: ModelKind) -> np.ndarray:
     full = np.array([_stacked(assemble_full(model, *pair)) for pair in pairs])
     full[5] -= full[0] * _STIFFNESS
     units = np.concatenate([full * _STIFFNESS, full[:5] * ~_STIFFNESS])
-    units = _BLOCK_T @ units @ _BLOCK_T.conj().T
-    units[np.abs(units) < UNIT_SNAP_TOL] = 0.0
-    return 0.5 * (units + np.swapaxes(units, -1, -2))
+    units = _BLOCK_ROWS @ units @ _BLOCK_ROWS.conj().T
+    return units / _BLOCK_NORMS[:, None] / _BLOCK_NORMS
 
 
 @functools.cache

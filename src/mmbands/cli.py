@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 
 from .assembly import BlockLeakageError
-from .bandgap import (COMPLETE, FrequencyAxisError, default_omega_ceiling,
-                      detect_gaps, gap_reports)
+from .bandgap import (COMPLETE, FrequencyAxisError, _check_axis,
+                      default_omega_ceiling, detect_gaps, gap_reports)
 from .core import (ElasticParams, InertiaParams, ModelKind, WaveBlock,
                    homogenize, validate, PA_PER_MPA)
 from .dispersion import (DEFAULT_GRID_POINTS, DegenerateGridError, KGrid,
@@ -125,7 +125,7 @@ def parse_config_file(path: str) -> dict:
     """Read a flat key = value file; unknown keys are rejected."""
     values = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
@@ -399,6 +399,7 @@ def _cmd_plot(cfg: RunConfig, args) -> str:
     ceiling = cfg.values.get("omega_ceiling")
     if ceiling is None:
         ceiling = default_omega_ceiling(model, elastic, inertia)
+    _check_axis("omega_ceiling", ceiling)
     return render_dispersion_svg(curves, grid, ceiling, *_omega_scale(args))
 
 

@@ -265,6 +265,7 @@ def solve_block(model: ModelKind, bs: BlockSystem, k, *,
         masses, stiffness = bs.mass_at(k), bs.stiffness_at(k)
     try:
         if bs.block is WaveBlock.UNCOUPLED:
+            assert_finite(masses, "mass matrix of pencil")
             m_diag = positive_mass_diagonal(masses)
             with np.errstate(over="ignore"):
                 omega_sq = np.diagonal(stiffness, axis1=1, axis2=2) / m_diag

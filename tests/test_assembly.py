@@ -335,7 +335,7 @@ class TestBlockDecomposition:
             block_decompose(corrupted)
 
 
-CACHED = (mmbands.assembly._unit_tensor, mmbands.assembly._block_tensor)
+CACHED = mmbands.assembly._block_tensor
 
 
 def as_params(kwargs):
@@ -407,6 +407,19 @@ class TestUnitTensors:
         assert np.all((mags == 0.0) | (mags >= 1.0 / 3.0))
         assert np.array_equal(units, np.swapaxes(units, -1, -2))
 
+    def test_block_basis_is_integer_rows_over_their_norms(self):
+        # integer rows make the unit tensors exact with no roundoff cleanup
+        rows = mmbands.assembly._BLOCK_ROWS
+        u_rows = rows[:, :3].any(axis=1)
+        assert np.array_equal(rows[u_rows][:, :3], 1j * np.eye(3))
+        assert not rows[u_rows][:, 3:].any()
+        assert not rows[~u_rows].imag.any()
+        assert np.array_equal(rows.real, np.round(rows.real))
+        squares = np.sum(np.abs(rows) ** 2, axis=1)
+        assert sorted(set(squares)) == [1.0, 2.0, 3.0, 6.0]
+        norms = np.sqrt(squares)
+        assert np.array_equal(block_basis(), rows / norms[:, None])
+
     @pytest.mark.parametrize("overflow", [{"L_c": 1e197},
                                           {"mu_e": 1e306, "L_c": 100.0}])
     def test_overflowing_curvature_modulus_is_named(self, ref_elastic,
@@ -454,9 +467,8 @@ class TestUnitTensors:
 
     @staticmethod
     def clear_caches():
-        # the cached functions themselves, even while a test patches them
-        for cached in CACHED:
-            cached.cache_clear()
+        # the cached function itself, even while a test patches _unit_tensor
+        CACHED.cache_clear()
 
     def test_built_once_per_model(self, monkeypatch, ref_elastic, inertia_on):
         calls, checks = [], []
@@ -560,10 +572,9 @@ class TestUnitTensors:
 
     def test_not_built_at_import(self):
         code = ("import mmbands, mmbands.assembly as a; "
-                "print(a._unit_tensor.cache_info().currsize, "
-                "a._block_tensor.cache_info().currsize)")
+                "print(a._block_tensor.cache_info().currsize)")
         src = str(Path(mmbands.assembly.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True, env=env).stdout
-        assert out.split() == ["0", "0"]
+        assert out.split() == ["0"]

@@ -560,6 +560,32 @@ class TestErrorPaths:
             f"error: cannot read config file {bad}: 'utf-8' codec can't "
             "decode byte 0xff in position 20: invalid start byte\n"))
 
+    def test_undecodable_config_file_with_byte_order_mark(self, tmp_path,
+                                                          capsys):
+        # the mark is skipped, and the invalid byte still named
+        bad = tmp_path / "latin1.cfg"
+        bad.write_bytes(b"\xef\xbb\xbfmodel = relaxed-curl\xff\n")
+        assert run(["gaps", "--config", str(bad)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: cannot read config file {bad}: 'utf-8' codec can't "
+            "decode byte 0xff in position 20: invalid start byte\n"))
+
+    @pytest.mark.parametrize("text", [
+        Path(DEMO_CONFIG).read_text("utf-8"), CONFIG_TEXT.split("\n", 1)[1]],
+        ids=["comment-first", "key-first"])
+    def test_config_file_with_byte_order_mark(self, tmp_path, capsys, text):
+        # as Windows editors save UTF-8; the mark was read as part of the
+        # first line, a comment in demo.cfg, a key in the other
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        outputs = []
+        for path in (plain, marked):
+            assert run(["gaps", "--config", str(path)]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] and outputs[0].err == ""
+
     @pytest.mark.parametrize("command", COMMANDS)
     def test_unwritable_output(self, tmp_path, capsys, command):
         path = tmp_path / "missing-dir" / "out"
@@ -651,6 +677,19 @@ class TestErrorPaths:
         assert err.startswith("error: ")
         assert flag[2:].replace("-", "_") in err
 
+    @pytest.mark.parametrize("value", ["0", "nan", "-1", "inf"])
+    def test_bad_plot_ceiling(self, tmp_path, capsys, value):
+        # plot used to raise ZeroDivisionError at 0 and draw nan or
+        # negative axes for the others
+        path = tmp_path / "bad.svg"
+        code = run(["plot", "--config", DEMO_CONFIG, "--grid-points", "50",
+                    "--output", str(path), "--omega-ceiling", value])
+        assert code == 2
+        assert capsys.readouterr() == ("", (
+            f"error: omega_ceiling must be finite and > 0, got "
+            f"{float(value)!r}\n"))
+        assert not path.exists()
+
 
 class TestNonFiniteInputs:
     @pytest.mark.parametrize("command, flag, value, check", [
@@ -716,12 +755,16 @@ class TestNonFiniteInputs:
          "(mu_e = 2e+08 Pa, L_c = 1e+197 m)"),
         (["gaps", "--block", "uncoupled", "--mu-e", "1e300"],
          "relaxed-curl, uncoupled block, k = 0 rad/m: "
-         "equilibrated pencil 0 is not finite")])
+         "equilibrated pencil 0 is not finite"),
+        (["disperse", "--k-max", "1e308", "--grid-points", "50"],
+         "relaxed-curl, uncoupled block, k = 2.04082e+306 rad/m: "
+         "mass matrix of pencil 1 is not finite")])
     def test_overflowing_matrix_or_modulus_is_named(self, argv, message):
         # an inf mass entry used to slip past the Hermitian check (inf - inf
         # is nan) after three RuntimeWarnings, L_c**2 raised a bare
-        # OverflowError, and K_ii / M_ii of the uncoupled closed form
-        # overflowed with a warning; each is now one specific line
+        # OverflowError, K_ii / M_ii of the uncoupled closed form
+        # overflowed with a warning, and its nan mass (k^2 = inf times 0)
+        # was called "not positive"; each is now one specific line
         proc = self.fresh_run(argv)
         assert proc.returncode == 4
         assert proc.stderr == f"numerical failure: {message}\n"

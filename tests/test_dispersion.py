@@ -646,6 +646,21 @@ def test_uncoupled_closed_form_overflow_is_named(ref_elastic, inertia_off):
     assert info.value.index == 0
 
 
+def test_uncoupled_closed_form_nan_mass_is_named(ref_elastic, inertia_on):
+    # k^2 overflows and times the zero M2 gives nan, which was reported as
+    # a mass diagonal entry "nan ... which is not positive"
+    model = ModelKind.RELAXED_CURL
+    bs = block_for(model, ref_elastic, inertia_on, WaveBlock.UNCOUPLED)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EigenSolveError) as info:
+            solve_block(model, bs, [0.0, 1e200], vectors=False)
+    assert str(info.value) == ("relaxed-curl, uncoupled block, "
+                               "k = 1e+200 rad/m: "
+                               "mass matrix of pencil 1 is not finite")
+    assert info.value.index == 1
+
+
 def test_solve_block_rows_are_independent_of_the_other_wavenumbers(
         ref_elastic, inertia_on):
     # the k = 0 row of a grid solve is the one-point k = 0 solve, bit for
