@@ -112,7 +112,8 @@ def coverage(spectra, omega_ceiling: float, delta_omega: float) -> CoverageMap:
     or [min, ceiling] when unbounded.  Binning (min(x, ceiling) /
     delta_omega, floored, clipped to the first and last bin) is monotone,
     so a column covers the bins of its min to its max, and none if its min
-    is at or above the ceiling.
+    is at or above the ceiling.  Columns are reduced in numpy; their few
+    ranges are binned, sorted and merged as Python numbers.
     """
     _check_axis("omega_ceiling", omega_ceiling)
     _check_axis("delta_omega", delta_omega)
@@ -122,39 +123,39 @@ def coverage(spectra, omega_ceiling: float, delta_omega: float) -> CoverageMap:
             f"delta_omega {delta_omega!r} gives over 2**53 bins")
     n_bins = math.ceil(omega_ceiling / delta_omega)
 
-    spectra = list(spectra)
-    ranges = []
+    spectra, ranges = list(spectra), []
     for _, omegas, bounded in spectra:
         columns = np.transpose(omegas).copy()   # rows: fast to reduce
-        ranges.append((columns.min(axis=1), np.where(
-            bounded, columns.max(axis=1), omega_ceiling)))
-    ranges = np.swapaxes(np.reshape(ranges, (-1, 2, 3)), 1, 2).reshape(-1, 2)
-    owner = np.flatnonzero(ranges[:, 0] < omega_ceiling)
-    bins = np.clip(np.minimum(ranges[owner], omega_ceiling) / delta_omega, 0,
-                   n_bins - 1).astype(np.int64)
-    first, last = bins[np.argsort(bins[:, 0])].T
+        ranges += zip(columns.min(axis=1).tolist(), np.where(
+            bounded, columns.max(axis=1), omega_ceiling).tolist())
+    owners = [c for c, (lo, _) in enumerate(ranges) if lo < omega_ceiling]
+    owner_bins = [[int(min(max(min(x, omega_ceiling) / delta_omega, 0.0),
+                           n_bins - 1)) for x in ranges[c]] for c in owners]
 
     # a run ends where the next range starts past every bin reached so far
-    reach = np.maximum.accumulate(last)
-    breaks = first[1:] > reach[:-1] + 1
-    starts = np.concatenate([first[:1], first[1:][breaks]])
-    ends = np.concatenate([reach[:-1][breaks], reach[-1:]])
-    runs = np.column_stack([starts, ends])
-    return CoverageMap(omega_ceiling, delta_omega, n_bins, runs,
-                       tuple(name for name, _, _ in spectra), owner, bins)
+    runs = []
+    for first, last in sorted(owner_bins):
+        if not runs or first > runs[-1][1] + 1:
+            runs.append([first, last])
+        runs[-1][1] = max(runs[-1][1], last)
+    return CoverageMap(omega_ceiling, delta_omega, n_bins,
+                       np.array(runs, np.int64).reshape(-1, 2),
+                       tuple(name for name, _, _ in spectra),
+                       np.array(owners, np.int64),
+                       np.array(owner_bins, np.int64).reshape(-1, 2))
 
 
 def gaps_from_coverage(cov: CoverageMap, min_gap_width: float) -> tuple[Gap, ...]:
     """Maximal empty intervals of a coverage map, at bin resolution."""
     _check_axis("min_gap_width", min_gap_width, zero_ok=True)
-    # the holes around the runs, as [first bin, end bin) pairs
-    holes = np.column_stack([np.concatenate([[0], cov.runs[:, 1] + 1]),
-                             np.concatenate([cov.runs[:, 0], [cov.n_bins]])])
-    edges = holes[holes[:, 0] < holes[:, 1]] * cov.delta_omega
-    edges[:, 1] = np.minimum(edges[:, 1], cov.omega_ceiling)
-    wide = edges[:, 1] - edges[:, 0] >= min_gap_width
-    return tuple(Gap(omega_lo=lo, omega_hi=hi)
-                 for lo, hi in edges[wide].tolist())
+    # the holes around the runs, from the bin after a run to the next start
+    bounds, gaps = [-1, *cov.runs.ravel().tolist(), cov.n_bins], []
+    delta, ceiling = float(cov.delta_omega), float(cov.omega_ceiling)
+    for last, end in zip(bounds[::2], bounds[1::2]):
+        lo, hi = (last + 1) * delta, min(end * delta, ceiling)
+        if last + 1 < end and hi - lo >= min_gap_width:
+            gaps.append(Gap(omega_lo=lo, omega_hi=hi))
+    return tuple(gaps)
 
 
 def _solved(store: dict, model, bs, k) -> np.ndarray:

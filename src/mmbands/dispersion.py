@@ -50,6 +50,8 @@ class KGrid:
         object.__setattr__(self, "values", v)
         if v.ndim != 1 or v.size < 50:
             raise DegenerateGridError("grid needs at least 50 points")
+        if not np.isfinite(v).all():
+            raise DegenerateGridError("grid values must be finite")
         if v[0] != 0.0:
             raise DegenerateGridError("grid must start at k = 0")
         if not np.all(np.diff(v) > 0.0):
@@ -170,11 +172,11 @@ def detect_asymptote(omegas: np.ndarray, grid: KGrid):
         raise DegenerateGridError(
             "asymptote detection needs >= 10 samples in the top decade")
     ref = np.argmin(np.abs(k - 0.8 * grid.k_max))
-    end, at_ref = np.asarray(omegas, dtype=float)[[-1, ref]]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        flat = np.where(end > 0.0, abs(end - at_ref) / end < ASYMPTOTE_REL_TOL,
-                        (end == 0.0) & (at_ref == 0.0))
-    return bool(flat) if flat.ndim == 0 else flat
+    omegas = np.asarray(omegas, dtype=float)
+    ends, at_ref = omegas[[-1, ref]].reshape(2, -1).tolist()
+    flat = np.array([abs(e - r) / e < ASYMPTOTE_REL_TOL if e > 0.0 else
+                     e == r == 0.0 for e, r in zip(ends, at_ref)], dtype=bool)
+    return bool(flat[0]) if omegas.ndim == 1 else flat.reshape(omegas[0].shape)
 
 
 def _greedy_overlap_match(overlap: np.ndarray, omegas_new: np.ndarray):

@@ -6,7 +6,7 @@ vectorised pass of numpy's LAPACK drivers:
 1. the diagonal congruence D = diag(M)^-1/2 equilibrates each pencil, so
    the equilibrated mass has a unit diagonal whatever the physical scale of
    its degrees of freedom (the eigenvalues are unchanged);
-2. a factor M_eq = L L^H, diag(M_eq)^1/2 if every M_eq is diagonal, else
+2. a factor M_eq = L L^H, diag(M_eq)^1/2 if every M is diagonal, else
    Cholesky, reduces it to the standard Hermitian problem B = L^-1 K_eq L^-H;
 3. ``general_eig_stack`` diagonalizes B with ``np.linalg.eigh``, carries
    the eigenvectors back through D L^-H (a row scaling if L is diagonal),
@@ -129,28 +129,28 @@ def clamp_roundoff(w: np.ndarray, k_stack, m_stack) -> np.ndarray:
 
 def _reduce(k_stack, m_stack):
     """Checked K and M as arrays, D, L^-1 and B, made exactly Hermitian;
-    an overflow past the equilibration is a non-finite B.  A diagonal
-    M_eq (every off-diagonal entry 0) gives L^-1 as its (n, m) diagonal
-    and B elementwise on flattened pencils, rounded as the products are,
-    and skips the pivot floor: M_ii > 0, so pivot^2 = M_ii d_i^2 is within
-    ulps of 1, or inf where d_i^2 overflows and B is non-finite."""
+    an overflow past the equilibration is a non-finite B.  A diagonal M
+    (every off-diagonal entry 0) gives L^-1 as its (n, m) diagonal and B
+    by broadcasting, rounded as the products are, and skips the pivot
+    floor: M_ii > 0, so pivot^2 = M_ii d_i^2 is within ulps of 1, or inf
+    where d_i^2 overflows and B is non-finite."""
     dtype = np.result_type(np.asarray(k_stack), np.asarray(m_stack), float)
     k_stack, m_stack = np.asarray(k_stack, dtype), np.asarray(m_stack, dtype)
+    if k_stack.ndim != 3 or m_stack.shape != k_stack.shape:
+        raise ValueError(f"mass of shape {m_stack.shape} does not fit a "
+                         f"stiffness stack of shape {k_stack.shape}")
     _assert_hermitian(k_stack, "stiffness matrix")
     _assert_hermitian(m_stack, "mass matrix")
-
-    n, m = m_stack.shape[0], m_stack.shape[-1]
-    row, col = np.divmod(np.arange(m * m), m)   # entry (row, col) of m x m
-    d = 1.0 / np.sqrt(positive_mass_diagonal(m_stack))
+    m_diag = positive_mass_diagonal(m_stack)
+    d = 1.0 / np.sqrt(m_diag)
     with np.errstate(over="ignore", invalid="ignore"):
-        congruence = d[:, row] * d[:, col]
-        m_eq = m_stack.reshape(n, m * m) * congruence
-        k_eq = k_stack.reshape(n, m * m) * congruence
-        if (m_eq[:, row != col] == 0.0).all():  # a nan is off this route
-            lower_inv = 1.0 / np.sqrt(np.real(m_eq[:, ::m + 1]))
-            b = lower_inv[:, row] * k_eq * lower_inv[:, col]
+        congruence = d[:, :, None] * d[:, None, :]
+        k_eq = k_stack * congruence
+        if not m_stack[:, ~np.eye(m_stack.shape[-1], dtype=bool)].any():
+            lower_inv = 1.0 / np.sqrt(m_diag * (d * d))
+            b = lower_inv[:, :, None] * k_eq * lower_inv[:, None, :]
         else:
-            m_eq, k_eq = m_eq.reshape(n, m, m), k_eq.reshape(n, m, m)
+            m_eq = m_stack * congruence
             try:
                 lower = np.linalg.cholesky(m_eq)
                 quantity = "Cholesky pivot"
@@ -168,10 +168,9 @@ def _reduce(k_stack, m_stack):
                     f"{worst[i]:g}, at or below the floor {PIVOT_REL_TOL:g}",
                     i)
             lower_inv = np.linalg.inv(lower)
-            b = (lower_inv @ k_eq @ _conj_t(lower_inv)).reshape(n, m * m)
-    assert_finite(b, "equilibrated pencil", axis=-1)
-    b = 0.5 * (b + np.conj(b[:, col * m + row]))
-    return k_stack, m_stack, d, lower_inv, b.reshape(n, m, m)
+            b = lower_inv @ k_eq @ _conj_t(lower_inv)
+    assert_finite(b, "equilibrated pencil")
+    return k_stack, m_stack, d, lower_inv, 0.5 * (b + _conj_t(b))
 
 
 def general_eig_stack(k_stack: np.ndarray,

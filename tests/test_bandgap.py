@@ -101,6 +101,22 @@ class TestCoverage:
         cov = coverage([], self.CEILING, self.DELTA)
         assert cov.runs.shape == (0, 2) and cov.edge_tags == ()
 
+    @pytest.mark.parametrize("levels, runs, owners", [
+        ((), 0, 0),                                     # no spectra
+        ((2.0e6, 3.0e6, 4.0e6), 0, 0),                  # all above the top
+        ((1.0e5, 2.0e6, 1.0e5), 1, 2),
+        ((1.0e5, 5.0e5, 9.0e5, 1.0e5, 2.0e6, 5.0e5), 3, 5)])
+    def test_arrays_are_int64_of_fixed_shapes(self, levels, runs, owners):
+        spectra = [spectrum([np.full(60, x) for x in levels[i:i + 3]],
+                            (True,) * 3, name)
+                   for i, name in zip(range(0, len(levels), 3), "LT")]
+        cov = coverage(spectra, self.CEILING, self.DELTA)
+        assert cov.runs.dtype == cov.owners.dtype == np.int64
+        assert cov.owner_bins.dtype == np.int64
+        assert cov.runs.shape == (runs, 2)
+        assert cov.owners.shape == (owners,)
+        assert cov.owner_bins.shape == (owners, 2)
+
     def test_spectra_may_be_any_iterable(self):
         spectra = [spectrum([np.full(60, 4.0e5)] * 3, (True,) * 3)]
         cov = coverage(iter(spectra), self.CEILING, self.DELTA)

@@ -758,7 +758,17 @@ class TestNonFiniteInputs:
          "equilibrated pencil 0 is not finite"),
         (["disperse", "--k-max", "1e308", "--grid-points", "50"],
          "relaxed-curl, uncoupled block, k = 2.04082e+306 rad/m: "
-         "mass matrix of pencil 1 is not finite")])
+         "mass matrix of pencil 1 is not finite"),
+        (["gaps", "--eta-bar-2", "1e300"],
+         "relaxed-curl, transverse block, k = 19047.6 rad/m: "
+         "mass matrix of pencil 76 is not finite"),
+        (["disperse", "--eta-bar-1", "1e300", "--grid-points", "50"],
+         "relaxed-curl, longitudinal block, k = 18367.3 rad/m: "
+         "mass matrix of pencil 9 is not finite"),
+        (["modes", "--block", "uncoupled", "--branch", "TSO",
+          "--eta", "1e-320"],
+         "relaxed-curl, uncoupled block, k = 0 rad/m: "
+         "equilibrated pencil 0 is not finite")])
     def test_overflowing_matrix_or_modulus_is_named(self, argv, message):
         # an inf mass entry used to slip past the Hermitian check (inf - inf
         # is nan) after three RuntimeWarnings, L_c**2 raised a bare
@@ -783,7 +793,8 @@ class TestNonFiniteInputs:
         # the overflow happens past the equilibration, where the solver
         # reports it as a non-finite pencil: stderr is that one line.  With
         # both masses subnormal, 0 * inf puts nan off the diagonal of M_eq,
-        # which sends the stack down the Cholesky route
+        # but the solver reads diagonality off M itself, whose off-diagonal
+        # zeros keep the stack on the diagonal route
         proc = self.fresh_run(argv)
         assert proc.returncode == 4
         assert proc.stderr == ("numerical failure: relaxed-curl, "

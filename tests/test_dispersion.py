@@ -92,6 +92,15 @@ class TestKGrid:
         with pytest.raises(DegenerateGridError):
             KGrid(values=values)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_values_must_be_finite(self, bad):
+        # an inf end used to pass and fail later in the solver as a
+        # non-finite stiffness; a nan as "not strictly increasing"
+        values = np.r_[np.linspace(0.0, 1.0e5, 59), bad]
+        with pytest.raises(DegenerateGridError,
+                           match="^grid values must be finite$"):
+            KGrid(values=values)
+
     def test_default_grid_spans_hundred_lengths(self, ref_elastic):
         grid = default_grid(ref_elastic)
         assert grid.k_max == pytest.approx(100.0 / ref_elastic.L_c)
@@ -472,6 +481,36 @@ class TestAsymptotes:
                                  np.array([1.0e5])])
         with pytest.raises(DegenerateGridError):
             detect_asymptote(np.full(56, 1.0), KGrid(values=values))
+
+    # (omega at k_max, omega at the reference row) of engineered columns
+    ENGINEERED = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (-1.0, -1.0),
+                  (np.nan, 1.0), (1.0, np.nan), (np.nan, np.nan),
+                  (np.inf, 1.0), (1.0, np.inf), (np.inf, np.inf),
+                  (1.0e5, 1.0e5), (1.0e-320, 1.0e-320), (1.0e-320, 1.0e300),
+                  # a change of exactly ASYMPTOTE_REL_TOL, and just below it
+                  (1000.0, 999.0), (1000.0, 1001.0), (1000.0, 999.0000001)]
+
+    def test_engineered_columns_match_the_column_formula(self):
+        grid = KGrid.linear(1.0e5, 60)
+        ref = int(np.argmin(np.abs(grid.values - 0.8 * grid.k_max)))
+        ends, at_ref = np.array(self.ENGINEERED).T
+        with np.errstate(all="ignore"):
+            want = np.where(ends > 0.0, np.abs(ends - at_ref) / ends
+                            < mmbands.dispersion.ASYMPTOTE_REL_TOL,
+                            (ends == 0.0) & (at_ref == 0.0))
+        assert want[-3:].tolist() == [False, False, True]
+        columns = np.full((60, len(ends)), 5.0)
+        columns[-1], columns[ref] = ends, at_ref
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            flags = detect_asymptote(columns, grid)
+            singles = [detect_asymptote(c, grid) for c in columns.T]
+        assert flags.dtype == bool and flags.shape == (len(ends),)
+        assert flags.tolist() == want.tolist() == singles
+        assert all(type(flag) is bool for flag in singles)
+        # trailing axes keep their shape, one verdict per entry
+        cube = detect_asymptote(columns.reshape(60, 4, -1), grid)
+        assert cube.tolist() == want.reshape(4, -1).tolist()
 
     def test_saturation_levels_match_large_k_reduction(self, ref_elastic,
                                                        inertia_off):

@@ -262,6 +262,9 @@ FAILING_PENCILS = {
     "non-finite B": (np.diag([1e10, 1.0, 1.0]), np.diag([1e-300, 1.0, 1.0])),
     # d_0^2 = 1 / 1e-320 overflows, so M_eq[0, 0] and B are not finite
     "subnormal mass": (np.eye(3), np.diag([1e-320, 1.0, 1.0])),
+    # d_0 d_1 overflows too: judged diagonal on M itself, not on M_eq
+    # (where 0 * inf is nan), the pencil stays on the diagonal route
+    "two subnormal masses": (np.eye(3), np.diag([1e-320, 1e-320, 1.0])),
     "negative eigenvalue": (-np.eye(3), np.eye(3)),
     "non-finite K": (np.diag([1.0, np.nan, 1.0]), np.eye(3)),
     "non-finite M": (np.eye(3), np.diag([np.inf, 1.0, 1.0])),
@@ -331,6 +334,23 @@ def test_diagonal_route_matches_the_cholesky_route(model, ref_elastic,
             assert np.array_equal(sol.vectors, ref.vectors[:-1])
             assert np.array_equal(general_eigvals_stack(ks, ms),
                                   general_eigvals_stack(*cholesky_stack)[:-1])
+
+
+@pytest.mark.parametrize("k_shape, m_shape", [
+    ((4, 3, 3), (3, 3)),        # one shared mass matrix
+    ((1, 3, 3), (3, 3)),        # would broadcast K to three pencils
+    ((3, 3, 3), (3, 3)),
+    ((4, 3, 3), (4, 3)),        # (n, m) diagonals are not a mass stack
+    ((4, 3, 3), (5, 3, 3)),
+    ((3, 3), (3, 3))])          # a single pencil, not a stack
+def test_mass_of_another_shape_is_rejected(k_shape, m_shape):
+    ks = np.broadcast_to(np.eye(3), k_shape[:-2] + (3, 3))[..., :k_shape[-1]]
+    ms = np.ones(m_shape)
+    for solve in (general_eig_stack, general_eigvals_stack):
+        with pytest.raises(ValueError, match=re.escape(
+                f"mass of shape {m_shape} does not fit a stiffness stack "
+                f"of shape {k_shape}")):
+            solve(ks, ms)
 
 
 def dense_back_transform(ks, ms):
@@ -428,7 +448,8 @@ CHECK_ORDER = {
     "non-finite K": 0, "non-Hermitian K": 1, "non-finite M": 2,
     "non-Hermitian M": 3, "non-positive mass diagonal": 4,
     "no Cholesky factor": 5, "Cholesky pivot floor": 5,
-    "non-finite B": 6, "subnormal mass": 6, "negative eigenvalue": 7}
+    "non-finite B": 6, "subnormal mass": 6, "two subnormal masses": 6,
+    "negative eigenvalue": 7}
 STACK_SIZE = 400
 
 
