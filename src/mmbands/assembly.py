@@ -24,7 +24,8 @@ period).  As K1 is imaginary and couples only u with P, and the other
 matrices are real without u-P entries, every block is real symmetric.
 The system is linear in eleven coefficients, so ``model_blocks`` contracts
 them with per-model unit tensors, built once from ``assemble_full`` and
-checked once, keeping one block per ``WaveBlock`` kind.
+checked once, keeping one block per ``WaveBlock`` kind.  Every block is
+checked again when built (``BlockSystem``), so its solves do not scan it.
 """
 
 import functools
@@ -48,7 +49,7 @@ _STIFFNESS = np.array([[[name[0] == "K"]] for name in _MATRICES])
 
 
 class BlockLeakageError(Exception):
-    """Transformed system has off-block or imaginary entries above tolerance."""
+    """A block system has off-block, imaginary or asymmetric entries."""
 
 
 def _sym(x):
@@ -164,10 +165,31 @@ class FullSystem(_KPolynomial):
 
 @dataclass(frozen=True)
 class BlockSystem(_KPolynomial):
-    """One 3x3 diagonal block of the transformed system (real, float64)."""
+    """One 3x3 diagonal block of the transformed system (real, float64),
+    checked when built for the structure its solves rely on: M0 and M2, and
+    all of an uncoupled block, exactly diagonal; K0, K1 and K2 symmetric to
+    ``LEAK_REL_TOL`` of their largest magnitude (non-finite entries are the
+    solver's to name).  A failure raises BlockLeakageError."""
 
     block: WaveBlock
     labels: tuple[str, str, str]
+
+    def __post_init__(self):
+        for name in _MATRICES:
+            rows = getattr(self, name).tolist()
+            (_, a, b), (c, _, d), (e, f, _) = rows
+            diagonal = name[0] == "M" or self.block is WaveBlock.UNCOUPLED
+            if (any((a, b, c, d, e, f)) if diagonal else (a, b, d) != (c, e, f)
+                    and max(abs(a - c), abs(b - e), abs(d - f))
+                    > LEAK_REL_TOL * max(map(abs, sum(rows, [])))):
+                raise BlockLeakageError(
+                    f"{self.block.value} block: {name} is not "
+                    + ("diagonal" if diagonal else "symmetric"))
+
+    def mass_diagonal_at(self, k) -> np.ndarray:
+        """The (n_k, 3) diagonals of ``mass_at`` at 1-D k, bit for bit."""
+        k = np.asarray(k, dtype=float)[:, None]
+        return self.M0.diagonal() + (k * k) * self.M2.diagonal()
 
 
 def assemble_full(model: ModelKind, elastic: ElasticParams,
@@ -248,6 +270,8 @@ _BLOCK_NORMS = np.linalg.norm(_BLOCK_ROWS, axis=1)
 _BLOCK_T = _BLOCK_ROWS / _BLOCK_NORMS[:, None]
 # the uncoupled modes never couple: that block counts as three 1x1 blocks
 _OFF_BLOCK = np.kron(np.diag([1, 1, 1, 0]), np.ones((3, 3))) + np.eye(12) == 0
+# and in M0 and M2, which are diagonal, every variable is a 1x1 block
+_DROPPED = np.where(_STIFFNESS, _OFF_BLOCK, ~np.eye(12, dtype=bool))
 _BLOCKS = np.arange(4)
 # the blocks model_blocks keeps (2 repeats 1) and the coefficients it contracts
 _KEPT = np.array([0, 1, 3])
@@ -266,12 +290,13 @@ def _split(transformed: np.ndarray) -> tuple[BlockSystem, ...]:
 
     An off-block or imaginary entry above ``LEAK_REL_TOL`` times its
     matrix's largest magnitude raises BlockLeakageError naming the matrix;
-    smaller ones are dropped, so the uncoupled block is exactly diagonal.
+    smaller ones are dropped, so the masses and the uncoupled block are
+    exactly diagonal.
     """
     mags = np.abs(transformed)
     scale = mags.max(axis=(1, 2))
     for what, worst in (
-            ("off-block magnitude", np.where(_OFF_BLOCK, mags, 0.0)),
+            ("off-block magnitude", np.where(_DROPPED, mags, 0.0)),
             ("imaginary part", np.abs(transformed.imag))):
         worst = worst.max(axis=(1, 2))
         bad = np.flatnonzero(worst > LEAK_REL_TOL * scale)
@@ -281,7 +306,7 @@ def _split(transformed: np.ndarray) -> tuple[BlockSystem, ...]:
                 f"{_MATRICES[i]} {what} {worst[i]:g} exceeds "
                 f"{LEAK_REL_TOL:g} * {scale[i]:g}")
     # diagonal[b, m] is the 3x3 block b of matrix m
-    diagonal = np.where(_OFF_BLOCK, 0.0, transformed.real).reshape(
+    diagonal = np.where(_DROPPED, 0.0, transformed.real).reshape(
         5, 4, 3, 4, 3)[:, _BLOCKS, :, _BLOCKS]
     return tuple(BlockSystem(*diagonal[b], *meta)
                  for b, meta in enumerate(_BLOCK_META))
@@ -351,7 +376,7 @@ def model_blocks(model: ModelKind, elastic: ElasticParams,
                 f"finite (mu_e = {el.mu_e:g} Pa, L_c = {el.L_c:g} m)")
         bad = ", ".join(np.compress(~finite, _COEFFICIENTS))
         raise ValueError(f"{model.value}: coefficient {bad} is not finite")
-    blocks = np.tensordot(coefficients, units, axes=1).real.reshape(3, 5, 3, 3)
+    blocks = (coefficients @ units).real.reshape(3, 5, 3, 3)
     return {_BLOCK_META[b][0]: BlockSystem(*matrices, *_BLOCK_META[b])
             for b, matrices in zip(_KEPT, blocks)}
 

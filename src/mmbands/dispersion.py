@@ -18,7 +18,7 @@ import numpy as np
 from .assembly import BlockSystem, block_for, model_blocks
 from .core import ElasticParams, InertiaParams, ModelKind, WaveBlock
 from .eigensolve import (EigenSolveError, assert_finite, clamp_roundoff,
-                         general_eig, general_eig_stack, general_eigvals_stack,
+                         _reduce_diagonal, _solution, general_eig,
                          positive_mass_diagonal)
 
 # Ratio of the two largest eigenvector magnitudes below which no single
@@ -261,24 +261,21 @@ def solve_block(model: ModelKind, bs: BlockSystem, k, *,
     Rows ascend for a coupled block; column i of the uncoupled one is micro
     mode i, omega^2 = K_ii / M_ii, under the solver's checks.  Each column
     is continuous in k.  ``vectors=False`` skips the eigenvectors (None).
+    The masses enter as the diagonals that ``BlockSystem`` checks they are.
     Errors name model, block, k.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # the checks name it
-        masses, stiffness = bs.mass_at(k), bs.stiffness_at(k)
+        m_diag, stiffness = bs.mass_diagonal_at(k), bs.stiffness_at(k)
     try:
-        if bs.block is WaveBlock.UNCOUPLED:
-            assert_finite(masses, "mass matrix of pencil")
-            m_diag = positive_mass_diagonal(masses)
-            with np.errstate(over="ignore"):
-                omega_sq = np.diagonal(stiffness, axis1=1, axis2=2) / m_diag
-            assert_finite(omega_sq, "equilibrated pencil", axis=-1)
-            omega_sq = clamp_roundoff(omega_sq, stiffness, masses)
-            vecs = np.eye(3) / np.sqrt(m_diag)[:, None] if vectors else None
-        elif vectors:
-            sol = general_eig_stack(stiffness, masses)
-            omega_sq, vecs = sol.omega_sq, sol.vectors
-        else:
-            omega_sq, vecs = general_eigvals_stack(stiffness, masses), None
+        if bs.block is not WaveBlock.UNCOUPLED:
+            sol = _solution(*_reduce_diagonal(stiffness, m_diag), vectors)
+            return np.sqrt(sol.omega_sq), sol.vectors
+        m_diag = positive_mass_diagonal(m_diag)
+        with np.errstate(over="ignore"):
+            omega_sq = np.diagonal(stiffness, axis1=1, axis2=2) / m_diag
+        assert_finite(omega_sq, "equilibrated pencil", axis=-1)
+        omega_sq = clamp_roundoff(omega_sq, stiffness, m_diag)
+        vecs = np.eye(3) / np.sqrt(m_diag)[:, None] if vectors else None
     except EigenSolveError as exc:
         raise _located(exc, model, bs.block, k) from exc
     return np.sqrt(omega_sq), vecs
@@ -301,7 +298,7 @@ def sweep(model: ModelKind, elastic: ElasticParams, inertia: InertiaParams,
         columns = np.broadcast_to(order, omegas.shape)
     else:
         # overlap[j - 1, r, c] = |v_r(k_{j-1})^T M(k_j) v_c(k_j)|
-        m = bs.M0.diagonal() + grid.values[1:, None] ** 2 * bs.M2.diagonal()
+        m = bs.mass_diagonal_at(grid.values[1:])
         overlap = np.abs(vecs[:-1].swapaxes(1, 2) @ (m[..., None] * vecs[1:]))
         columns = _continue_branches(overlap, omegas)[:, order]
     rows = np.arange(len(grid))[:, None]

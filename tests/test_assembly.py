@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 
 import mmbands.assembly
-from mmbands.assembly import (BlockLeakageError, FullSystem, assemble_full,
-                              block_basis, block_decompose, block_for,
-                              curl_x1_coefficient, div_x1_coefficient,
-                              model_blocks, DOF_NAMES)
+from mmbands.assembly import (LEAK_REL_TOL, BlockLeakageError, FullSystem,
+                              assemble_full, block_basis, block_decompose,
+                              block_for, curl_x1_coefficient,
+                              div_x1_coefficient, model_blocks, DOF_NAMES)
 from mmbands.core import (ElasticParams, InertiaParams, ModelKind, WaveBlock,
                           validate)
+from mmbands.dispersion import solve_block
+from mmbands.eigensolve import EigenSolveError
 
 from oracles import wide_cone, wide_cone_set
 
@@ -333,6 +335,96 @@ class TestBlockDecomposition:
                                K1=system.K1, K2=system.K2)
         with pytest.raises(BlockLeakageError):
             block_decompose(corrupted)
+
+
+class TestBlockStructure:
+    """A BlockSystem is checked once, when built, for the structure its
+    solves rely on: symmetric stiffnesses, diagonal masses, and an
+    uncoupled block diagonal throughout."""
+
+    @pytest.mark.parametrize("block, name, i, j, message", [
+        (WaveBlock.LONGITUDINAL, "M0", 1, 2, "M0 is not diagonal"),
+        (WaveBlock.TRANSVERSE, "M2", 0, 2, "M2 is not diagonal"),
+        (WaveBlock.LONGITUDINAL, "K1", 0, 1, "K1 is not symmetric"),
+        (WaveBlock.TRANSVERSE, "K0", 2, 1, "K0 is not symmetric"),
+        (WaveBlock.UNCOUPLED, "K2", 0, 1, "K2 is not diagonal")])
+    def test_hand_built_block_of_another_structure_is_named(
+            self, ref_elastic, inertia_on, block, name, i, j, message):
+        # solved, these would give a wrong spectrum with no error: the
+        # solves read the mass diagonals and symmetrize B
+        bs = block_for(ModelKind.RELAXED_CURL, ref_elastic, inertia_on, block)
+        bad = getattr(bs, name).copy()
+        bad[i, j] += 1e-3 * float(np.max(np.abs(bad)))
+        with pytest.raises(BlockLeakageError, match=(
+                f"^{block.value} block: {message}$")):
+            replace(bs, **{name: bad})
+        # the mirrored entry too: a symmetric stiffness passes, except in
+        # the uncoupled block
+        bad[j, i] = bad[i, j]
+        if name[0] == "M" or block is WaveBlock.UNCOUPLED:
+            with pytest.raises(BlockLeakageError, match="is not diagonal$"):
+                replace(bs, **{name: bad})
+        else:
+            assert replace(bs, **{name: bad}).block is block
+
+    def test_stiffness_asymmetry_up_to_the_leak_tolerance_passes(
+            self, ref_elastic, inertia_on):
+        bs = block_for(ModelKind.RELAXED_CURL, ref_elastic, inertia_on,
+                       WaveBlock.LONGITUDINAL)
+        scale = float(np.max(np.abs(bs.K0)))
+        for excess, fails in ((1.0, False), (1.5, True)):
+            bad = bs.K0.copy()
+            bad[0, 1] = bad[1, 0] + excess * LEAK_REL_TOL * scale
+            if fails:
+                with pytest.raises(BlockLeakageError, match="K0 is not sy"):
+                    replace(bs, K0=bad)
+            else:
+                replace(bs, K0=bad)
+
+    def test_non_finite_stiffness_is_left_to_the_solver(
+            self, ref_elastic, inertia_on):
+        # an overflowing contraction can put nan or inf at mirrored entries;
+        # the build passes them and the solve names the non-finite pencil
+        model = ModelKind.RELAXED_CURL
+        bs = block_for(model, ref_elastic, inertia_on, WaveBlock.LONGITUDINAL)
+        for pair in ((math.nan, math.nan), (math.nan, 1.0), (math.inf, 1.0)):
+            bad = bs.K1.copy()
+            bad[0, 1], bad[1, 0] = pair
+            with pytest.raises(EigenSolveError, match=(
+                    "longitudinal block, k = 0 rad/m: stiffness matrix of "
+                    "pencil 0 is not finite$")):
+                solve_block(model, replace(bs, K1=bad), np.arange(3.0))
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_mass_diagonals_are_those_of_the_mass(self, model, ref_elastic,
+                                                  inertia_on):
+        k = np.linspace(0.0, 1e5, 60)
+        for bs in model_blocks(model, ref_elastic, inertia_on).values():
+            assert (bs.mass_diagonal_at(k).tobytes()
+                    == np.diagonal(bs.mass_at(k), 0, 1, 2).tobytes())
+
+    @pytest.mark.parametrize("name, i, j, message", [
+        # inside a transverse block
+        ("K0", "P12", "P21", "^transverse block: K0 is not symmetric$"),
+        # inside the longitudinal one
+        ("M0", "P11", "P22", "^M0 off-block")])
+    def test_decomposed_blocks_keep_the_structure(
+            self, ref_elastic, inertia_on, name, i, j, message):
+        # the masses' roundoff off the diagonal is dropped, so every
+        # decomposed block passes the check; a real asymmetry, or a mass
+        # entry off the diagonal, is named
+        system = assemble_full(ModelKind.RELAXED_CURL, ref_elastic,
+                               inertia_on)
+        for bs in block_decompose(system):
+            for matrix in (bs.M0, bs.M2):
+                assert np.array_equal(matrix, np.diag(np.diag(matrix)))
+        bad = getattr(system, name).copy()
+        i, j = DOF_NAMES.index(i), DOF_NAMES.index(j)
+        bad[i, j] += 1e-6 * float(np.max(np.abs(bad)))
+        if name == "M0":
+            bad[j, i] = bad[i, j]
+        with pytest.raises(BlockLeakageError, match=message):
+            block_decompose(replace(system, **{name: bad}))
 
 
 CACHED = mmbands.assembly._block_tensor

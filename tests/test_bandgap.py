@@ -314,12 +314,19 @@ class TestDetectGaps:
         def forbidden(*args, **kwargs):
             raise AssertionError("gap detection needs eigenvalues only")
 
-        for name in ("cutoffs", "general_eig", "general_eig_stack"):
+        def eigenvalues_only(*args):   # the reduced stack, then vectors
+            assert args[5:] == (False,), "gap detection needs eigenvalues only"
+            return solution(*args)
+
+        solution = mmbands.dispersion._solution
+        for name in ("cutoffs", "general_eig"):
             monkeypatch.setattr(mmbands.dispersion, name, forbidden)
             monkeypatch.setattr(mmbands.bandgap, name, forbidden,
                                 raising=False)
         monkeypatch.setattr(mmbands.eigensolve, "general_eig_stack",
                             forbidden)
+        monkeypatch.setattr(mmbands.dispersion, "_solution",
+                            eigenvalues_only)
         assert reports() == want
 
     @pytest.mark.parametrize("seed, index, model", [

@@ -648,14 +648,14 @@ class TestErrorPaths:
 
     def test_zero_eigenvector_is_a_numerical_failure(self, monkeypatch,
                                                      capsys):
-        solve = mmbands.dispersion.general_eig_stack
+        solution = mmbands.dispersion._solution
 
-        def zero_column_solve(k_stack, m_stack):
-            sol = solve(k_stack, m_stack)
+        def zero_column_solve(*reduced):
+            sol = solution(*reduced)
             sol.vectors[3, :, 0] = 0.0
             return sol
 
-        monkeypatch.setattr(mmbands.dispersion, "general_eig_stack",
+        monkeypatch.setattr(mmbands.dispersion, "_solution",
                             zero_column_solve)
         code = run(["disperse", "--config", DEMO_CONFIG,
                     "--grid-points", "60"])
@@ -762,6 +762,16 @@ class TestNonFiniteInputs:
         (["gaps", "--eta-bar-2", "1e300"],
          "relaxed-curl, transverse block, k = 19047.6 rad/m: "
          "mass matrix of pencil 76 is not finite"),
+        (["gaps", "--mu-e", "1e300"],
+         "relaxed-curl, longitudinal block, k = 250.627 rad/m: "
+         "stiffness matrix of pencil 1 is not finite"),
+        # the second value fails after the first value's blocks are stored
+        (["sweep-param", "--param", "eta_bar_2", "--values", "0.1,1e300"],
+         "relaxed-curl, transverse block, k = 19047.6 rad/m: "
+         "mass matrix of pencil 76 is not finite"),
+        (["sweep-param", "--param", "eta_bar_1", "--values", "0.1,1e300"],
+         "relaxed-curl, longitudinal block, k = 16541.4 rad/m: "
+         "mass matrix of pencil 66 is not finite"),
         (["disperse", "--eta-bar-1", "1e300", "--grid-points", "50"],
          "relaxed-curl, longitudinal block, k = 18367.3 rad/m: "
          "mass matrix of pencil 9 is not finite"),
@@ -776,7 +786,7 @@ class TestNonFiniteInputs:
         # overflowed with a warning, and its nan mass (k^2 = inf times 0)
         # was called "not positive"; each is now one specific line
         proc = self.fresh_run(argv)
-        assert proc.returncode == 4
+        assert (proc.returncode, proc.stdout) == (4, "")
         assert proc.stderr == f"numerical failure: {message}\n"
 
     def test_model_without_curvature_ignores_an_overflowing_l_c(self):

@@ -1,3 +1,4 @@
+import re
 import warnings
 from dataclasses import replace
 
@@ -6,8 +7,8 @@ import pytest
 
 import mmbands.dispersion
 import mmbands.eigensolve
-from mmbands.assembly import block_for
-from mmbands.bandgap import _spectrum
+from mmbands.assembly import block_for, model_blocks
+from mmbands.bandgap import _spectrum, detect_gaps
 from mmbands.core import (ElasticParams, InertiaParams, ModelKind, WaveBlock,
                           homogenize, validate)
 from mmbands.dispersion import (MODE_RATIO_THRESHOLD, DegenerateGridError,
@@ -15,7 +16,8 @@ from mmbands.dispersion import (MODE_RATIO_THRESHOLD, DegenerateGridError,
                                 classify_mode_stack, cutoffs, default_grid,
                                 detect_asymptote, solve_block, sweep)
 from mmbands.eigensolve import (EigenSolution, EigenSolveError,
-                                NotPositiveDefiniteError, general_eig_stack)
+                                NotPositiveDefiniteError, general_eig_stack,
+                                general_eigvals_stack)
 
 from oracles import (classify_vector, cubic_pencil_eigenvalues,
                      greedy_continuation, wide_cone)
@@ -654,11 +656,10 @@ class TestSweepInvariants:
 
 def test_sweep_error_names_model_block_and_k(monkeypatch, ref_elastic,
                                             inertia_on):
-    def failing_solve(k_stack, m_stack):
+    def failing_solve(*reduced):
         raise NotPositiveDefiniteError("mass matrix of pencil 7 failed", 7)
 
-    monkeypatch.setattr(mmbands.dispersion, "general_eig_stack",
-                        failing_solve)
+    monkeypatch.setattr(mmbands.dispersion, "_solution", failing_solve)
     grid = KGrid.linear(1.0e5, 60)
     with pytest.raises(NotPositiveDefiniteError) as info:
         sweep(ModelKind.RELAXED_DIV, ref_elastic, inertia_on,
@@ -700,6 +701,73 @@ def test_uncoupled_closed_form_nan_mass_is_named(ref_elastic, inertia_on):
     assert info.value.index == 1
 
 
+def outcome(solve):
+    """A solve's (omegas, vectors), or its error as (type, message, index)."""
+    try:
+        return solve()
+    except EigenSolveError as exc:
+        return type(exc), str(exc), exc.index
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+def test_block_solve_is_the_dense_solve_byte_for_byte(
+        model, ref_elastic, inertia_off, inertia_on):
+    # solve_block reads the mass diagonals and skips the Hermitian scans:
+    # each coupled block's omegas and vectors are the bytes of the dense
+    # (n, 3, 3) solve, and each error its error, over the reference sets and
+    # wide_cone(100) and (101); 11 relaxed-curl and 4 relaxed-div block
+    # solves meet a negative eigenvalue at k up to 1e8
+    sets = [(ref_elastic, inertia_off), (ref_elastic, inertia_on)] + [
+        (ElasticParams(**e), InertiaParams(**i))
+        for seed in (100, 101) for e, i in wide_cone(seed, 24)]
+    failures = 0
+    for elastic, inertia in sets:
+        grid = default_grid(elastic, inertia, model=model).values
+        for bs in list(model_blocks(model, elastic, inertia).values())[:2]:
+            for k, vectors in ((grid, False), (grid, True),
+                               (KGrid.linear(1e8, 400).values, False)):
+                ks, ms = bs.stiffness_at(k), bs.mass_at(k)
+                dense = (general_eig_stack if vectors else
+                         general_eigvals_stack)
+                want = outcome(lambda: dense(ks, ms))
+                got = outcome(lambda: solve_block(model, bs, k,
+                                                  vectors=vectors))
+                if isinstance(want, tuple):
+                    failures += 1
+                    assert got[0] is want[0] and got[2] == want[2]
+                    assert got[1].endswith(f" rad/m: {want[1]}")
+                    continue
+                omega_sq = want.omega_sq if vectors else want
+                assert got[0].tobytes() == np.sqrt(omega_sq).tobytes()
+                assert (got[1].tobytes() == want.vectors.tobytes()
+                        if vectors else got[1] is None)
+    assert failures == {ModelKind.RELAXED_CURL: 11,
+                        ModelKind.RELAXED_DIV: 4}.get(model, 0)
+
+
+def test_first_block_error_wins_when_both_fail(ref_elastic, inertia_on):
+    # lambda_e = -1e9 fails the longitudinal block at the clamp, the
+    # solver's last check, and eta_bar_2 = 1e300 the transverse block at
+    # its mass, an earlier check: the report names the longitudinal block,
+    # which it solves first
+    model = ModelKind.RELAXED_CURL
+    elastic = replace(ref_elastic, lambda_e=-1e9)
+    inertia = replace(inertia_on, eta_bar_2=1e300)
+    k = default_grid(elastic).values
+    errors = []
+    for bs in list(model_blocks(model, elastic, inertia).values())[:2]:
+        with pytest.raises(EigenSolveError) as info:
+            solve_block(model, bs, k, vectors=False)
+        errors.append((str(info.value), info.value.index))
+    lon_error = ("relaxed-curl, longitudinal block, k = 0 rad/m: eigenvalue "
+                 "-2.1e+11 of pencil 0 below -1e-09 * |K|/|M|")
+    assert errors == [(lon_error, 0), (
+        "relaxed-curl, transverse block, k = 19047.6 rad/m: "
+        "mass matrix of pencil 76 is not finite", 76)]
+    with pytest.raises(EigenSolveError, match=f"^{re.escape(lon_error)}$"):
+        detect_gaps(model, elastic, inertia)
+
+
 def test_solve_block_rows_are_independent_of_the_other_wavenumbers(
         ref_elastic, inertia_on):
     # the k = 0 row of a grid solve is the one-point k = 0 solve, bit for
@@ -721,26 +789,27 @@ def test_acoustic_label_ignores_the_order_of_tied_zero_roots(
     # with mu_c = 0, u2 and the micro-rotation P_[12] are an exact double
     # root at k = 0; swapping the two tied eigenpairs must not move TA
     elastic = replace(ref_elastic, mu_c=0.0)
-    solve = mmbands.eigensolve.general_eig_stack
     swaps = []
 
-    def swapped_solve(k_stack, m_stack):
-        sol = solve(k_stack, m_stack)
-        w, v = sol.omega_sq.copy(), sol.vectors.copy()
-        if w[0, 0] == w[0, 1] == 0.0:
-            swaps.append(len(w))
-            w[0] = w[0, [1, 0, 2]]
-            v[0] = v[0][:, [1, 0, 2]]
-        return EigenSolution(omega_sq=w, vectors=v)
+    def swapped(solve):
+        def swapped_solve(*args):
+            sol = solve(*args)
+            w, v = sol.omega_sq.copy(), sol.vectors.copy()
+            if w[0, 0] == w[0, 1] == 0.0:
+                swaps.append(len(w))
+                w[0] = w[0, [1, 0, 2]]
+                v[0] = v[0][:, [1, 0, 2]]
+            return EigenSolution(omega_sq=w, vectors=v)
+        return swapped_solve
 
     grid = KGrid.linear(1.0e5, 60)
     results = []
     for patched in (False, True):
         if patched:
-            monkeypatch.setattr(mmbands.eigensolve, "general_eig_stack",
-                                swapped_solve)
-            monkeypatch.setattr(mmbands.dispersion, "general_eig_stack",
-                                swapped_solve)
+            for module, name in ((mmbands.eigensolve, "general_eig_stack"),
+                                 (mmbands.dispersion, "_solution")):
+                monkeypatch.setattr(module, name,
+                                    swapped(getattr(module, name)))
         curve = sweep(model, elastic, inertia_off, WaveBlock.TRANSVERSE,
                       grid)
         table = cutoffs(model, elastic, inertia_off)
@@ -756,15 +825,14 @@ def test_acoustic_label_ignores_the_order_of_tied_zero_roots(
 
 def test_sweep_zero_vector_names_model_block_and_k(monkeypatch, ref_elastic,
                                                    inertia_on):
-    solve = mmbands.dispersion.general_eig_stack
+    solution = mmbands.dispersion._solution
 
-    def zero_column_solve(k_stack, m_stack):
-        sol = solve(k_stack, m_stack)
+    def zero_column_solve(*reduced):
+        sol = solution(*reduced)
         sol.vectors[7, :, 1] = 0.0
         return sol
 
-    monkeypatch.setattr(mmbands.dispersion, "general_eig_stack",
-                        zero_column_solve)
+    monkeypatch.setattr(mmbands.dispersion, "_solution", zero_column_solve)
     grid = KGrid.linear(1.0e5, 60)
     with pytest.raises(ZeroVectorError) as info:
         sweep(ModelKind.RELAXED_DIV, ref_elastic, inertia_on,

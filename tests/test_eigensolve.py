@@ -358,12 +358,12 @@ def dense_back_transform(ks, ms):
     route: d * (L^-H @ y) with diag(L^-1) made a matrix, and the M-norm
     taken with the full M, then the same phase rule (first largest); and
     the plain broadcast d * (diag(L^-1) * y), before normalization."""
-    _, m_stack, d, lower_inv, b = _reduce(ks, ms)
-    assert lower_inv.ndim == 2                  # the diagonal route
+    _, m_diag, d, lower_inv, b = _reduce(ks, ms)
+    assert m_diag.ndim == lower_inv.ndim == 2   # the diagonal route
     y = np.linalg.eigh(b)[1]
     dense_inv = lower_inv[:, :, None] * np.eye(b.shape[-1])
     vecs = d[:, :, None] * (np.swapaxes(dense_inv, 1, 2) @ y)
-    norm_sq = (vecs * (m_stack @ vecs)).sum(axis=1)
+    norm_sq = (vecs * (ms @ vecs)).sum(axis=1)
     vecs /= np.sqrt(norm_sq)[:, None, :]
     top = np.argmax(np.abs(vecs), axis=1)[:, None, :]
     pivot = np.take_along_axis(vecs, top, axis=1)
@@ -438,7 +438,8 @@ def test_clamp_norms_only_the_rows_with_a_negative_eigenvalue(monkeypatch):
         assert w[4].tolist() == [0.0, 0.75, 1.0]
         assert np.array_equal(w[:4], w[5:].repeat(4, axis=0))
     assert len(normed) == 4
-    for a, b in zip(normed, [ks, ms, ks, ms]):
+    m_diag = np.diagonal(ms, 0, 1, 2)   # the diagonal route norms diag(M)
+    for a, b in zip(normed, [ks, m_diag, ks, m_diag]):
         assert np.array_equal(a, b[4:5])
 
 
