@@ -268,11 +268,10 @@ def _build_block_basis() -> tuple[np.ndarray, tuple]:
 _BLOCK_ROWS, _BLOCK_META = _build_block_basis()
 _BLOCK_NORMS = np.linalg.norm(_BLOCK_ROWS, axis=1)
 _BLOCK_T = _BLOCK_ROWS / _BLOCK_NORMS[:, None]
-# the uncoupled modes never couple: that block counts as three 1x1 blocks
-_OFF_BLOCK = np.kron(np.diag([1, 1, 1, 0]), np.ones((3, 3))) + np.eye(12) == 0
-# and in M0 and M2, which are diagonal, every variable is a 1x1 block
-_DROPPED = np.where(_STIFFNESS, _OFF_BLOCK, ~np.eye(12, dtype=bool))
-_BLOCKS = np.arange(4)
+# the one mask of the entries off the blocks: the uncoupled modes never
+# couple, and M0 and M2 are diagonal, so those count as 1x1 blocks
+_DROPPED = (np.kron(np.diag([1, 1, 1, 0]), np.ones((3, 3))) * _STIFFNESS
+            + np.eye(12) == 0)
 # the blocks model_blocks keeps (2 repeats 1) and the coefficients it contracts
 _KEPT = np.array([0, 1, 3])
 _COEFFICIENTS = ("mu_e", "lambda_e", "mu_c", "mu_micro", "lambda_micro",
@@ -307,7 +306,7 @@ def _split(transformed: np.ndarray) -> tuple[BlockSystem, ...]:
                 f"{LEAK_REL_TOL:g} * {scale[i]:g}")
     # diagonal[b, m] is the 3x3 block b of matrix m
     diagonal = np.where(_DROPPED, 0.0, transformed.real).reshape(
-        5, 4, 3, 4, 3)[:, _BLOCKS, :, _BLOCKS]
+        5, 4, 3, 4, 3)[:, np.arange(4), :, np.arange(4)]
     return tuple(BlockSystem(*diagonal[b], *meta)
                  for b, meta in enumerate(_BLOCK_META))
 
@@ -346,10 +345,10 @@ def _unit_tensor(model: ModelKind) -> np.ndarray:
 @functools.cache
 def _block_tensor(model: ModelKind) -> np.ndarray:
     """(11, 135): ``_unit_tensor`` in the kept blocks, too small for OpenBLAS
-    to thread.  Any nonzero off-block or imaginary unit entry raises
-    BlockLeakageError; without one, no finite contraction has one either."""
+    to thread.  A nonzero imaginary unit entry, or one that ``_split`` drops,
+    raises BlockLeakageError; without one, no finite contraction has one."""
     units = _unit_tensor(model)
-    if units.imag.any() or units[:, :, _OFF_BLOCK].any():
+    if units.imag.any() or units[:, _DROPPED].any():
         raise BlockLeakageError(f"{model.value}: a unit tensor has an "
                                 "off-block or imaginary entry")
     kept = units.reshape(11, 5, 4, 3, 4, 3)[:, :, _KEPT, :, _KEPT]

@@ -41,10 +41,7 @@ _ELASTIC_KEYS = ("mu_e", "lambda_e", "mu_c", "mu_micro", "lambda_micro", "L_c")
 _INERTIA_KEYS = ("rho", "eta", "eta_bar_1", "eta_bar_2", "eta_bar_3")
 _FLOAT_KEYS = _ELASTIC_KEYS + _INERTIA_KEYS + (
     "k_max", "omega_ceiling", "delta_omega", "min_gap_width")
-_INT_KEYS = ("grid_points",)
-_BOOL_KEYS = ("include_uncoupled",)
-_STR_KEYS = ("model",)
-_ALL_KEYS = _FLOAT_KEYS + _INT_KEYS + _BOOL_KEYS + _STR_KEYS
+_ALL_KEYS = _FLOAT_KEYS + ("grid_points", "include_uncoupled", "model")
 
 _BLOCK_ORDER = (WaveBlock.UNCOUPLED, WaveBlock.LONGITUDINAL,
                 WaveBlock.TRANSVERSE)
@@ -108,15 +105,15 @@ class RunConfig:
 
 
 def _parse_scalar(key: str, raw: str):
-    if key in _STR_KEYS:
+    if key == "model":
         return raw
-    if key in _BOOL_KEYS:
+    if key == "include_uncoupled":
         low = raw.lower()
         if low in ("true", "1", "yes", "on", "false", "0", "no", "off"):
             return low in ("true", "1", "yes", "on")
         raise ConfigError(f"key {key}: expected a boolean, got {raw!r}")
     try:
-        return (int if key in _INT_KEYS else float)(raw)
+        return (int if key == "grid_points" else float)(raw)
     except ValueError:
         raise ConfigError(f"key {key}: expected a number, got {raw!r}")
 

@@ -285,22 +285,19 @@ def sweep(model: ModelKind, elastic: ElasticParams, inertia: InertiaParams,
           block: WaveBlock, grid: KGrid) -> DispersionCurve:
     """Dispersion branches of one block over a wavenumber grid.
 
-    A coupled block's eigenpairs are joined by greedy maximal overlap
-    |v_prev^T (m * v_new)|, m the diagonal of M, between adjacent grid
-    points: a step whose overlaps are strictly diagonally dominant keeps
-    every eigen-index, and only the others are matched one by one; each
-    uncoupled column is a branch.  Errors name the model, block and k.
+    Eigenpairs are joined by greedy maximal overlap |v_prev^T (m * v_new)|,
+    m the diagonal of M, between adjacent grid points: a step whose overlaps
+    are strictly diagonally dominant keeps every eigen-index, only the others
+    are matched one by one, and the uncoupled block's vectors e_i / sqrt(m_i)
+    make every step dominant.  Errors name the model, block and k.
     """
     bs = block_for(model, elastic, inertia, block)
     omegas, vecs = solve_block(model, bs, grid.values)
     order, names = _label_branches(block, omegas[0], vecs[0], bs.labels)
-    if block is WaveBlock.UNCOUPLED:
-        columns = np.broadcast_to(order, omegas.shape)
-    else:
-        # overlap[j - 1, r, c] = |v_r(k_{j-1})^T M(k_j) v_c(k_j)|
-        m = bs.mass_diagonal_at(grid.values[1:])
-        overlap = np.abs(vecs[:-1].swapaxes(1, 2) @ (m[..., None] * vecs[1:]))
-        columns = _continue_branches(overlap, omegas)[:, order]
+    # overlap[j - 1, r, c] = |v_r(k_{j-1})^T M(k_j) v_c(k_j)|
+    m = bs.mass_diagonal_at(grid.values[1:])
+    overlap = np.abs(vecs[:-1].swapaxes(1, 2) @ (m[..., None] * vecs[1:]))
+    columns = _continue_branches(overlap, omegas)[:, order]
     rows = np.arange(len(grid))[:, None]
     omegas, vecs = omegas[rows, columns], vecs[rows, :, columns]
     try:

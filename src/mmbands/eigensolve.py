@@ -202,21 +202,15 @@ def _solution(k_stack, m_stack, d, lower_inv, b, vectors=True):
     # back-transform and M-normalize (a diagonal L^-1 and M scale rows, and
     # + 0.0 gives exact zeros the +0.0 of a matmul's zero-started sums), then
     # phase each column by its first largest-magnitude component
-    (n, m), diagonal = w.shape, m_stack.ndim == 2
+    diagonal = m_stack.ndim == 2
     vecs = d[:, :, None] * (lower_inv[:, :, None] * y + 0.0
                             if diagonal else _conj_t(lower_inv) @ y)
     terms = np.conj(vecs) * (m_stack[:, :, None] * vecs if diagonal
                              else m_stack @ vecs)
     vecs /= np.sqrt(np.real(sum(terms[:, 1:].swapaxes(0, 1),
                                 terms[:, 0])))[:, None, :]
-    mags = np.abs(vecs)
-    top, largest = 0, mags[:, 0]
-    for i in range(1, m):
-        top = np.where(mags[:, i] > largest, i, top)
-        largest = np.maximum(largest, mags[:, i])
-    pivot = vecs.reshape(-1)[(np.arange(n)[:, None] * m + top) * m
-                             + np.arange(m)]
-    vecs *= (np.conj(pivot) / np.abs(pivot))[:, None, :]
+    pivot = np.take_along_axis(vecs, np.abs(vecs).argmax(1)[:, None], 1)
+    vecs *= np.conj(pivot) / np.abs(pivot)
     return EigenSolution(omega_sq=w, vectors=vecs)
 
 

@@ -593,6 +593,9 @@ class TestUnitTensors:
 
     @pytest.mark.parametrize("entry, message", [
         ((3, 2, 0, 11), "off-block"),     # mu_micro unit, K0: u1 with P_V
+        # eta unit, M0: P_S with P_D, inside the longitudinal block but off
+        # the mass diagonal, which _split drops as it drops off-block ones
+        ((7, 0, [1, 2], [2, 1]), "off-block"),
         ((6, 0, 4, 4), "imaginary")])     # rho unit, M0: P_(12) diagonal
     def test_leaking_unit_raises_naming_the_model(
             self, monkeypatch, ref_elastic, inertia_on, entry, message):

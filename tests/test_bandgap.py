@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -362,6 +363,12 @@ class TestDetectGaps:
         # the model's default grid, 100 / sqrt(eta / rho), reaches its gaps
         report = detect_gaps(ModelKind.INTERNAL_VARIABLE, elastic, inertia)
         assert len(report.gaps) == 3
+
+    def test_unknown_scope_is_named(self, ref_elastic, inertia_off):
+        with pytest.raises(ValueError, match=re.escape(
+                "scope must be a WaveBlock or 'complete': 'bogus'")):
+            detect_gaps(ModelKind.RELAXED_CURL, ref_elastic, inertia_off,
+                        scope="bogus")
 
     def test_per_block_scope(self, ref_elastic, inertia_off):
         report = detect_gaps(ModelKind.RELAXED_CURL, ref_elastic, inertia_off,

@@ -778,6 +778,9 @@ class TestNonFiniteInputs:
         (["modes", "--block", "uncoupled", "--branch", "TSO",
           "--eta", "1e-320"],
          "relaxed-curl, uncoupled block, k = 0 rad/m: "
+         "equilibrated pencil 0 is not finite"),
+        (["cutoffs", "--mu-e", "1e300"],
+         "relaxed-curl, longitudinal block, k = 0 rad/m: "
          "equilibrated pencil 0 is not finite")])
     def test_overflowing_matrix_or_modulus_is_named(self, argv, message):
         # an inf mass entry used to slip past the Hermitian check (inf - inf
@@ -814,7 +817,9 @@ class TestNonFiniteInputs:
     @pytest.mark.parametrize("argv, message", [
         (["disperse", "--grid-points", "-5"], "grid needs at least 50 points"),
         (["gaps", "--k-max", "nan"], "k_max must be finite and positive"),
-        (["gaps", "--k-max", "inf"], "k_max must be finite and positive")])
+        (["gaps", "--k-max", "inf"], "k_max must be finite and positive"),
+        # np.linspace repeats values below a subnormal k_max
+        (["gaps", "--k-max", "5e-324"], "grid must be strictly increasing")])
     def test_bad_grid_is_a_config_error(self, capsys, argv, message):
         code = run(argv + ["--config", DEMO_CONFIG])
         assert code == 2

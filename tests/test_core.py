@@ -138,6 +138,12 @@ class TestHomogenize:
             macro = homogenize(el)
             assert macro.mu_macro < min(mu_e, mu_micro)
 
+    def test_vanishing_shear_sum_raises(self, ref_elastic):
+        # validate() rejects mu_micro <= 0 first; homogenize guards itself
+        with pytest.raises(ZeroDivisionError,
+                           match="^harmonic-mean denominator vanishes$"):
+            homogenize(replace(ref_elastic, mu_micro=-ref_elastic.mu_e))
+
     def test_stiff_micro_limit(self, ref_elastic):
         stiff = ElasticParams(
             mu_e=ref_elastic.mu_e, lambda_e=ref_elastic.lambda_e,

@@ -84,6 +84,18 @@ class TestKGrid:
         with pytest.raises(DegenerateGridError, match="at least 50 points"):
             KGrid.linear(1.0e5, points)
 
+    def test_direct_grid_of_too_few_points(self):
+        with pytest.raises(DegenerateGridError,
+                           match="^grid needs at least 50 points$"):
+            KGrid(values=np.linspace(0.0, 1.0, 49))
+
+    def test_subnormal_k_max_repeats_linspace_values(self):
+        # np.linspace(0, 5e-324, 400) is all 0 and 5e-324: only the
+        # check of the fresh values rejects it
+        with pytest.raises(DegenerateGridError,
+                           match="^grid must be strictly increasing$"):
+            KGrid.linear(5e-324, 400)
+
     def test_must_start_at_zero(self):
         with pytest.raises(DegenerateGridError):
             KGrid(values=np.linspace(1.0, 2.0, 60))
@@ -246,6 +258,20 @@ def test_three_branches_everywhere(model, block, ref_elastic, inertia_on):
 
 
 class TestCutoffs:
+    def test_solver_error_names_model_block_and_k(self, ref_elastic,
+                                                  inertia_on):
+        # mu_e = 1e300 MPa overflows the equilibrated k = 0 pencil: the
+        # CLI's exit-4 line without its "numerical failure: " prefix
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EigenSolveError) as info:
+                cutoffs(ModelKind.RELAXED_CURL,
+                        replace(ref_elastic, mu_e=1e306), inertia_on)
+        assert str(info.value) == ("relaxed-curl, longitudinal block, "
+                                   "k = 0 rad/m: equilibrated pencil 0 is "
+                                   "not finite")
+        assert info.value.index == 0
+
     def test_analytic_values(self, ref_elastic, inertia_off):
         table = cutoffs(ModelKind.RELAXED_CURL, ref_elastic, inertia_off)
         omega_s = shear_cutoff(ref_elastic, inertia_off)
@@ -880,9 +906,8 @@ def test_branch_order_matches_sequential_oracle(model, block, inertia,
         assert np.all(dof == dof[0])
         assert np.array_equal(branch.vectors, np.tile(
             np.eye(3)[dof[0]] / np.sqrt(inertia.eta), (len(grid), 1)))
-    # every step of the coupled blocks is strictly diagonally dominant, and
-    # the uncoupled block (an exact double root at every k) is not
-    # continued at all
+    # every step is strictly diagonally dominant: the uncoupled block's too
+    # (an exact double root at every k), whose overlaps are diagonal
     assert tied_steps == []
 
 
@@ -1086,3 +1111,41 @@ def test_sweep_and_cutoffs_share_the_uncoupled_order(model):
             b.dominant[0] for b in curve.branches]
         assert [c.omega for c in table] == pytest.approx(
             [float(b.omegas[0]) for b in curve.branches], rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+def test_uncoupled_sweep_keeps_every_eigen_index(model, ref_elastic,
+                                                 inertia_off, inertia_on):
+    # the vectors e_i / sqrt(m_i) give exactly diagonal overlaps, so every
+    # step is strictly dominant and each branch is one column of the solve,
+    # in the order of its k = 0 labels; at eta = 1e-300 the solve raises
+    # where some omega^2 = K_ii / eta overflows
+    sets = [(ref_elastic, inertia_off), (ref_elastic, inertia_on),
+            *wide_cone_params(seed=100), *wide_cone_params(seed=101)]
+    solved = 0
+    for elastic, inertia in [*sets, *((el, replace(inr, eta=1e-300))
+                                      for el, inr in sets)]:
+        grid = default_grid(elastic, inertia, model=model)
+        bs = block_for(model, elastic, inertia, WaveBlock.UNCOUPLED)
+        try:
+            omegas, vectors = solve_block(model, bs, grid.values)
+        except EigenSolveError:
+            assert inertia.eta == 1e-300
+            continue
+        solved += 1
+        overlap = np.abs(np.swapaxes(vectors[:-1], 1, 2) @ (
+            bs.mass_diagonal_at(grid.values[1:])[..., None] * vectors[1:]))
+        diagonal = overlap[:, range(3), range(3)]
+        assert np.all(diagonal > 0.0)
+        assert np.all(overlap == diagonal[:, :, None] * np.eye(3))
+        assert np.array_equal(_continue_branches(overlap, omegas),
+                              np.tile(np.arange(3), (len(grid), 1)))
+        order, names = mmbands.dispersion._label_branches(
+            WaveBlock.UNCOUPLED, omegas[0], vectors[0], bs.labels)
+        curve = sweep(model, elastic, inertia, WaveBlock.UNCOUPLED, grid)
+        for i, name, branch in zip(order, names, curve.branches):
+            assert branch.label == name
+            assert np.array_equal(branch.omegas, omegas[:, i])
+            assert np.array_equal(branch.vectors, vectors[:, :, i])
+    # every set at its own eta, and at least one at 1e-300
+    assert solved > len(sets)
