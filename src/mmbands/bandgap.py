@@ -178,7 +178,7 @@ def _spectrum(store, model, bs, grid: KGrid):
 
 def _ceiling(store, model, blocks, spectra) -> float:
     """Headroom above the largest k = 0 frequency: row 0 of each solved
-    spectrum, else a k = 0 solve (closed form if uncoupled) of the block."""
+    spectrum, else a k = 0 solve (the pencil diagonal if uncoupled)."""
     rows = {name: omegas[0] for name, omegas, _ in spectra}
     rows.update((b.value, _solved(store, model, bs, np.zeros(1))[0])
                 for b, bs in blocks.items() if b.value not in rows)

@@ -1,8 +1,8 @@
 """Wavenumber sweeps: block spectra, labeled dispersion branches, cut-offs.
 
-``solve_block`` solves a block on a grid of wavenumbers: the 3x3 pencils
-of a coupled block as one stack, the diagonal uncoupled block in closed
-form.  ``sweep`` strings the eigenpairs into branches that keep their
+``solve_block`` solves a block on a grid of wavenumbers: its 3x3 pencils
+as one equilibrated stack, read off the diagonal for the uncoupled
+block.  ``sweep`` strings the eigenpairs into branches that keep their
 physical identity through avoided crossings, and marks the dominant DOF of
 every sample.  Labels are decided once, at k = 0 (``_label_branches``);
 ``cutoffs`` applies the same labels to its k = 0 solve, so a cut-off is
@@ -17,9 +17,8 @@ import numpy as np
 
 from .assembly import BlockSystem, block_for, model_blocks
 from .core import ElasticParams, InertiaParams, ModelKind, WaveBlock
-from .eigensolve import (EigenSolveError, assert_finite, clamp_roundoff,
-                         _reduce_diagonal, _solution, general_eig,
-                         positive_mass_diagonal)
+from .eigensolve import (EigenSolveError, clamp_roundoff, _reduce_diagonal,
+                         _solution, general_eig)
 
 # Ratio of the two largest eigenvector magnitudes below which no single
 # degree of freedom is called dominant.
@@ -61,9 +60,8 @@ class KGrid:
     def linear(cls, k_max: float, points: int = DEFAULT_GRID_POINTS) -> "KGrid":
         if not 0.0 < k_max < math.inf:
             raise DegenerateGridError("k_max must be finite and positive")
-        if points < 50:  # checked before np.linspace, which rejects < 0
-            raise DegenerateGridError("grid needs at least 50 points")
-        return cls(values=np.linspace(0.0, k_max, points))
+        # np.linspace rejects a negative count; __post_init__ names it
+        return cls(values=np.linspace(0.0, k_max, max(points, 0)))
 
     @property
     def k_max(self) -> float:
@@ -258,24 +256,22 @@ def solve_block(model: ModelKind, bs: BlockSystem, k, *,
                 vectors: bool = True):
     """Omegas (n_k, 3) and vectors (n_k, 3, 3) of a built block at 1-D k.
 
-    Rows ascend for a coupled block; column i of the uncoupled one is micro
-    mode i, omega^2 = K_ii / M_ii, under the solver's checks.  Each column
-    is continuous in k.  ``vectors=False`` skips the eigenvectors (None).
-    The masses enter as the diagonals that ``BlockSystem`` checks they are.
-    Errors name model, block, k.
+    Each block is one equilibrated pencil B, from the mass diagonals that
+    ``BlockSystem`` checks.  Rows ascend for a coupled block; column i of
+    the uncoupled one is micro mode i, omega^2 = B_ii (B is diagonal there).
+    Each column is continuous in k.  ``vectors=False`` skips the
+    eigenvectors (None).  Errors name model, block, k.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # the checks name it
         m_diag, stiffness = bs.mass_diagonal_at(k), bs.stiffness_at(k)
     try:
+        reduced = _reduce_diagonal(stiffness, m_diag)
         if bs.block is not WaveBlock.UNCOUPLED:
-            sol = _solution(*_reduce_diagonal(stiffness, m_diag), vectors)
+            sol = _solution(*reduced, vectors)
             return np.sqrt(sol.omega_sq), sol.vectors
-        m_diag = positive_mass_diagonal(m_diag)
-        with np.errstate(over="ignore"):
-            omega_sq = np.diagonal(stiffness, axis1=1, axis2=2) / m_diag
-        assert_finite(omega_sq, "equilibrated pencil", axis=-1)
-        omega_sq = clamp_roundoff(omega_sq, stiffness, m_diag)
-        vecs = np.eye(3) / np.sqrt(m_diag)[:, None] if vectors else None
+        omega_sq = clamp_roundoff(np.diagonal(reduced[4], axis1=1, axis2=2),
+                                  stiffness, m_diag)
+        vecs = np.eye(3) * reduced[2][:, None] if vectors else None
     except EigenSolveError as exc:
         raise _located(exc, model, bs.block, k) from exc
     return np.sqrt(omega_sq), vecs

@@ -133,11 +133,11 @@ def clamp_roundoff(w: np.ndarray, k_stack, m_stack) -> np.ndarray:
 
 
 def _reduce(k_stack, m_stack):
-    """Checked K and M as arrays, D, L^-1 and B, made exactly Hermitian;
-    an overflow past the equilibration is a non-finite B.  A diagonal M
-    (every off-diagonal entry 0) takes ``_reduce_diagonal`` and comes back
-    as its diagonals, any other the Cholesky factor of M_eq, whose pivots
-    have a floor."""
+    """Checked K and M as arrays, D, L^-1 and B, made exactly Hermitian by
+    halves that cannot overflow; an overflow past the equilibration is a
+    non-finite B.  A diagonal M (every off-diagonal entry 0) takes
+    ``_reduce_diagonal`` and comes back as its diagonals, any other the
+    Cholesky factor of M_eq, whose pivots have a floor."""
     dtype = np.result_type(np.asarray(k_stack), np.asarray(m_stack), float)
     k_stack, m_stack = np.asarray(k_stack, dtype), np.asarray(m_stack, dtype)
     if k_stack.ndim != 3 or m_stack.shape != k_stack.shape:
@@ -170,7 +170,7 @@ def _reduce(k_stack, m_stack):
         lower_inv = np.linalg.inv(lower)
         b = lower_inv @ k_eq @ _conj_t(lower_inv)
     assert_finite(b, "equilibrated pencil")
-    return k_stack, m_stack, d, lower_inv, 0.5 * (b + _conj_t(b))
+    return k_stack, m_stack, d, lower_inv, 0.5 * b + 0.5 * _conj_t(b)
 
 
 def _reduce_diagonal(k_stack, m_diag):
@@ -187,7 +187,7 @@ def _reduce_diagonal(k_stack, m_diag):
         lower_inv = 1.0 / np.sqrt(m_diag * (d * d))
         b = lower_inv[:, :, None] * k_eq * lower_inv[:, None, :]
     assert_finite(b, "equilibrated pencil")
-    return k_stack, m_diag, d, lower_inv, 0.5 * (b + _conj_t(b))
+    return k_stack, m_diag, d, lower_inv, 0.5 * b + 0.5 * _conj_t(b)
 
 
 def _solution(k_stack, m_stack, d, lower_inv, b, vectors=True):

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import xml.dom.minidom
@@ -754,11 +755,11 @@ class TestNonFiniteInputs:
          "relaxed-curl: curvature modulus mu_e * L_c**2 is not finite "
          "(mu_e = 2e+08 Pa, L_c = 1e+197 m)"),
         (["gaps", "--block", "uncoupled", "--mu-e", "1e300"],
-         "relaxed-curl, uncoupled block, k = 0 rad/m: "
-         "equilibrated pencil 0 is not finite"),
+         "relaxed-curl, uncoupled block, k = 13533.8 rad/m: "
+         "stiffness matrix of pencil 54 is not finite"),
         (["disperse", "--k-max", "1e308", "--grid-points", "50"],
          "relaxed-curl, uncoupled block, k = 2.04082e+306 rad/m: "
-         "mass matrix of pencil 1 is not finite"),
+         "stiffness matrix of pencil 1 is not finite"),
         (["gaps", "--eta-bar-2", "1e300"],
          "relaxed-curl, transverse block, k = 19047.6 rad/m: "
          "mass matrix of pencil 76 is not finite"),
@@ -785,9 +786,11 @@ class TestNonFiniteInputs:
     def test_overflowing_matrix_or_modulus_is_named(self, argv, message):
         # an inf mass entry used to slip past the Hermitian check (inf - inf
         # is nan) after three RuntimeWarnings, L_c**2 raised a bare
-        # OverflowError, K_ii / M_ii of the uncoupled closed form
-        # overflowed with a warning, and its nan mass (k^2 = inf times 0)
-        # was called "not positive"; each is now one specific line
+        # OverflowError, K_ii / M_ii of the uncoupled block overflowed with
+        # a warning, and its nan mass (k^2 = inf times 0) was called "not
+        # positive"; each is now one specific line, and the uncoupled block
+        # fails in the coupled blocks' order: stiffness, mass, equilibrated
+        # pencil
         proc = self.fresh_run(argv)
         assert (proc.returncode, proc.stdout) == (4, "")
         assert proc.stderr == f"numerical failure: {message}\n"
@@ -813,6 +816,24 @@ class TestNonFiniteInputs:
         assert proc.stderr == ("numerical failure: relaxed-curl, "
                                "longitudinal block, k = 0 rad/m: "
                                "equilibrated pencil 0 is not finite\n")
+
+    @pytest.mark.parametrize("command", ["cutoffs", "disperse", "modes",
+                                         "gaps", "sweep-param", "plot"])
+    def test_pencil_entries_near_the_float_limit_stay_finite(self, tmp_path,
+                                                             command):
+        # eta = 1.75e-299 puts equilibrated pencil entries above 9e307,
+        # where the symmetrization 0.5 * (b + b^T) overflowed: cutoffs
+        # printed NaN omegas, disperse and modes nan cells with a warning,
+        # and gaps, plot and sweep-param ended in a LinAlgError traceback
+        svg = tmp_path / "plot.svg"
+        argv = [command, "--eta", "1.75e-299", *COMMANDS[command],
+                *(["--k-max", "1"] if command != "cutoffs" else []),
+                *(["--output", str(svg)] if command == "plot" else [])]
+        proc = self.fresh_run(argv)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        out = svg.read_text(encoding="utf-8") if command == "plot" else (
+            proc.stdout)
+        assert out and not re.search(r"\bnan\b", out, re.IGNORECASE)
 
     @pytest.mark.parametrize("argv, message", [
         (["disperse", "--grid-points", "-5"], "grid needs at least 50 points"),

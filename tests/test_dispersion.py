@@ -697,9 +697,9 @@ def test_sweep_error_names_model_block_and_k(monkeypatch, ref_elastic,
     assert info.value.index == 7
 
 
-def test_uncoupled_closed_form_overflow_is_named(ref_elastic, inertia_off):
-    # K_ii / M_ii past the float range is an error, not an inf frequency
-    # and a numpy warning
+def test_uncoupled_block_overflow_is_named(ref_elastic, inertia_off):
+    # K_ii / M_ii past the float range is a non-finite equilibrated pencil,
+    # not an inf frequency and a numpy warning
     model = ModelKind.RELAXED_CURL
     bs = block_for(model, replace(ref_elastic, mu_e=1e306), inertia_off,
                    WaveBlock.UNCOUPLED)
@@ -712,9 +712,10 @@ def test_uncoupled_closed_form_overflow_is_named(ref_elastic, inertia_off):
     assert info.value.index == 0
 
 
-def test_uncoupled_closed_form_nan_mass_is_named(ref_elastic, inertia_on):
-    # k^2 overflows and times the zero M2 gives nan, which was reported as
-    # a mass diagonal entry "nan ... which is not positive"
+def test_uncoupled_block_overflowing_k_is_named(ref_elastic, inertia_on):
+    # k^2 overflows: the stiffness is checked first, as in the coupled
+    # blocks, before the mass, whose nan (inf times the zero M2) was once
+    # reported as a diagonal entry "nan ... which is not positive"
     model = ModelKind.RELAXED_CURL
     bs = block_for(model, ref_elastic, inertia_on, WaveBlock.UNCOUPLED)
     with warnings.catch_warnings():
@@ -723,7 +724,7 @@ def test_uncoupled_closed_form_nan_mass_is_named(ref_elastic, inertia_on):
             solve_block(model, bs, [0.0, 1e200], vectors=False)
     assert str(info.value) == ("relaxed-curl, uncoupled block, "
                                "k = 1e+200 rad/m: "
-                               "mass matrix of pencil 1 is not finite")
+                               "stiffness matrix of pencil 1 is not finite")
     assert info.value.index == 1
 
 
@@ -740,16 +741,18 @@ def test_block_solve_is_the_dense_solve_byte_for_byte(
         model, ref_elastic, inertia_off, inertia_on):
     # solve_block reads the mass diagonals and skips the Hermitian scans:
     # each coupled block's omegas and vectors are the bytes of the dense
-    # (n, 3, 3) solve, and each error its error, over the reference sets and
-    # wide_cone(100) and (101); 11 relaxed-curl and 4 relaxed-div block
-    # solves meet a negative eigenvalue at k up to 1e8
+    # (n, 3, 3) solve, the uncoupled block's omegas sorted are, and each
+    # error is its error, over the reference sets and wide_cone(100) and
+    # (101); 11 relaxed-curl and 4 relaxed-div block solves meet a negative
+    # eigenvalue at k up to 1e8
     sets = [(ref_elastic, inertia_off), (ref_elastic, inertia_on)] + [
         (ElasticParams(**e), InertiaParams(**i))
         for seed in (100, 101) for e, i in wide_cone(seed, 24)]
     failures = 0
     for elastic, inertia in sets:
         grid = default_grid(elastic, inertia, model=model).values
-        for bs in list(model_blocks(model, elastic, inertia).values())[:2]:
+        for bs in model_blocks(model, elastic, inertia).values():
+            uncoupled = bs.block is WaveBlock.UNCOUPLED
             for k, vectors in ((grid, False), (grid, True),
                                (KGrid.linear(1e8, 400).values, False)):
                 ks, ms = bs.stiffness_at(k), bs.mass_at(k)
@@ -764,9 +767,12 @@ def test_block_solve_is_the_dense_solve_byte_for_byte(
                     assert got[1].endswith(f" rad/m: {want[1]}")
                     continue
                 omega_sq = want.omega_sq if vectors else want
-                assert got[0].tobytes() == np.sqrt(omega_sq).tobytes()
-                assert (got[1].tobytes() == want.vectors.tobytes()
-                        if vectors else got[1] is None)
+                omegas = np.sort(got[0], axis=1) if uncoupled else got[0]
+                assert omegas.tobytes() == np.sqrt(omega_sq).tobytes()
+                if not vectors:
+                    assert got[1] is None
+                elif not uncoupled:
+                    assert got[1].tobytes() == want.vectors.tobytes()
     assert failures == {ModelKind.RELAXED_CURL: 11,
                         ModelKind.RELAXED_DIV: 4}.get(model, 0)
 
@@ -895,13 +901,12 @@ def test_branch_order_matches_sequential_oracle(model, block, inertia,
     for b, branch in enumerate(curve.branches):
         want, want_vectors = (omegas[rows, columns[:, b]],
                               vectors[rows, :, columns[:, b]])
+        assert np.array_equal(branch.omegas, want)
         if block is not WaveBlock.UNCOUPLED:
-            assert np.array_equal(branch.omegas, want)
             assert np.array_equal(branch.vectors, want_vectors)
             continue
-        # the closed form of the diagonal block against the solver route;
-        # each branch stays on one micro mode, the vector e_i / sqrt(eta)
-        np.testing.assert_allclose(branch.omegas, want, rtol=1e-15, atol=0)
+        # each uncoupled branch stays on one micro mode, the vector
+        # e_i / sqrt(eta)
         dof = np.argmax(np.abs(want_vectors), axis=1)
         assert np.all(dof == dof[0])
         assert np.array_equal(branch.vectors, np.tile(
@@ -1098,19 +1103,65 @@ def test_closed_form_uncoupled_matches_cubic_oracle(model):
                 assert abs(g - w) <= 1e-8 * max(abs(w), scale ** power)
 
 
+def invariant_sets(ref_elastic, inertia_off, inertia_on):
+    """The reference sets and wide_cone(100), (101) and (11)."""
+    return [(ref_elastic, inertia_off), (ref_elastic, inertia_on),
+            *(s for seed in (100, 101, 11) for s in wide_cone_params(seed))]
+
+
 @pytest.mark.parametrize("model", ALL_MODELS)
-def test_sweep_and_cutoffs_share_the_uncoupled_order(model):
+def test_cutoffs_are_the_k0_row_of_every_sweep(model, ref_elastic,
+                                               inertia_off, inertia_on):
+    # every block, the uncoupled one too, is solved from one equilibrated
+    # pencil: cutoffs' k = 0 solve and row 0 of a sweep are the same bytes,
+    # in the same order, under the same labels
     names = {"P_(23)": "TSO", "P_[23]": "TRO", "P_V": "TCVO"}
-    for elastic, inertia in wide_cone_params(seed=13):
-        table = cutoffs(model, elastic, inertia)[WaveBlock.UNCOUPLED]
-        curve = sweep(model, elastic, inertia, WaveBlock.UNCOUPLED,
-                      default_grid(elastic, inertia, points=50))
-        assert [names[c.mode] for c in table] == [
-            b.label for b in curve.branches]
-        assert [c.mode for c in table] == [
-            b.dominant[0] for b in curve.branches]
-        assert [c.omega for c in table] == pytest.approx(
-            [float(b.omegas[0]) for b in curve.branches], rel=1e-12, abs=0)
+    for elastic, inertia in [*invariant_sets(ref_elastic, inertia_off,
+                                             inertia_on),
+                             *wide_cone_params(seed=13)]:
+        table = cutoffs(model, elastic, inertia)
+        grid = default_grid(elastic, inertia, points=50, model=model)
+        for block in ALL_BLOCKS:
+            curve = sweep(model, elastic, inertia, block, grid)
+            assert np.array([c.omega for c in table[block]]).tobytes() == (
+                np.array([b.omegas[0] for b in curve.branches]).tobytes())
+            assert [c.acoustic for c in table[block]] == [
+                b.label in ("LA", "TA") for b in curve.branches]
+            if block is WaveBlock.UNCOUPLED:
+                assert [names[c.mode] for c in table[block]] == [
+                    b.label for b in curve.branches]
+                assert [c.mode for c in table[block]] == [
+                    b.dominant[0] for b in curve.branches]
+
+
+def ulps(a, b):
+    """Units in the last place between non-negative float arrays."""
+    assert np.all(a >= 0.0) and np.all(b >= 0.0)
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+def test_uncoupled_omegas_are_within_ulps_of_the_ratio(
+        model, ref_elastic, inertia_off, inertia_on, monkeypatch):
+    # the diagonal of the equilibrated pencil, K_ii d_i^2 times L^-1_ii
+    # twice, rounds a few times on the way: each omega^2, read where the
+    # solve clamps it, stays within 4 ulp of fl(K_ii / M_ii) and each omega
+    # within 3 ulp of its square root
+    clamped = []
+    clamp = mmbands.dispersion.clamp_roundoff
+    monkeypatch.setattr(mmbands.dispersion, "clamp_roundoff",
+                        lambda *a: clamped.append(clamp(*a)) or clamped[-1])
+    for elastic, inertia in invariant_sets(ref_elastic, inertia_off,
+                                           inertia_on):
+        k = default_grid(elastic, inertia, model=model).values
+        bs = block_for(model, elastic, inertia, WaveBlock.UNCOUPLED)
+        omegas = solve_block(model, bs, k, vectors=False)[0]
+        omega_sq = clamped.pop()
+        assert np.sqrt(omega_sq).tobytes() == omegas.tobytes()
+        ratio = (np.diagonal(bs.stiffness_at(k), axis1=1, axis2=2)
+                 / bs.mass_diagonal_at(k))
+        assert ulps(omega_sq, ratio).max() <= 4
+        assert ulps(omegas, np.sqrt(ratio)).max() <= 3
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)
