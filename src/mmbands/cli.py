@@ -11,7 +11,9 @@ the inertiae.  Frequencies are emitted in rad/s (``--hertz`` divides by
 Each ``_cmd_*`` handler returns its output text; ``run`` alone writes it
 and maps errors to exit codes: 0 success, 2 config/usage error (also an
 unreadable config file, an unwritable ``--output`` or a grid too large to
-allocate), 3 parameter validation failure, 4 numerical failure.
+allocate), 3 parameter validation failure, 4 numerical failure.  The first
+failure in a run's one check order sets the code: the model, then the
+parameters read (``homogenize``: the elastic constants only), the grid.
 """
 
 import argparse
@@ -24,8 +26,8 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 
 from .assembly import BlockLeakageError
-from .bandgap import (COMPLETE, FrequencyAxisError, _check_axis,
-                      default_omega_ceiling, detect_gaps, gap_reports)
+from .bandgap import (CEILING_HEADROOM, COMPLETE, FrequencyAxisError,
+                      _check_axis, detect_gaps, gap_reports)
 from .core import (ElasticParams, InertiaParams, ModelKind, WaveBlock,
                    homogenize, validate, PA_PER_MPA)
 from .dispersion import (DEFAULT_GRID_POINTS, DegenerateGridError, KGrid,
@@ -86,19 +88,24 @@ class RunConfig:
             choices = ", ".join(m.value for m in ModelKind)
             raise ConfigError(f"unknown model {name!r} (choose from {choices})")
 
-    def grid(self, elastic: ElasticParams, inertia: InertiaParams) -> KGrid:
+    def checked_run(self):
+        """``(model, elastic, inertia)``, the model read before the parameters
+        are validated: the one place a handler reads either."""
+        return self.model(), *_validated(self.elastic(), self.inertia())
+
+    def grid(self, model: ModelKind, elastic: ElasticParams,
+             inertia: InertiaParams) -> KGrid:
         points = self.values.get("grid_points")
         points = DEFAULT_GRID_POINTS if points is None else points
         k_max = self.values.get("k_max")
         if k_max is None:
-            return default_grid(elastic, inertia, points, self.model())
+            return default_grid(elastic, inertia, points, model)
         return KGrid.linear(k_max, points=points)
 
     def gap_run(self, scope):
-        model = self.model()
-        elastic, inertia = _validated(self.elastic(), self.inertia())
-        return model, elastic, inertia, scope, {
-            "grid": self.grid(elastic, inertia),
+        checked = self.checked_run()
+        return *checked, scope, {
+            "grid": self.grid(*checked),
             **{key: self.values.get(key) for key in (
                 "omega_ceiling", "delta_omega", "min_gap_width")},
             "include_uncoupled": bool(self.values.get("include_uncoupled"))}
@@ -186,22 +193,16 @@ def _csv_text(header, rows) -> str:
 
 
 def _cmd_homogenize(cfg: RunConfig, args) -> str:
-    elastic = cfg.elastic()
-    try:
-        inertia = cfg.inertia()
-    except ConfigError:
-        # homogenization needs no inertia; a passing placeholder lets the
-        # elastic invariants still be checked
-        inertia = InertiaParams(rho=1.0, eta=1.0)
-    macro = homogenize(_validated(elastic, inertia)[0])
+    # reads no inertia: a passing placeholder leaves only elastic checks
+    elastic, _ = _validated(cfg.elastic(), InertiaParams(rho=1.0, eta=1.0))
+    macro = homogenize(elastic)
     return _json_dumps({f"{name}_mpa": getattr(macro, name) / PA_PER_MPA
                         for name in ("mu_macro", "lambda_macro", "e_macro")}
                        | {"nu_macro": macro.nu_macro})
 
 
 def _cmd_cutoffs(cfg: RunConfig, args) -> str:
-    model = cfg.model()
-    elastic, inertia = _validated(cfg.elastic(), cfg.inertia())
+    model, elastic, inertia = cfg.checked_run()
     scale, unit = _omega_scale(args)
     return _json_dumps({"model": model.value, "unit": unit, "blocks": {
         block.value: [{"omega": c.omega * scale, "acoustic": c.acoustic,
@@ -209,11 +210,10 @@ def _cmd_cutoffs(cfg: RunConfig, args) -> str:
         for block, cuts in cutoffs(model, elastic, inertia).items()}})
 
 
-def _sweeps(cfg: RunConfig, elastic, inertia, blocks=_BLOCK_ORDER):
-    """Sweeps of validated parameters by block, and the grid they share."""
-    model, grid = cfg.model(), cfg.grid(elastic, inertia)
-    return {block: sweep(model, elastic, inertia, block, grid)
-            for block in blocks}, grid
+def _sweeps(cfg: RunConfig, checked, blocks=_BLOCK_ORDER):
+    """Sweeps of a ``checked_run`` by block, and the grid they share."""
+    grid = cfg.grid(*checked)
+    return {block: sweep(*checked, block, grid) for block in blocks}, grid
 
 
 def _cells(column, memo: dict) -> list:
@@ -234,7 +234,7 @@ def _branch_columns(branch, scale, memo: dict):
 
 
 def _cmd_disperse(cfg: RunConfig, args) -> str:
-    curves, grid = _sweeps(cfg, *_validated(cfg.elastic(), cfg.inertia()))
+    curves, grid = _sweeps(cfg, cfg.checked_run())
     scale, _ = _omega_scale(args)
     ks = list(map(repr, grid.values.tolist()))  # each k once, not per row
     rows = chain.from_iterable(
@@ -248,8 +248,7 @@ def _cmd_disperse(cfg: RunConfig, args) -> str:
 
 def _cmd_modes(cfg: RunConfig, args) -> str:
     block = WaveBlock(args.block)  # argparse admits WaveBlock values only
-    curves, grid = _sweeps(cfg, *_validated(cfg.elastic(), cfg.inertia()),
-                           blocks=[block])
+    curves, grid = _sweeps(cfg, cfg.checked_run(), [block])
     branches = {b.label: b for b in curves[block].branches}
     if args.branch not in branches:
         raise ConfigError(f"no branch {args.branch!r} in block "
@@ -388,14 +387,14 @@ def render_dispersion_svg(curves, grid, ceiling, scale=1.0,
 
 
 def _cmd_plot(cfg: RunConfig, args) -> str:
-    model = cfg.model()
-    elastic, inertia = _validated(cfg.elastic(), cfg.inertia())
+    checked = cfg.checked_run()
     if not args.output:
         raise ConfigError("plot requires --output")
-    curves, grid = _sweeps(cfg, elastic, inertia)
+    curves, grid = _sweeps(cfg, checked)
     ceiling = cfg.values.get("omega_ceiling")
-    if ceiling is None:
-        ceiling = default_omega_ceiling(model, elastic, inertia)
+    if ceiling is None:  # as detect_gaps: from the k = 0 rows just solved
+        ceiling = CEILING_HEADROOM * max(
+            float(b.omegas[0]) for c in curves.values() for b in c.branches)
     _check_axis("omega_ceiling", ceiling)
     return render_dispersion_svg(curves, grid, ceiling, *_omega_scale(args))
 

@@ -13,9 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mmbands.assembly
 import mmbands.bandgap
 import mmbands.dispersion
-from mmbands import WaveBlock, sweep
+from mmbands import ModelKind, WaveBlock, default_omega_ceiling, sweep
 from mmbands.cli import _cells, _csv_text, build_config, build_parser, run
 
 from conftest import (MU_E_MPA, LAMBDA_E_MPA, MU_C_MPA, MU_MICRO_MPA,
@@ -78,6 +79,20 @@ class TestHomogenizeCommand:
         code, text = run_to_file(tmp_path, "macro.json", argv)
         assert code == 0
         assert json.loads(text)["nu_macro"] == pytest.approx(13 / 47, rel=1e-9)
+
+    @pytest.mark.parametrize("flags", [["--rho", "-1"], ["--eta", "nan"],
+                                       ["--eta-bar-1", "-1"]])
+    def test_unread_inertia_is_not_checked(self, capsys, flags):
+        argv = ["homogenize", "--config", DEMO_CONFIG]
+        got = [(run(argv + extra), *capsys.readouterr())
+               for extra in ([], flags)]
+        assert got[0][0] == 0 and got[0][2] == ""
+        assert got[1] == got[0]
+
+    def test_only_elastic_failures_are_listed(self, capsys):
+        assert run(["homogenize", "--config", DEMO_CONFIG, "--rho", "-1",
+                    "--mu-e", "-1"]) == 3
+        assert capsys.readouterr() == ("", "invalid parameters: mu_e > 0\n")
 
 
 class TestCutoffsCommand:
@@ -520,6 +535,38 @@ class TestPlotCommand:
         for label in ("LA", "TA", "TSO", "TRO", "TCVO"):
             assert f">{label}</text>" in text
 
+    @pytest.mark.parametrize("flags", [[], ["--mu-c", "0"], ["--l-c", "0"]])
+    @pytest.mark.parametrize("model", [m.value for m in ModelKind])
+    def test_default_ceiling_from_its_own_k0_rows(self, monkeypatch, tmp_path,
+                                                  model, flags):
+        # the three sweeps' k = 0 rows give the ceiling: no fourth build and
+        # no k = 0 solves besides theirs
+        calls = collections.Counter()
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (mmbands.assembly, mmbands.bandgap, mmbands.dispersion):
+            counted(module, "model_blocks")
+        for module in (mmbands.bandgap, mmbands.dispersion):
+            counted(module, "solve_block")
+        argv = ["plot", "--config", DEMO_CONFIG, "--model", model, *flags,
+                "--grid-points", "60"]
+        code, svg = run_to_file(tmp_path, "default.svg", argv)
+        assert code == 0
+        assert calls == {"model_blocks": 3, "solve_block": 3}
+        monkeypatch.undo()
+        cfg = build_config(build_parser().parse_args(argv))
+        ceiling = default_omega_ceiling(cfg.model(), cfg.elastic(),
+                                        cfg.inertia())
+        assert run_to_file(tmp_path, "given.svg", argv + [
+            "--omega-ceiling", repr(ceiling)]) == (0, svg)
+
     def test_plot_requires_output(self, config_file):
         assert run(["plot", "--config", config_file]) == 2
 
@@ -549,6 +596,23 @@ class TestErrorPaths:
         bad.write_text(CONFIG_TEXT.replace("relaxed-curl", "bogus"),
                        encoding="utf-8")
         assert run(["gaps", "--config", str(bad)]) == 2
+
+    @pytest.mark.parametrize("command", [c for c in COMMANDS
+                                         if c != "homogenize"])
+    def test_unknown_model_before_invalid_parameters(self, tmp_path, capsys,
+                                                     command):
+        # every command that reads the model reads it before validating
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(CONFIG_TEXT.replace("relaxed-curl", "bogus"),
+                       encoding="utf-8")
+        out = tmp_path / "out"
+        assert run([command, "--config", str(bad), *COMMANDS[command],
+                    "--mu-e", "-1", "--output", str(out)]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: unknown model 'bogus' (choose from relaxed-curl, "
+            "relaxed-div-curl, relaxed-div, mindlin-eringen, "
+            "internal-variable)\n"))
+        assert not out.exists()
 
     def test_missing_config_file(self):
         assert run(["gaps", "--config", "/nonexistent/file.cfg"]) == 2
@@ -909,13 +973,13 @@ def _one_repr_per_cell(argv, blocks, branch=None):
     ``branch``, from the same ``sweep`` results with one ``repr`` per cell."""
     args = build_parser().parse_args(argv)
     cfg = build_config(args)
-    elastic, inertia = cfg.elastic(), cfg.inertia()
-    grid = cfg.grid(elastic, inertia)
+    params = cfg.model(), cfg.elastic(), cfg.inertia()
+    grid = cfg.grid(*params)
     scale = 1.0 / (2.0 * math.pi) if args.hertz else 1.0
     lines = [["k", "omega", "dominant_mode", "ratio"] if branch else
              ["k", "block", "branch_label", "omega", "dominant_mode", "ratio"]]
     for block in blocks:
-        for b in sweep(cfg.model(), elastic, inertia, block, grid).branches:
+        for b in sweep(*params, block, grid).branches:
             if branch not in (None, b.label):
                 continue
             lead = [] if branch else [block.value, b.label]
@@ -962,9 +1026,9 @@ class TestCsvAgainstOneReprPerCell:
         args = build_parser().parse_args(
             ["disperse", "--config", DEMO_CONFIG, "--model", model])
         cfg = build_config(args)
-        elastic, inertia = cfg.elastic(), cfg.inertia()
-        branches = sweep(cfg.model(), elastic, inertia, WaveBlock.UNCOUPLED,
-                         cfg.grid(elastic, inertia)).branches
+        params = cfg.model(), cfg.elastic(), cfg.inertia()
+        branches = sweep(*params, WaveBlock.UNCOUPLED,
+                         cfg.grid(*params)).branches
         omegas = [b.omegas.tobytes() for b in branches]
         assert len(set(omegas)) == 2
         assert all(np.isinf(b.ratio).all() for b in branches)
