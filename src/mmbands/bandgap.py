@@ -56,29 +56,13 @@ class CoverageMap:
     """Occupied bins of the frequency axis up to a ceiling.
 
     ``runs[r] = (first_bin, last_bin)`` are the maximal occupied runs in
-    ascending order.  Column ``owners[i] % 3`` of block
-    ``names[owners[i] // 3]`` covers the bins ``owner_bins[i]``.
+    ascending order.
     """
 
     omega_ceiling: float
     delta_omega: float
     n_bins: int
     runs: np.ndarray
-    names: tuple[str, ...]
-    owners: np.ndarray
-    owner_bins: np.ndarray
-
-    @property
-    def edge_tags(self) -> tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]:
-        """Per run, the ``block:column`` names of the columns that reach its
-        first and its last bin (the owners of the gap edges just below and
-        above it), in block-then-column order; built on demand."""
-        bins = self.owner_bins
-        run = np.searchsorted(self.runs[:, 0], bins[:, 0], "right") - 1
-        return tuple(tuple(tuple(f"{self.names[c // 3]}:{c % 3}"
-                                 for c in self.owners[(run == r) & edge])
-                           for edge in (bins == self.runs[run]).T)
-                     for r in range(len(self.runs)))
 
 
 @dataclass(frozen=True)
@@ -107,7 +91,7 @@ class GapReport:
 def coverage(spectra, omega_ceiling: float, delta_omega: float) -> CoverageMap:
     """Union of the frequency bins reached by any column of the spectra.
 
-    ``spectra`` holds one ``(name, omegas (n_k, 3), bounded (3,))`` per
+    ``spectra`` holds one ``(omegas (n_k, 3), bounded (3,))`` pair per
     block.  A column covers [min, max] of its samples (module docstring),
     or [min, ceiling] when unbounded.  Binning (min(x, ceiling) /
     delta_omega, floored, clipped to the first and last bin) is monotone,
@@ -123,26 +107,23 @@ def coverage(spectra, omega_ceiling: float, delta_omega: float) -> CoverageMap:
             f"delta_omega {delta_omega!r} gives over 2**53 bins")
     n_bins = math.ceil(omega_ceiling / delta_omega)
 
-    spectra, ranges = list(spectra), []
-    for _, omegas, bounded in spectra:
+    ranges = []
+    for omegas, bounded in spectra:
         columns = np.transpose(omegas).copy()   # rows: fast to reduce
         ranges += zip(columns.min(axis=1).tolist(), np.where(
             bounded, columns.max(axis=1), omega_ceiling).tolist())
-    owners = [c for c, (lo, _) in enumerate(ranges) if lo < omega_ceiling]
-    owner_bins = [[int(min(max(min(x, omega_ceiling) / delta_omega, 0.0),
-                           n_bins - 1)) for x in ranges[c]] for c in owners]
 
     # a run ends where the next range starts past every bin reached so far
     runs = []
-    for first, last in sorted(owner_bins):
+    for first, last in sorted(
+            [int(min(max(min(x, omega_ceiling) / delta_omega, 0.0),
+                     n_bins - 1)) for x in pair]
+            for pair in ranges if pair[0] < omega_ceiling):
         if not runs or first > runs[-1][1] + 1:
             runs.append([first, last])
         runs[-1][1] = max(runs[-1][1], last)
     return CoverageMap(omega_ceiling, delta_omega, n_bins,
-                       np.array(runs, np.int64).reshape(-1, 2),
-                       tuple(name for name, _, _ in spectra),
-                       np.array(owners, np.int64),
-                       np.array(owner_bins, np.int64).reshape(-1, 2))
+                       np.array(runs, np.int64).reshape(-1, 2))
 
 
 def gaps_from_coverage(cov: CoverageMap, min_gap_width: float) -> tuple[Gap, ...]:
@@ -168,20 +149,20 @@ def _solved(store: dict, model, bs, k) -> np.ndarray:
 
 
 def _spectrum(store, model, bs, grid: KGrid):
-    """``(name, omegas, bounded)`` of a built block: an uncoupled column is
+    """``(omegas, bounded)`` of a built block: an uncoupled column is
     bounded exactly when K2_ii = 0, a coupled one by ``detect_asymptote``."""
     omegas = _solved(store, model, bs, grid.values)
     bounded = (np.diagonal(bs.K2) == 0.0 if bs.block is WaveBlock.UNCOUPLED
                else detect_asymptote(omegas, grid).tolist())
-    return bs.block.value, omegas, bounded
+    return omegas, bounded
 
 
 def _ceiling(store, model, blocks, spectra) -> float:
     """Headroom above the largest k = 0 frequency: row 0 of each solved
     spectrum, else a k = 0 solve (the pencil diagonal if uncoupled)."""
-    rows = {name: omegas[0] for name, omegas, _ in spectra}
-    rows.update((b.value, _solved(store, model, bs, np.zeros(1))[0])
-                for b, bs in blocks.items() if b.value not in rows)
+    rows = {b: omegas[0] for b, (omegas, _) in spectra.items()}
+    rows.update((b, _solved(store, model, bs, np.zeros(1))[0])
+                for b, bs in blocks.items() if b not in rows)
     return CEILING_HEADROOM * float(max(row.max() for row in rows.values()))
 
 
@@ -189,7 +170,7 @@ def default_omega_ceiling(model: ModelKind, elastic: ElasticParams,
                           inertia: InertiaParams) -> float:
     """Default detection ceiling: headroom above the largest cut-off, from
     k = 0 solves of the blocks, as ``detect_gaps`` reads it from row 0."""
-    return _ceiling({}, model, model_blocks(model, elastic, inertia), ())
+    return _ceiling({}, model, model_blocks(model, elastic, inertia), {})
 
 
 def detect_gaps(model, elastic, inertia, scope=COMPLETE, **options):
@@ -229,7 +210,7 @@ def _report(store, model, elastic, inertia, scope=COMPLETE, *, grid=None,
         raise ValueError(f"scope must be a WaveBlock or {COMPLETE!r}: "
                          f"{scope!r}")
     built = model_blocks(model, elastic, inertia)
-    spectra = [_spectrum(store, model, built[b], grid) for b in blocks]
+    spectra = {b: _spectrum(store, model, built[b], grid) for b in blocks}
     if omega_ceiling is None:
         omega_ceiling = _ceiling(store, model, built, spectra)
     if delta_omega is None:
@@ -237,8 +218,8 @@ def _report(store, model, elastic, inertia, scope=COMPLETE, *, grid=None,
     if min_gap_width is None:
         min_gap_width = omega_ceiling / CEILING_TO_MIN_GAP
 
-    gaps = gaps_from_coverage(coverage(spectra, omega_ceiling, delta_omega),
-                              min_gap_width)
+    gaps = gaps_from_coverage(coverage(spectra.values(), omega_ceiling,
+                                       delta_omega), min_gap_width)
     return GapReport(gaps=gaps, scope=scope, blocks=block_names,
                      omega_ceiling=omega_ceiling, delta_omega=delta_omega,
                      min_gap_width=min_gap_width, model=model,

@@ -387,10 +387,9 @@ def render_dispersion_svg(curves, grid, ceiling, scale=1.0,
 
 
 def _cmd_plot(cfg: RunConfig, args) -> str:
-    checked = cfg.checked_run()
     if not args.output:
         raise ConfigError("plot requires --output")
-    curves, grid = _sweeps(cfg, checked)
+    curves, grid = _sweeps(cfg, cfg.checked_run())
     ceiling = cfg.values.get("omega_ceiling")
     if ceiling is None:  # as detect_gaps: from the k = 0 rows just solved
         ceiling = CEILING_HEADROOM * max(

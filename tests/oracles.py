@@ -73,17 +73,16 @@ def cubic_pencil_eigenvalues(k_matrix: np.ndarray, m_matrix: np.ndarray):
 def binned_coverage(branches, omega_ceiling, delta_omega, min_gap_width):
     """Gap finder that marks a boolean array of delta_omega-wide bins.
 
-    ``branches`` holds (tag, omegas, bounded) triples.  Every bin between
-    two consecutive samples is marked, and an unbounded branch also marks
-    up to the ceiling; a sample below 0 counts in bin 0.  Returns the empty
-    runs at least ``min_gap_width`` wide as (lo, hi) pairs, the occupied-bin
-    count and, per occupied bin, the set of tags that reach it.
+    ``branches`` holds (omegas, bounded) pairs.  Every bin between two
+    consecutive samples is marked, and an unbounded branch also marks up to
+    the ceiling; a sample below 0 counts in bin 0.  Returns the empty runs
+    at least ``min_gap_width`` wide as (lo, hi) pairs and the occupied-bin
+    count.
     """
     n_bins = int(np.ceil(omega_ceiling / delta_omega))
     bins = np.zeros(n_bins, dtype=bool)
-    owners = {}
 
-    def mark(lo, hi, tag):
+    def mark(lo, hi):
         lo, hi = min(lo, hi), min(max(lo, hi), omega_ceiling)
         if lo >= omega_ceiling:
             return
@@ -91,17 +90,15 @@ def binned_coverage(branches, omega_ceiling, delta_omega, min_gap_width):
         first, last = (min(max(math.floor(x / delta_omega), 0), n_bins - 1)
                        for x in (lo, hi))
         bins[first:last + 1] = True
-        for b in range(first, last + 1):
-            owners.setdefault(b, set()).add(tag)
 
-    for tag, om, bounded in branches:
+    for om, bounded in branches:
         om = [float(w) for w in om]
         for lo, hi in zip(om[:-1], om[1:]):
-            mark(lo, hi, tag)
+            mark(lo, hi)
         if len(om) == 1:
-            mark(om[0], om[0], tag)
+            mark(om[0], om[0])
         if not bounded:
-            mark(om[-1], omega_ceiling, tag)
+            mark(om[-1], omega_ceiling)
 
     gaps, start = [], None
     for i, occupied in enumerate(list(bins) + [True]):
@@ -112,7 +109,7 @@ def binned_coverage(branches, omega_ceiling, delta_omega, min_gap_width):
             if hi - lo >= min_gap_width:
                 gaps.append((lo, hi))
             start = None
-    return gaps, int(np.count_nonzero(bins)), owners
+    return gaps, int(np.count_nonzero(bins))
 
 
 def greedy_continuation(overlap, omegas):

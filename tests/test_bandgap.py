@@ -22,9 +22,51 @@ from conftest import (MU_E_MPA, LAMBDA_E_MPA, MU_C_MPA, MU_MICRO_MPA,
 from oracles import binned_coverage, wide_cone
 
 
-def spectrum(columns, bounded, name="longitudinal"):
+def spectrum(columns, bounded):
     """Hand-built block spectrum: three equally long columns of omegas."""
-    return name, np.column_stack(columns).astype(float), bounded
+    return np.column_stack(columns).astype(float), bounded
+
+
+def random_spectra(rng):
+    """A random frequency axis (ceiling, bin width, gap width) and one to
+    three block spectra whose columns stress the binning: constants in the
+    low bins, samples on bin edges, ranges above or over the ceiling,
+    interior extrema and dips below zero."""
+    ceiling = float(rng.uniform(1.0e3, 1.0e5))
+    # an exact divisor in half the trials, a ragged last bin in the others
+    ratio = (float(rng.integers(50, 600)) if rng.random() < 0.5
+             else float(rng.uniform(50.0, 600.0)))
+    delta = ceiling / ratio
+    width = float(rng.choice([0.0, delta, 3.7 * delta]))
+    spectra = []
+    for _ in range(int(rng.integers(1, 4))):
+        n = int(rng.choice([1, 2, 60]))
+        columns = []
+        for _ in range(3):
+            walk = ceiling * np.abs(np.cumsum(
+                rng.normal(0.0, 0.05, n)) + rng.uniform(0.0, 1.2))
+            kind = rng.integers(7)
+            phase = np.linspace(0.0, np.pi, n)
+            if kind == 0:      # constant, in one of the low bins
+                walk = np.full(n, delta * rng.uniform(0.0, 8.0))
+            elif kind == 1:    # exactly on bin edges
+                walk = np.round(walk / delta) * delta
+            elif kind == 2:    # mostly above the ceiling
+                walk = walk + ceiling
+            elif kind == 3:    # a hump over the ceiling and back
+                walk = ceiling * (rng.uniform(0.0, 0.9)
+                                  + 1.5 * np.sin(phase))
+            elif kind == 4:    # min and max at interior samples
+                walk = ceiling * (rng.uniform(0.4, 0.6)
+                                  + rng.uniform(0.05, 0.4)
+                                  * np.sin(2.0 * phase))
+            elif kind == 5:    # a dip below zero, several bins deep
+                walk = ceiling * (rng.uniform(0.0, 0.3)
+                                  - rng.uniform(0.05, 0.5) * np.sin(phase))
+            columns.append(walk)
+        flags = tuple(bool(f) for f in rng.integers(0, 2, 3))
+        spectra.append(spectrum(columns, flags))
+    return ceiling, delta, width, spectra
 
 
 def ceiling_sets():
@@ -79,52 +121,37 @@ class TestCoverage:
         hi = int(9.0e5 / self.DELTA)
         assert any(a <= lo and hi <= b for a, b in cov.runs.tolist())
 
-    def test_edge_tags_name_block_and_column(self):
-        columns = [np.full(60, 4.0e5), np.full(60, 8.0e5), np.full(60, 4.0e5)]
-        cov = coverage([spectrum(columns, (True,) * 3, "transverse")],
-                       self.CEILING, self.DELTA)
-        assert cov.edge_tags == (
-            (("transverse:0", "transverse:2"), ("transverse:0",
-                                                "transverse:2")),
-            (("transverse:1",), ("transverse:1",)))
-
     def test_nothing_below_the_ceiling_leaves_one_full_gap(self):
         cov = coverage([spectrum([np.full(60, 2.0 * self.CEILING)] * 3,
                                  (False, True, True))],
                        self.CEILING, self.DELTA)
         assert cov.runs.shape == (0, 2)
-        assert cov.edge_tags == ()
         gaps = gaps_from_coverage(cov, 0.0)
         assert [(g.omega_lo, g.omega_hi) for g in gaps] == [
             (0.0, self.CEILING)]
 
     def test_no_spectra_cover_nothing(self):
         cov = coverage([], self.CEILING, self.DELTA)
-        assert cov.runs.shape == (0, 2) and cov.edge_tags == ()
+        assert cov.runs.shape == (0, 2)
 
-    @pytest.mark.parametrize("levels, runs, owners", [
-        ((), 0, 0),                                     # no spectra
-        ((2.0e6, 3.0e6, 4.0e6), 0, 0),                  # all above the top
-        ((1.0e5, 2.0e6, 1.0e5), 1, 2),
-        ((1.0e5, 5.0e5, 9.0e5, 1.0e5, 2.0e6, 5.0e5), 3, 5)])
-    def test_arrays_are_int64_of_fixed_shapes(self, levels, runs, owners):
+    @pytest.mark.parametrize("levels, runs", [
+        ((), 0),                                        # no spectra
+        ((2.0e6, 3.0e6, 4.0e6), 0),                     # all above the top
+        ((1.0e5, 2.0e6, 1.0e5), 1),
+        ((1.0e5, 5.0e5, 9.0e5, 1.0e5, 2.0e6, 5.0e5), 3)])
+    def test_arrays_are_int64_of_fixed_shapes(self, levels, runs):
         spectra = [spectrum([np.full(60, x) for x in levels[i:i + 3]],
-                            (True,) * 3, name)
-                   for i, name in zip(range(0, len(levels), 3), "LT")]
+                            (True,) * 3)
+                   for i in range(0, len(levels), 3)]
         cov = coverage(spectra, self.CEILING, self.DELTA)
-        assert cov.runs.dtype == cov.owners.dtype == np.int64
-        assert cov.owner_bins.dtype == np.int64
+        assert cov.runs.dtype == np.int64
         assert cov.runs.shape == (runs, 2)
-        assert cov.owners.shape == (owners,)
-        assert cov.owner_bins.shape == (owners, 2)
 
     def test_spectra_may_be_any_iterable(self):
         spectra = [spectrum([np.full(60, 4.0e5)] * 3, (True,) * 3)]
         cov = coverage(iter(spectra), self.CEILING, self.DELTA)
         b = int(4.0e5 / self.DELTA)
         assert cov.runs.tolist() == [[b, b]]
-        assert cov.edge_tags == ((("longitudinal:0", "longitudinal:1",
-                                   "longitudinal:2"),) * 2,)
 
     @pytest.mark.parametrize("key, value", [
         ("omega_ceiling", 0.0), ("omega_ceiling", -1.0),
@@ -144,48 +171,11 @@ class TestCoverage:
 
     def test_matches_bin_marking_oracle(self):
         rng = np.random.default_rng(20161017)
-        names = ("longitudinal", "transverse", "uncoupled")
         for _ in range(150):
-            ceiling = float(rng.uniform(1.0e3, 1.0e5))
-            # an exact divisor in half the trials, a ragged last bin in
-            # the others
-            ratio = (float(rng.integers(50, 600)) if rng.random() < 0.5
-                     else float(rng.uniform(50.0, 600.0)))
-            delta = ceiling / ratio
-            width = float(rng.choice([0.0, delta, 3.7 * delta]))
-            spectra = []
-            for name in names[:int(rng.integers(1, 4))]:
-                n = int(rng.choice([1, 2, 60]))
-                columns = []
-                for _ in range(3):
-                    walk = ceiling * np.abs(np.cumsum(
-                        rng.normal(0.0, 0.05, n)) + rng.uniform(0.0, 1.2))
-                    kind = rng.integers(7)
-                    phase = np.linspace(0.0, np.pi, n)
-                    if kind == 0:      # constant, in one of the low bins
-                        walk = np.full(n, delta * rng.uniform(0.0, 8.0))
-                    elif kind == 1:    # exactly on bin edges
-                        walk = np.round(walk / delta) * delta
-                    elif kind == 2:    # mostly above the ceiling
-                        walk = walk + ceiling
-                    elif kind == 3:    # a hump over the ceiling and back
-                        walk = ceiling * (rng.uniform(0.0, 0.9)
-                                          + 1.5 * np.sin(phase))
-                    elif kind == 4:    # min and max at interior samples
-                        walk = ceiling * (rng.uniform(0.4, 0.6)
-                                          + rng.uniform(0.05, 0.4)
-                                          * np.sin(2.0 * phase))
-                    elif kind == 5:    # a dip below zero, several bins deep
-                        walk = ceiling * (rng.uniform(0.0, 0.3)
-                                          - rng.uniform(0.05, 0.5)
-                                          * np.sin(phase))
-                    columns.append(walk)
-                flags = tuple(bool(f) for f in rng.integers(0, 2, 3))
-                spectra.append(spectrum(columns, flags, name))
-            columns = [(f"{name}:{c}", omegas[:, c], flags[c])
-                       for name, omegas, flags in spectra for c in range(3)]
-            gaps, occupied, owners = binned_coverage(columns, ceiling, delta,
-                                                     width)
+            ceiling, delta, width, spectra = random_spectra(rng)
+            columns = [(omegas[:, c], flags[c])
+                       for omegas, flags in spectra for c in range(3)]
+            gaps, occupied = binned_coverage(columns, ceiling, delta, width)
 
             cov = coverage(spectra, ceiling, delta)
             got = gaps_from_coverage(cov, width)
@@ -194,11 +184,36 @@ class TestCoverage:
             assert sum(b - a + 1 for a, b in runs) == occupied
             # maximal runs: an empty bin separates each from the next
             assert all(b + 1 < a for (_, b), (a, _) in zip(runs, runs[1:]))
-            # edge tags in block-then-column order
-            order = [tag for tag, _, _ in columns]
-            for (a, b), (first_tags, last_tags) in zip(runs, cov.edge_tags):
-                assert list(first_tags) == [t for t in order if t in owners[a]]
-                assert list(last_tags) == [t for t in order if t in owners[b]]
+
+    def test_depends_only_on_the_column_ranges(self):
+        # regrouping the columns into blocks changes neither runs nor gaps:
+        # shuffled across blocks (edge-padded to one length, which keeps
+        # each range), or one block per column whose other two columns lie
+        # above the ceiling (unbounded, so they would count if they reached
+        # below it)
+        rng = np.random.default_rng(20161017)
+        for _ in range(150):
+            ceiling, delta, width, spectra = random_spectra(rng)
+            n = max(len(omegas) for omegas, _ in spectra)
+            columns = [(np.pad(omegas[:, c], (0, n - len(omegas)), "edge"),
+                        flags[c]) for omegas, flags in spectra
+                       for c in range(3)]
+            shuffled = [columns[i] for i in rng.permutation(len(columns))]
+            above = np.full(n, 2.0 * ceiling)
+            regroupings = (
+                [spectrum([om for om, _ in shuffled[i:i + 3]],
+                          tuple(f for _, f in shuffled[i:i + 3]))
+                 for i in range(0, len(shuffled), 3)],
+                [spectrum([om if j == i % 3 else above for j in range(3)],
+                          tuple(f if j == i % 3 else False for j in range(3)))
+                 for i, (om, f) in enumerate(columns)])
+            cov = coverage(spectra, ceiling, delta)
+            for regrouped in regroupings:
+                again = coverage(regrouped, ceiling, delta)
+                assert again.runs.tolist() == cov.runs.tolist()
+                assert again.n_bins == cov.n_bins
+                assert (gaps_from_coverage(again, width)
+                        == gaps_from_coverage(cov, width))
 
 
 class TestDetectGaps:

@@ -567,8 +567,11 @@ class TestPlotCommand:
         assert run_to_file(tmp_path, "given.svg", argv + [
             "--omega-ceiling", repr(ceiling)]) == (0, svg)
 
-    def test_plot_requires_output(self, config_file):
-        assert run(["plot", "--config", config_file]) == 2
+    # the missing flag is a usage error before any parameter is validated
+    @pytest.mark.parametrize("flags", [[], ["--mu-e", "-1"]])
+    def test_plot_requires_output(self, config_file, capsys, flags):
+        assert run(["plot", "--config", config_file, *flags]) == 2
+        assert capsys.readouterr().err == "error: plot requires --output\n"
 
 
 class TestErrorPaths:
@@ -778,6 +781,8 @@ class TestNonFiniteInputs:
         argv = [command, "--config", DEMO_CONFIG, flag, value,
                 *COMMANDS[command]]
         for output in ([], ["--output", str(path)]):
+            if command == "plot" and not output:
+                continue  # a usage error before any validation
             code = run(argv + output)
             out, err = capsys.readouterr()
             assert code == 3

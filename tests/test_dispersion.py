@@ -28,7 +28,7 @@ ALL_BLOCKS = [WaveBlock.LONGITUDINAL, WaveBlock.TRANSVERSE,
 
 
 def spectrum(model, elastic, inertia, block, grid):
-    """Gap detection's (name, omegas, bounded) of one block, built here."""
+    """Gap detection's (omegas, bounded) of one block, built here."""
     return _spectrum({}, model, block_for(model, elastic, inertia, block),
                      grid)
 
@@ -430,8 +430,8 @@ class TestAsymptotes:
     def test_flat_uncoupled_columns_of_div_variant(self, ref_elastic,
                                                    inertia_on):
         grid = default_grid(ref_elastic, points=120)
-        _, omegas, bounded = spectrum(ModelKind.RELAXED_DIV, ref_elastic,
-                                      inertia_on, WaveBlock.UNCOUPLED, grid)
+        omegas, bounded = spectrum(ModelKind.RELAXED_DIV, ref_elastic,
+                                   inertia_on, WaveBlock.UNCOUPLED, grid)
         assert np.all(np.abs(omegas - omegas[0]) <= 1e-9 * omegas[0])
         assert tuple(bounded) == (True, True, True)
 
@@ -443,16 +443,16 @@ class TestAsymptotes:
         flat = model in (ModelKind.RELAXED_DIV, ModelKind.INTERNAL_VARIABLE)
         for elastic, inertia in wide_cone_params(seed=14):
             grid = default_grid(elastic, inertia, points=50)
-            _, _, bounded = spectrum(model, elastic, inertia,
-                                     WaveBlock.UNCOUPLED, grid)
+            _, bounded = spectrum(model, elastic, inertia,
+                                  WaveBlock.UNCOUPLED, grid)
             k2 = block_for(model, elastic, inertia, WaveBlock.UNCOUPLED).K2
             assert tuple(bounded) == tuple(np.diagonal(k2) == 0.0)
             assert tuple(bounded) == (flat or elastic.L_c == 0.0,) * 3
 
     def test_lowest_column_saturates(self, ref_elastic, inertia_off):
-        _, _, bounded = spectrum(ModelKind.RELAXED_CURL, ref_elastic,
-                                 inertia_off, WaveBlock.LONGITUDINAL,
-                                 default_grid(ref_elastic))
+        _, bounded = spectrum(ModelKind.RELAXED_CURL, ref_elastic,
+                              inertia_off, WaveBlock.LONGITUDINAL,
+                              default_grid(ref_elastic))
         assert bounded[0] is True
 
     @pytest.mark.parametrize("model", ALL_MODELS)
@@ -461,15 +461,15 @@ class TestAsymptotes:
                                              inertia_off):
         # without gradient inertia the displacement stiffness grows as k^2
         # over a constant mass
-        _, _, bounded = spectrum(model, ref_elastic, inertia_off, block,
-                                 default_grid(ref_elastic))
+        _, bounded = spectrum(model, ref_elastic, inertia_off, block,
+                              default_grid(ref_elastic))
         assert bounded[2] is False
 
     def test_straight_lowest_column_not_asymptotic(self, ref_elastic,
                                                    inertia_off):
-        _, _, bounded = spectrum(ModelKind.MINDLIN_ERINGEN, ref_elastic,
-                                 inertia_off, WaveBlock.LONGITUDINAL,
-                                 default_grid(ref_elastic))
+        _, bounded = spectrum(ModelKind.MINDLIN_ERINGEN, ref_elastic,
+                              inertia_off, WaveBlock.LONGITUDINAL,
+                              default_grid(ref_elastic))
         assert bounded[0] is False
 
     def test_constant_column_is_asymptotic(self):
@@ -500,8 +500,8 @@ class TestAsymptotes:
         tro = curve.branches[0]
         assert tro.label == "TRO" and not np.any(tro.omegas)
         # the P_[23] column
-        _, omegas, bounded = spectrum(model, elastic, inertia_on,
-                                      WaveBlock.UNCOUPLED, grid)
+        omegas, bounded = spectrum(model, elastic, inertia_on,
+                                   WaveBlock.UNCOUPLED, grid)
         assert not np.any(omegas[:, 1]) and bounded[1]
 
     def test_top_decade_sampling_required(self):
