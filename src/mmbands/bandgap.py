@@ -10,7 +10,9 @@ rising to the ceiling (by default 1.5 times the largest k = 0 frequency,
 read from row 0 of the report's own solves).  The coverage is the union of
 these ranges, merged after a sort.  Sampled ranges are an inner
 approximation: an extremum or an exact crossing between two samples can be
-missed by up to one step's change.
+missed by up to one step's change.  A union can only grow, so a report
+stops solving blocks once the ranges solved join up from 0 to an unbounded
+column: no later block, ceiling or bin width can open a gap in [0, inf).
 
 Band-gaps are the holes between the merged runs wider than a minimum width.
 The "complete" scope intersects the longitudinal and both transverse blocks
@@ -99,6 +101,12 @@ def coverage(spectra, omega_ceiling: float, delta_omega: float) -> CoverageMap:
     is at or above the ceiling.  Columns are reduced in numpy; their few
     ranges are binned, sorted and merged as Python numbers.
     """
+    return _coverage([r for pair in spectra for r in _column_ranges(*pair)],
+                     omega_ceiling, delta_omega)
+
+
+def _coverage(ranges, omega_ceiling: float, delta_omega: float) -> CoverageMap:
+    """``coverage`` of the ``_column_ranges`` of the spectra."""
     _check_axis("omega_ceiling", omega_ceiling)
     _check_axis("delta_omega", delta_omega)
     # bin numbers must stay exact integers in float64
@@ -106,12 +114,6 @@ def coverage(spectra, omega_ceiling: float, delta_omega: float) -> CoverageMap:
         raise FrequencyAxisError(
             f"delta_omega {delta_omega!r} gives over 2**53 bins")
     n_bins = math.ceil(omega_ceiling / delta_omega)
-
-    ranges = []
-    for omegas, bounded in spectra:
-        columns = np.transpose(omegas).copy()   # rows: fast to reduce
-        ranges += zip(columns.min(axis=1).tolist(), np.where(
-            bounded, columns.max(axis=1), omega_ceiling).tolist())
 
     # a run ends where the next range starts past every bin reached so far
     runs = []
@@ -124,6 +126,23 @@ def coverage(spectra, omega_ceiling: float, delta_omega: float) -> CoverageMap:
         runs[-1][1] = max(runs[-1][1], last)
     return CoverageMap(omega_ceiling, delta_omega, n_bins,
                        np.array(runs, np.int64).reshape(-1, 2))
+
+
+def _column_ranges(omegas, bounded) -> list[tuple[float, float]]:
+    """(min, max) of each column's samples, (min, inf) when unbounded."""
+    columns = np.transpose(omegas).copy()   # rows: fast to reduce
+    return list(zip(columns.min(axis=1).tolist(), np.where(
+        bounded, columns.max(axis=1), math.inf).tolist()))
+
+
+def _gap_free(ranges) -> bool:
+    """Whether the ranges join up from 0 to an unbounded one: their union
+    is [0, inf), with no hole for any added range, ceiling or bin width."""
+    reach = 0.0
+    for lo, hi in sorted(ranges):
+        if lo <= reach:
+            reach = max(reach, hi)
+    return reach == math.inf
 
 
 def gaps_from_coverage(cov: CoverageMap, min_gap_width: float) -> tuple[Gap, ...]:
@@ -194,8 +213,11 @@ def _report(store, model, elastic, inertia, scope=COMPLETE, *, grid=None,
 
     ``scope`` is a single WaveBlock for a per-block report or ``COMPLETE``
     for the intersection over the displacement-coupled blocks (optionally
-    also the uncoupled one, see the module docstring).  Each block is built
-    and solved once, on the model's ``default_grid`` unless ``grid`` is given.
+    also the uncoupled one, see the module docstring).  The blocks are built
+    once and solved in that order, each once, on the model's
+    ``default_grid`` unless ``grid`` is given, until the ranges solved leave
+    no hole (``_gap_free``); a block after that adds only the k = 0 row that
+    the default ceiling reads.
     """
     if grid is None:
         grid = default_grid(elastic, inertia, model=model)
@@ -210,7 +232,12 @@ def _report(store, model, elastic, inertia, scope=COMPLETE, *, grid=None,
         raise ValueError(f"scope must be a WaveBlock or {COMPLETE!r}: "
                          f"{scope!r}")
     built = model_blocks(model, elastic, inertia)
-    spectra = {b: _spectrum(store, model, built[b], grid) for b in blocks}
+    spectra, ranges = {}, []
+    for b in blocks:
+        spectra[b] = _spectrum(store, model, built[b], grid)
+        ranges += _column_ranges(*spectra[b])
+        if _gap_free(ranges):
+            break
     if omega_ceiling is None:
         omega_ceiling = _ceiling(store, model, built, spectra)
     if delta_omega is None:
@@ -218,8 +245,8 @@ def _report(store, model, elastic, inertia, scope=COMPLETE, *, grid=None,
     if min_gap_width is None:
         min_gap_width = omega_ceiling / CEILING_TO_MIN_GAP
 
-    gaps = gaps_from_coverage(coverage(spectra.values(), omega_ceiling,
-                                       delta_omega), min_gap_width)
+    gaps = gaps_from_coverage(_coverage(ranges, omega_ceiling, delta_omega),
+                              min_gap_width)
     return GapReport(gaps=gaps, scope=scope, blocks=block_names,
                      omega_ceiling=omega_ceiling, delta_omega=delta_omega,
                      min_gap_width=min_gap_width, model=model,

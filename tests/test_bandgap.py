@@ -10,12 +10,15 @@ import mmbands.bandgap
 import mmbands.dispersion
 import mmbands.eigensolve
 from mmbands.assembly import model_blocks
-from mmbands.bandgap import (COMPLETE, FrequencyAxisError, coverage,
+from mmbands.bandgap import (CEILING_TO_DELTA, CEILING_TO_MIN_GAP, COMPLETE,
+                             FrequencyAxisError, GapReport, _ceiling,
+                             _column_ranges, _gap_free, _spectrum, coverage,
                              default_omega_ceiling, detect_gaps, gap_reports,
                              gaps_from_coverage)
 from mmbands.core import ElasticParams, InertiaParams, ModelKind, WaveBlock
 from mmbands.dispersion import (KGrid, cutoffs, default_grid,
                                 detect_asymptote, solve_block, sweep)
+from mmbands.eigensolve import EigenSolveError, NegativeEigenvalueError
 
 from conftest import (MU_E_MPA, LAMBDA_E_MPA, MU_C_MPA, MU_MICRO_MPA,
                       LAMBDA_MICRO_MPA, L_C_MM, RHO, ETA, ETA_BAR)
@@ -69,18 +72,64 @@ def random_spectra(rng):
     return ceiling, delta, width, spectra
 
 
-def ceiling_sets():
-    """The reference set with and without gradient inertia, each also at
-    mu_c = 0 and at L_c = 0, and the wide_cone(100) sets."""
+def reference_sets():
+    """The reference set without and with gradient inertia."""
     elastic = ElasticParams.from_engineering(
         MU_E_MPA, LAMBDA_E_MPA, MU_C_MPA, MU_MICRO_MPA, LAMBDA_MICRO_MPA,
         L_C_MM)
-    sets = [(variant, InertiaParams(rho=RHO, eta=ETA).with_eta_bar(eta_bar))
-            for eta_bar in (0.0, ETA_BAR)
+    return [(elastic, InertiaParams(rho=RHO, eta=ETA).with_eta_bar(eta_bar))
+            for eta_bar in (0.0, ETA_BAR)]
+
+
+def wide_cone_sets(*seeds):
+    """The 24 wide_cone sets of each seed, as parameter objects."""
+    return [(ElasticParams(**e), InertiaParams(**i))
+            for seed in seeds for e, i in wide_cone(seed, 24)]
+
+
+def ceiling_sets():
+    """The reference set with and without gradient inertia, each also at
+    mu_c = 0 and at L_c = 0, and the wide_cone(100) sets."""
+    sets = [(variant, inertia) for elastic, inertia in reference_sets()
             for variant in (elastic, replace(elastic, mu_c=0.0),
                             replace(elastic, L_c=0.0))]
-    return sets + [(ElasticParams(**e), InertiaParams(**i))
-                   for e, i in wide_cone(100)]
+    return sets + wide_cone_sets(100)
+
+
+def counting_solves(monkeypatch):
+    """Patch the solve that gap detection calls; the returned list gets one
+    ``(block, number of k)`` entry per call, and a single k must be 0."""
+    solves = []
+    solve = mmbands.bandgap.solve_block
+
+    def counting_solve(model, bs, k, **kwargs):
+        assert len(k) > 1 or k[0] == 0.0
+        solves.append((bs.block, len(k)))
+        return solve(model, bs, k, **kwargs)
+
+    monkeypatch.setattr(mmbands.bandgap, "solve_block", counting_solve)
+    return solves
+
+
+def all_blocks_report(model, elastic, inertia, grid=None,
+                      include_uncoupled=False):
+    """A complete report with every block in scope solved on the whole grid
+    before the coverage is read: the path without the early stop, kept as
+    the reference."""
+    if grid is None:
+        grid = default_grid(elastic, inertia, model=model)
+    built, store = model_blocks(model, elastic, inertia), {}
+    spectra = {b: _spectrum(store, model, built[b], grid)
+               for b in list(WaveBlock)[:2 + include_uncoupled]}
+    ceiling = _ceiling(store, model, built, spectra)
+    delta, width = ceiling / CEILING_TO_DELTA, ceiling / CEILING_TO_MIN_GAP
+    return GapReport(
+        gaps=gaps_from_coverage(coverage(spectra.values(), ceiling, delta),
+                                width),
+        scope=COMPLETE, blocks=("longitudinal", "transverse", "transverse-3")
+        + ("uncoupled",) * include_uncoupled, omega_ceiling=ceiling,
+        delta_omega=delta, min_gap_width=width, model=model, elastic=elastic,
+        inertia=inertia)
 
 
 class TestCoverage:
@@ -214,6 +263,59 @@ class TestCoverage:
                 assert again.n_bins == cov.n_bins
                 assert (gaps_from_coverage(again, width)
                         == gaps_from_coverage(cov, width))
+
+    @pytest.mark.parametrize("ranges, free", [
+        ([(0.0, math.inf)], True),
+        ([(0.0, 1.0), (1.0, math.inf)], True),           # touching ends
+        ([(2.0, math.inf), (0.0, 5.0), (1.0, 2.0)], True),
+        ([(-1.0, 1.0), (0.5, math.inf)], True),
+        ([], False),
+        ([(0.0, 1.0), (1.5, math.inf)], False),          # a hole
+        ([(0.0, 1.0), (0.5, 2.0)], False),               # all bounded
+        ([(1.0e-300, math.inf)], False),                 # not from 0
+        ([(0.0, 1.0), (2.0, math.inf), (1.0, 1.5)], False)])
+    def test_gap_free_ranges_join_zero_to_infinity(self, ranges, free):
+        assert _gap_free(ranges) is free
+
+    def test_joined_ranges_leave_no_gap_on_any_axis(self):
+        # the premise of a report's early stop: columns whose ranges join up
+        # from 0 to an unbounded one, among any others, leave no gap for any
+        # ceiling, bin width or minimum width
+        rng = np.random.default_rng(32)
+        for _ in range(300):
+            scale = 10.0 ** rng.uniform(-3.0, 8.0)
+            n = int(rng.choice([2, 60]))
+            columns, reach = [], 0.0
+            for j in range(int(rng.integers(1, 7))):
+                lo = reach * rng.choice([0.0, rng.uniform(), 1.0])
+                hi = lo + scale * rng.uniform(0.0, 2.0)
+                columns.append((lo, hi, rng.random() < 0.2))
+                reach = max(reach, hi)
+            columns.append((reach * rng.choice([rng.uniform(), 1.0]),
+                            reach + scale, False))     # the unbounded one
+            columns += [(lo, lo + scale * rng.uniform(0.0, 3.0),
+                         rng.random() < 0.5) for lo in scale
+                        * rng.uniform(0.0, 5.0, -len(columns) % 3)]
+            sampled = []
+            for lo, hi, bounded in columns:
+                walk = rng.uniform(lo, hi, n)
+                walk[rng.permutation(n)[:2]] = lo, hi
+                sampled.append((walk, bounded))
+            sampled = [sampled[i] for i in rng.permutation(len(sampled))]
+            spectra = [spectrum([w for w, _ in sampled[i:i + 3]],
+                                tuple(b for _, b in sampled[i:i + 3]))
+                       for i in range(0, len(sampled), 3)]
+            assert _gap_free([r for pair in spectra
+                              for r in _column_ranges(*pair)])
+
+            ceiling = scale * 10.0 ** rng.uniform(-2.0, 2.0)
+            delta = ceiling / float(rng.choice(
+                [rng.integers(1, 5000), rng.uniform(1.0, 5000.0)]))
+            width = float(rng.choice([0.0, delta, rng.uniform(0.0, ceiling)]))
+            cov = coverage(spectra, ceiling, delta)
+            assert gaps_from_coverage(cov, width) == ()
+            assert cov.runs.tolist() == [[0, cov.n_bins - 1]]
+            assert binned_coverage(sampled, ceiling, delta, width)[0] == []
 
 
 class TestDetectGaps:
@@ -485,18 +587,6 @@ class TestGapReports:
     """A scan of gap reports: each run's report is the one detect_gaps
     gives, and each distinct block is solved once per scan, never longer."""
 
-    @staticmethod
-    def counting(monkeypatch):
-        solves = []
-        solve = mmbands.bandgap.solve_block
-
-        def counting_solve(model, bs, k, **kwargs):
-            solves.append((bs.block, len(k)))
-            return solve(model, bs, k, **kwargs)
-
-        monkeypatch.setattr(mmbands.bandgap, "solve_block", counting_solve)
-        return solves
-
     def test_reports_equal_one_run_reports(self, ref_elastic, inertia_on,
                                            inertia_off, monkeypatch):
         grid = default_grid(ref_elastic, points=120)
@@ -515,7 +605,7 @@ class TestGapReports:
                 (ModelKind.RELAXED_CURL, ref_elastic, inertia_on, COMPLETE,
                  {})]
         want = [detect_gaps(*run[:4], **run[4]) for run in runs]
-        solves = self.counting(monkeypatch)
+        solves = counting_solves(monkeypatch)
         assert list(gap_reports(runs)) == want
         # run 1 reuses the longitudinal block and the ceiling's uncoupled
         # k = 0 row of run 0, run 2 both coupled blocks, run 3 the
@@ -544,7 +634,7 @@ class TestGapReports:
 
     def test_equal_one_run_calls_each_solve(self, ref_elastic, inertia_on,
                                             monkeypatch):
-        solves = self.counting(monkeypatch)
+        solves = counting_solves(monkeypatch)
         reports = [detect_gaps(ModelKind.RELAXED_CURL, ref_elastic,
                                inertia_on) for _ in range(2)]
         assert reports[0] == reports[1]
@@ -556,3 +646,103 @@ class TestGapReports:
         with pytest.raises(TypeError):
             detect_gaps(ModelKind.RELAXED_CURL, ref_elastic, inertia_on,
                         ceiling=1e6)
+
+
+class TestEarlyStop:
+    """A complete report stops solving blocks once the blocks solved leave
+    no hole, and still gives the report of the all-blocks path."""
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_equals_the_all_blocks_report(self, model):
+        # where the all-blocks path raises, only a skipped block's k > 0
+        # pencils may have been the cause, and the report is then gap-free
+        for elastic, inertia in reference_sets() + wide_cone_sets(100, 101):
+            for grid, include in [(None, False), (None, True),
+                                  (KGrid.linear(1.0e8, 400), False)]:
+                try:
+                    want = all_blocks_report(model, elastic, inertia, grid,
+                                             include)
+                except EigenSolveError as exc:
+                    try:
+                        got = detect_gaps(model, elastic, inertia, grid=grid,
+                                          include_uncoupled=include)
+                    except EigenSolveError as again:
+                        assert str(again) == str(exc)
+                    else:
+                        assert got.gaps == ()
+                    continue
+                assert repr(detect_gaps(model, elastic, inertia, grid=grid,
+                                        include_uncoupled=include)) == repr(
+                    want)
+
+    def test_solves_the_transverse_block_at_k0_when_no_hole_is_left(
+            self, monkeypatch):
+        # without gradient inertia the longitudinal block of Mindlin-Eringen,
+        # relaxed-div-curl and relaxed-div covers [0, inf) by itself: its
+        # acoustic column rises without bound from 0 and the optic ones
+        # start below it; the default ceiling still reads k = 0 of the rest
+        early = {ModelKind.MINDLIN_ERINGEN, ModelKind.RELAXED_DIV_CURL,
+                 ModelKind.RELAXED_DIV}
+        solves = counting_solves(monkeypatch)
+        lon, tra, unc = WaveBlock
+        for elastic, inertia in reference_sets():
+            for model in ModelKind:
+                solves.clear()
+                report = detect_gaps(model, elastic, inertia)
+                stops = model in early and inertia.eta_bar_1 == 0.0
+                assert solves == [(lon, 400), (tra, 1 if stops else 400),
+                                  (unc, 1)], (model, inertia)
+                if stops:
+                    assert report.gaps == ()
+
+    def test_scan_mixes_early_stops_with_full_reports(self, ref_elastic,
+                                                      monkeypatch):
+        base = InertiaParams(rho=RHO, eta=ETA)
+        me = ModelKind.MINDLIN_ERINGEN
+        runs = [(me, ref_elastic, replace(base, eta_bar_2=0.0), COMPLETE, {}),
+                (me, ref_elastic, replace(base, eta_bar_2=0.1), COMPLETE, {}),
+                (me, ref_elastic, replace(base, eta_bar_1=0.1), COMPLETE, {}),
+                (ModelKind.RELAXED_CURL, ref_elastic, base, COMPLETE, {}),
+                (me, ref_elastic, base, COMPLETE,
+                 {"include_uncoupled": True})]
+        want = [detect_gaps(*run[:4], **run[4]) for run in runs]
+        solves = counting_solves(monkeypatch)
+        assert list(gap_reports(runs)) == want
+        # every run here has the first run's uncoupled block; eta_bar_2
+        # moves only the transverse block, whose k = 0 row the second run's
+        # ceiling reads; the third run's transverse block is the first
+        # run's, now needed on the whole grid; the last run stops after the
+        # first run's longitudinal block and reads its k = 0 rows, so it
+        # solves nothing
+        lon, tra, unc = WaveBlock
+        assert solves == [(lon, 400), (tra, 1), (unc, 1),
+                          (tra, 1),
+                          (lon, 400), (tra, 400),
+                          (lon, 400), (tra, 400)]
+
+    @pytest.mark.parametrize("points", [400, 4000])
+    @pytest.mark.parametrize("seed, index, model", [
+        (100, 4, ModelKind.RELAXED_CURL), (101, 0, ModelKind.RELAXED_DIV),
+        (11, 12, ModelKind.RELAXED_DIV)])
+    def test_a_skipped_block_raises_no_false_failure(self, seed, index,
+                                                     model, points):
+        # the transverse block of these sets raises a false
+        # NegativeEigenvalueError at k > 1e7 rad/m, roundoff of its float
+        # entries, but the longitudinal block alone leaves no hole
+        elastic, inertia = wide_cone_sets(seed)[index]
+        report = detect_gaps(model, elastic, inertia,
+                             grid=KGrid.linear(1.0e8, points))
+        assert report.gaps == ()
+        with pytest.raises(NegativeEigenvalueError, match="transverse block"):
+            all_blocks_report(model, elastic, inertia,
+                              KGrid.linear(1.0e8, points))
+
+    @pytest.mark.parametrize("points", [400, 4000])
+    def test_a_failure_in_a_solved_block_still_raises(self, points):
+        # this false failure, roundoff of the float block entries, lies in
+        # the longitudinal block, which every complete report solves
+        elastic, inertia = wide_cone_sets(101)[0]
+        with pytest.raises(NegativeEigenvalueError,
+                           match="longitudinal block"):
+            detect_gaps(ModelKind.RELAXED_CURL, elastic, inertia,
+                        grid=KGrid.linear(1.0e8, points))
