@@ -12,8 +12,9 @@ from .assembly import (BlockLeakageError, BlockSystem, FullSystem,
                        assemble_full, block_basis, block_decompose,
                        block_for, model_blocks, DOF_NAMES)
 from .bandgap import (COMPLETE, CoverageMap, FrequencyAxisError, Gap,
-                      GapReport, coverage, default_omega_ceiling,
-                      detect_gaps, gap_reports, gaps_from_coverage)
+                      GapReport, column_ranges, coverage,
+                      default_omega_ceiling, detect_gaps, gap_reports,
+                      gaps_from_coverage)
 from .core import (ElasticParams, InertiaParams, InvariantCheck, MacroParams,
                    ModelKind, ValidationReport, WaveBlock, homogenize,
                    validate)

@@ -5,14 +5,15 @@ the sorted eigenvalues of a coupled block or the micro modes of the
 uncoupled one.  Each column is continuous in k (Weyl's inequality; Kato,
 Perturbation Theory for Linear Operators), so it takes every value from its
 min to its max, with no branch continuation.  Past the end of the grid, a
-saturated column stops at its asymptote, while an unbounded one keeps
-rising to the ceiling (by default 1.5 times the largest k = 0 frequency,
-read from row 0 of the report's own solves).  The coverage is the union of
-these ranges, merged after a sort.  Sampled ranges are an inner
-approximation: an extremum or an exact crossing between two samples can be
-missed by up to one step's change.  A union can only grow, so a report
-stops solving blocks once the ranges solved join up from 0 to an unbounded
-column: no later block, ceiling or bin width can open a gap in [0, inf).
+saturated column stops at its asymptote, while an unbounded one keeps rising
+to the ceiling (``default_omega_ceiling``: 1.5 times the largest k = 0
+frequency, read from row 0 of the report's own solves).  A spectrum is kept
+as its ``column_ranges``, [min, max] or [min, inf); ``coverage`` bins their
+union, merged after a sort.  Sampled ranges are an inner approximation: an
+extremum or an exact crossing between two samples can be missed by up to one
+step's change.  A union can only grow, so a report stops solving blocks once
+the ranges solved join up from 0 to an unbounded column: no later block,
+ceiling or bin width can open a gap in [0, inf).
 
 Band-gaps are the holes between the merged runs wider than a minimum width.
 The "complete" scope intersects the longitudinal and both transverse blocks
@@ -90,23 +91,16 @@ class GapReport:
     inertia: InertiaParams
 
 
-def coverage(spectra, omega_ceiling: float, delta_omega: float) -> CoverageMap:
-    """Union of the frequency bins reached by any column of the spectra.
+def coverage(ranges, omega_ceiling: float, delta_omega: float) -> CoverageMap:
+    """Union of the frequency bins reached by any of the column ranges.
 
-    ``spectra`` holds one ``(omegas (n_k, 3), bounded (3,))`` pair per
-    block.  A column covers [min, max] of its samples (module docstring),
-    or [min, ceiling] when unbounded.  Binning (min(x, ceiling) /
-    delta_omega, floored, clipped to the first and last bin) is monotone,
-    so a column covers the bins of its min to its max, and none if its min
-    is at or above the ceiling.  Columns are reduced in numpy; their few
-    ranges are binned, sorted and merged as Python numbers.
+    ``ranges`` holds one ``(lo, hi)`` pair per column, as ``column_ranges``
+    makes them: [min, max] of its samples, or [min, inf) when unbounded.
+    Binning (min(x, ceiling) / delta_omega, floored, clipped to the first
+    and last bin) is monotone, so a column covers the bins of its lo to its
+    hi, and none if its lo is at or above the ceiling.  The few ranges are
+    binned, sorted and merged as Python numbers.
     """
-    return _coverage([r for pair in spectra for r in _column_ranges(*pair)],
-                     omega_ceiling, delta_omega)
-
-
-def _coverage(ranges, omega_ceiling: float, delta_omega: float) -> CoverageMap:
-    """``coverage`` of the ``_column_ranges`` of the spectra."""
     _check_axis("omega_ceiling", omega_ceiling)
     _check_axis("delta_omega", delta_omega)
     # bin numbers must stay exact integers in float64
@@ -128,7 +122,7 @@ def _coverage(ranges, omega_ceiling: float, delta_omega: float) -> CoverageMap:
                        np.array(runs, np.int64).reshape(-1, 2))
 
 
-def _column_ranges(omegas, bounded) -> list[tuple[float, float]]:
+def column_ranges(omegas, bounded) -> list[tuple[float, float]]:
     """(min, max) of each column's samples, (min, inf) when unbounded."""
     columns = np.transpose(omegas).copy()   # rows: fast to reduce
     return list(zip(columns.min(axis=1).tolist(), np.where(
@@ -168,28 +162,26 @@ def _solved(store: dict, model, bs, k) -> np.ndarray:
 
 
 def _spectrum(store, model, bs, grid: KGrid):
-    """``(omegas, bounded)`` of a built block: an uncoupled column is
+    """A built block's k = 0 row and ``column_ranges``: an uncoupled column is
     bounded exactly when K2_ii = 0, a coupled one by ``detect_asymptote``."""
     omegas = _solved(store, model, bs, grid.values)
     bounded = (np.diagonal(bs.K2) == 0.0 if bs.block is WaveBlock.UNCOUPLED
                else detect_asymptote(omegas, grid).tolist())
-    return omegas, bounded
+    return omegas[0], column_ranges(omegas, bounded)
 
 
-def _ceiling(store, model, blocks, spectra) -> float:
-    """Headroom above the largest k = 0 frequency: row 0 of each solved
-    spectrum, else a k = 0 solve (the pencil diagonal if uncoupled)."""
-    rows = {b: omegas[0] for b, (omegas, _) in spectra.items()}
-    rows.update((b, _solved(store, model, bs, np.zeros(1))[0])
-                for b, bs in blocks.items() if b not in rows)
-    return CEILING_HEADROOM * float(max(row.max() for row in rows.values()))
+def default_omega_ceiling(rows) -> float:
+    """Default detection ceiling: headroom above the largest frequency of
+    the given k = 0 rows, a block's cut-offs or row 0 of its solve."""
+    return CEILING_HEADROOM * float(max(map(max, rows)))
 
 
-def default_omega_ceiling(model: ModelKind, elastic: ElasticParams,
-                          inertia: InertiaParams) -> float:
-    """Default detection ceiling: headroom above the largest cut-off, from
-    k = 0 solves of the blocks, as ``detect_gaps`` reads it from row 0."""
-    return _ceiling({}, model, model_blocks(model, elastic, inertia), {})
+def _ceiling(store, model, blocks, rows) -> float:
+    """``default_omega_ceiling`` of the k = 0 rows solved, by block, and of
+    a k = 0 solve of each other block (the pencil diagonal if uncoupled)."""
+    return default_omega_ceiling([*rows.values(), *(
+        _solved(store, model, bs, np.zeros(1))[0]
+        for b, bs in blocks.items() if b not in rows)])
 
 
 def detect_gaps(model, elastic, inertia, scope=COMPLETE, **options):
@@ -232,20 +224,20 @@ def _report(store, model, elastic, inertia, scope=COMPLETE, *, grid=None,
         raise ValueError(f"scope must be a WaveBlock or {COMPLETE!r}: "
                          f"{scope!r}")
     built = model_blocks(model, elastic, inertia)
-    spectra, ranges = {}, []
+    rows, ranges = {}, []
     for b in blocks:
-        spectra[b] = _spectrum(store, model, built[b], grid)
-        ranges += _column_ranges(*spectra[b])
+        rows[b], block_ranges = _spectrum(store, model, built[b], grid)
+        ranges += block_ranges
         if _gap_free(ranges):
             break
     if omega_ceiling is None:
-        omega_ceiling = _ceiling(store, model, built, spectra)
+        omega_ceiling = _ceiling(store, model, built, rows)
     if delta_omega is None:
         delta_omega = omega_ceiling / CEILING_TO_DELTA
     if min_gap_width is None:
         min_gap_width = omega_ceiling / CEILING_TO_MIN_GAP
 
-    gaps = gaps_from_coverage(_coverage(ranges, omega_ceiling, delta_omega),
+    gaps = gaps_from_coverage(coverage(ranges, omega_ceiling, delta_omega),
                               min_gap_width)
     return GapReport(gaps=gaps, scope=scope, blocks=block_names,
                      omega_ceiling=omega_ceiling, delta_omega=delta_omega,

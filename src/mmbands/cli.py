@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 
 from .assembly import BlockLeakageError
-from .bandgap import (CEILING_HEADROOM, COMPLETE, FrequencyAxisError,
-                      _check_axis, detect_gaps, gap_reports)
+from .bandgap import (COMPLETE, FrequencyAxisError, _check_axis,
+                      default_omega_ceiling, detect_gaps, gap_reports)
 from .core import (ElasticParams, InertiaParams, ModelKind, WaveBlock,
                    homogenize, validate, PA_PER_MPA)
 from .dispersion import (DEFAULT_GRID_POINTS, DegenerateGridError, KGrid,
@@ -391,9 +391,9 @@ def _cmd_plot(cfg: RunConfig, args) -> str:
         raise ConfigError("plot requires --output")
     curves, grid = _sweeps(cfg, cfg.checked_run())
     ceiling = cfg.values.get("omega_ceiling")
-    if ceiling is None:  # as detect_gaps: from the k = 0 rows just solved
-        ceiling = CEILING_HEADROOM * max(
-            float(b.omegas[0]) for c in curves.values() for b in c.branches)
+    if ceiling is None:  # detect_gaps' rule, on the k = 0 rows just solved
+        ceiling = default_omega_ceiling(
+            [b.omegas[0] for b in c.branches] for c in curves.values())
     _check_axis("omega_ceiling", ceiling)
     return render_dispersion_svg(curves, grid, ceiling, *_omega_scale(args))
 

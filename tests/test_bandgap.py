@@ -12,7 +12,7 @@ import mmbands.eigensolve
 from mmbands.assembly import model_blocks
 from mmbands.bandgap import (CEILING_TO_DELTA, CEILING_TO_MIN_GAP, COMPLETE,
                              FrequencyAxisError, GapReport, _ceiling,
-                             _column_ranges, _gap_free, _spectrum, coverage,
+                             _gap_free, _spectrum, column_ranges, coverage,
                              default_omega_ceiling, detect_gaps, gap_reports,
                              gaps_from_coverage)
 from mmbands.core import ElasticParams, InertiaParams, ModelKind, WaveBlock
@@ -28,6 +28,18 @@ from oracles import binned_coverage, wide_cone
 def spectrum(columns, bounded):
     """Hand-built block spectrum: three equally long columns of omegas."""
     return np.column_stack(columns).astype(float), bounded
+
+
+def ranges_of(spectra):
+    """The ``column_ranges`` of ``(omegas, bounded)`` spectra, in order: what
+    ``coverage`` takes."""
+    return [r for pair in spectra for r in column_ranges(*pair)]
+
+
+def cutoff_rows(model, elastic, inertia):
+    """The k = 0 rows of ``cutoffs``, one per block."""
+    return [[c.omega for c in cuts]
+            for cuts in cutoffs(model, elastic, inertia).values()]
 
 
 def random_spectra(rng):
@@ -121,11 +133,12 @@ def all_blocks_report(model, elastic, inertia, grid=None,
     built, store = model_blocks(model, elastic, inertia), {}
     spectra = {b: _spectrum(store, model, built[b], grid)
                for b in list(WaveBlock)[:2 + include_uncoupled]}
-    ceiling = _ceiling(store, model, built, spectra)
+    ceiling = _ceiling(store, model, built,
+                       {b: row for b, (row, _) in spectra.items()})
+    ranges = [r for _, block_ranges in spectra.values() for r in block_ranges]
     delta, width = ceiling / CEILING_TO_DELTA, ceiling / CEILING_TO_MIN_GAP
     return GapReport(
-        gaps=gaps_from_coverage(coverage(spectra.values(), ceiling, delta),
-                                width),
+        gaps=gaps_from_coverage(coverage(ranges, ceiling, delta), width),
         scope=COMPLETE, blocks=("longitudinal", "transverse", "transverse-3")
         + ("uncoupled",) * include_uncoupled, omega_ceiling=ceiling,
         delta_omega=delta, min_gap_width=width, model=model, elastic=elastic,
@@ -138,16 +151,16 @@ class TestCoverage:
 
     def test_constant_column_occupies_single_bin(self):
         omega0 = 4.0e5 + 0.3 * self.DELTA      # mid-bin
-        cov = coverage([spectrum([np.full(60, omega0)] * 3, (True,) * 3)],
-                       self.CEILING, self.DELTA)
+        spectra = [spectrum([np.full(60, omega0)] * 3, (True,) * 3)]
+        cov = coverage(ranges_of(spectra), self.CEILING, self.DELTA)
         b = int(omega0 / self.DELTA)
         assert cov.runs.tolist() == [[b, b]]
 
     def test_linear_column_covers_contiguously(self):
         k = np.linspace(0.0, 1.0e5, 60)
         omegas = 3.0 * k                      # tops out below the ceiling
-        cov = coverage([spectrum([omegas] * 3, (True,) * 3)], self.CEILING,
-                       self.DELTA)
+        cov = coverage(ranges_of([spectrum([omegas] * 3, (True,) * 3)]),
+                       self.CEILING, self.DELTA)
         top_bin = int(3.0e5 / self.DELTA)
         assert cov.runs.tolist() == [[0, top_bin]]
         assert gaps_from_coverage(cov, 10 * self.DELTA) == (
@@ -157,29 +170,29 @@ class TestCoverage:
 
     def test_unbounded_column_extends_to_ceiling(self):
         k = np.linspace(0.0, 1.0e5, 60)
-        cov = coverage([spectrum([3.0 * k] * 3, (False,) * 3)], self.CEILING,
-                       self.DELTA)
+        cov = coverage(ranges_of([spectrum([3.0 * k] * 3, (False,) * 3)]),
+                       self.CEILING, self.DELTA)
         assert cov.runs.tolist() == [[0, cov.n_bins - 1]]
 
     def test_range_bridges_coarse_samples(self):
         # two samples far apart must still cover everything between them
         omegas = np.concatenate([np.full(30, 1.0e5), np.full(30, 9.0e5)])
-        cov = coverage([spectrum([omegas] * 3, (True,) * 3)], self.CEILING,
-                       self.DELTA)
+        cov = coverage(ranges_of([spectrum([omegas] * 3, (True,) * 3)]),
+                       self.CEILING, self.DELTA)
         lo = int(1.0e5 / self.DELTA)
         hi = int(9.0e5 / self.DELTA)
         assert any(a <= lo and hi <= b for a, b in cov.runs.tolist())
 
     def test_nothing_below_the_ceiling_leaves_one_full_gap(self):
-        cov = coverage([spectrum([np.full(60, 2.0 * self.CEILING)] * 3,
-                                 (False, True, True))],
-                       self.CEILING, self.DELTA)
+        spectra = [spectrum([np.full(60, 2.0 * self.CEILING)] * 3,
+                            (False, True, True))]
+        cov = coverage(ranges_of(spectra), self.CEILING, self.DELTA)
         assert cov.runs.shape == (0, 2)
         gaps = gaps_from_coverage(cov, 0.0)
         assert [(g.omega_lo, g.omega_hi) for g in gaps] == [
             (0.0, self.CEILING)]
 
-    def test_no_spectra_cover_nothing(self):
+    def test_no_ranges_cover_nothing(self):
         cov = coverage([], self.CEILING, self.DELTA)
         assert cov.runs.shape == (0, 2)
 
@@ -192,13 +205,13 @@ class TestCoverage:
         spectra = [spectrum([np.full(60, x) for x in levels[i:i + 3]],
                             (True,) * 3)
                    for i in range(0, len(levels), 3)]
-        cov = coverage(spectra, self.CEILING, self.DELTA)
+        cov = coverage(ranges_of(spectra), self.CEILING, self.DELTA)
         assert cov.runs.dtype == np.int64
         assert cov.runs.shape == (runs, 2)
 
-    def test_spectra_may_be_any_iterable(self):
+    def test_ranges_may_be_any_iterable(self):
         spectra = [spectrum([np.full(60, 4.0e5)] * 3, (True,) * 3)]
-        cov = coverage(iter(spectra), self.CEILING, self.DELTA)
+        cov = coverage(iter(ranges_of(spectra)), self.CEILING, self.DELTA)
         b = int(4.0e5 / self.DELTA)
         assert cov.runs.tolist() == [[b, b]]
 
@@ -214,7 +227,7 @@ class TestCoverage:
         axis = {"omega_ceiling": self.CEILING, "delta_omega": self.DELTA,
                 "min_gap_width": 0.0, key: value}
         with pytest.raises(FrequencyAxisError, match=key):
-            cov = coverage(spectra, axis["omega_ceiling"],
+            cov = coverage(ranges_of(spectra), axis["omega_ceiling"],
                            axis["delta_omega"])
             gaps_from_coverage(cov, axis["min_gap_width"])
 
@@ -226,7 +239,7 @@ class TestCoverage:
                        for omegas, flags in spectra for c in range(3)]
             gaps, occupied = binned_coverage(columns, ceiling, delta, width)
 
-            cov = coverage(spectra, ceiling, delta)
+            cov = coverage(ranges_of(spectra), ceiling, delta)
             got = gaps_from_coverage(cov, width)
             assert [(g.omega_lo, g.omega_hi) for g in got] == gaps
             runs = cov.runs.tolist()
@@ -256,9 +269,9 @@ class TestCoverage:
                 [spectrum([om if j == i % 3 else above for j in range(3)],
                           tuple(f if j == i % 3 else False for j in range(3)))
                  for i, (om, f) in enumerate(columns)])
-            cov = coverage(spectra, ceiling, delta)
+            cov = coverage(ranges_of(spectra), ceiling, delta)
             for regrouped in regroupings:
-                again = coverage(regrouped, ceiling, delta)
+                again = coverage(ranges_of(regrouped), ceiling, delta)
                 assert again.runs.tolist() == cov.runs.tolist()
                 assert again.n_bins == cov.n_bins
                 assert (gaps_from_coverage(again, width)
@@ -305,14 +318,13 @@ class TestCoverage:
             spectra = [spectrum([w for w, _ in sampled[i:i + 3]],
                                 tuple(b for _, b in sampled[i:i + 3]))
                        for i in range(0, len(sampled), 3)]
-            assert _gap_free([r for pair in spectra
-                              for r in _column_ranges(*pair)])
+            assert _gap_free(ranges_of(spectra))
 
             ceiling = scale * 10.0 ** rng.uniform(-2.0, 2.0)
             delta = ceiling / float(rng.choice(
                 [rng.integers(1, 5000), rng.uniform(1.0, 5000.0)]))
             width = float(rng.choice([0.0, delta, rng.uniform(0.0, ceiling)]))
-            cov = coverage(spectra, ceiling, delta)
+            cov = coverage(ranges_of(spectra), ceiling, delta)
             assert gaps_from_coverage(cov, width) == ()
             assert cov.runs.tolist() == [[0, cov.n_bins - 1]]
             assert binned_coverage(sampled, ceiling, delta, width)[0] == []
@@ -540,8 +552,8 @@ class TestDetectGaps:
 
     def test_default_ceiling_above_every_cutoff(self, ref_elastic,
                                                 inertia_off):
-        ceiling = default_omega_ceiling(ModelKind.RELAXED_CURL, ref_elastic,
-                                        inertia_off)
+        ceiling = default_omega_ceiling(cutoff_rows(
+            ModelKind.RELAXED_CURL, ref_elastic, inertia_off))
         omega_p = np.sqrt((3.0 * ref_elastic.lambda_e + 2.0 * ref_elastic.mu_e
                            + 3.0 * ref_elastic.lambda_micro
                            + 2.0 * ref_elastic.mu_micro) / inertia_off.eta)
@@ -554,7 +566,10 @@ class TestDetectGaps:
         for elastic, inertia in ceiling_sets():
             want = 1.5 * max(c.omega for cuts in cutoffs(
                 model, elastic, inertia).values() for c in cuts)
-            assert default_omega_ceiling(model, elastic, inertia) == want
+            assert default_omega_ceiling(
+                cutoff_rows(model, elastic, inertia)) == want
+            assert _ceiling({}, model, model_blocks(model, elastic, inertia),
+                            {}) == want
             grid = default_grid(elastic, inertia, points=50)
             for scope, include in [(COMPLETE, False), (COMPLETE, True),
                                    *((block, False) for block in WaveBlock)]:
@@ -572,8 +587,17 @@ class TestDetectGaps:
             for model in ModelKind:
                 want = 1.5 * max(c.omega for cuts in cutoffs(
                     model, elastic, inertia).values() for c in cuts)
-                assert default_omega_ceiling(model, elastic,
-                                             inertia) == want
+                assert _ceiling({}, model, model_blocks(model, elastic,
+                                                        inertia), {}) == want
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_report_ceiling_is_the_rule_on_the_cutoff_rows(self, model):
+        # one ceiling rule: default_omega_ceiling of cutoffs()' rows is the
+        # report's ceiling bit for bit, whichever blocks the report solved
+        for elastic, inertia in reference_sets() + wide_cone_sets(100, 101):
+            want = default_omega_ceiling(cutoff_rows(model, elastic, inertia))
+            got = detect_gaps(model, elastic, inertia).omega_ceiling
+            assert got.hex() == want.hex()
 
     def test_report_echoes_parameters(self, ref_elastic, inertia_on):
         report = detect_gaps(ModelKind.RELAXED_DIV, ref_elastic, inertia_on)
@@ -641,6 +665,29 @@ class TestGapReports:
         assert solves == 2 * [
             (WaveBlock.LONGITUDINAL, 400), (WaveBlock.TRANSVERSE, 400),
             (WaveBlock.UNCOUPLED, 1)]
+
+    def test_each_report_bins_its_ranges_once(self, ref_elastic, inertia_on,
+                                              monkeypatch):
+        # a report calls the public coverage, the step the tracer times
+        calls = []
+        bin_ranges = mmbands.bandgap.coverage
+
+        def counting_coverage(*args):
+            calls.append(args)
+            return bin_ranges(*args)
+
+        monkeypatch.setattr(mmbands.bandgap, "coverage", counting_coverage)
+        for elastic, inertia in reference_sets():
+            for model in ModelKind:
+                calls.clear()
+                detect_gaps(model, elastic, inertia)
+                assert len(calls) == 1, model
+        calls.clear()
+        runs = [(ModelKind.RELAXED_CURL, ref_elastic,
+                 replace(inertia_on, eta_bar_2=value), COMPLETE, {})
+                for value in (0.0, 0.05, 0.1, 0.15)]
+        assert len(list(gap_reports(runs))) == 4
+        assert len(calls) == 4
 
     def test_unknown_option_is_rejected(self, ref_elastic, inertia_on):
         with pytest.raises(TypeError):

@@ -16,7 +16,8 @@ import pytest
 import mmbands.assembly
 import mmbands.bandgap
 import mmbands.dispersion
-from mmbands import ModelKind, WaveBlock, default_omega_ceiling, sweep
+from mmbands import (ModelKind, WaveBlock, cutoffs, default_omega_ceiling,
+                     sweep)
 from mmbands.cli import _cells, _csv_text, build_config, build_parser, run
 
 from conftest import (MU_E_MPA, LAMBDA_E_MPA, MU_C_MPA, MU_MICRO_MPA,
@@ -562,8 +563,9 @@ class TestPlotCommand:
         assert calls == {"model_blocks": 3, "solve_block": 3}
         monkeypatch.undo()
         cfg = build_config(build_parser().parse_args(argv))
-        ceiling = default_omega_ceiling(cfg.model(), cfg.elastic(),
-                                        cfg.inertia())
+        ceiling = default_omega_ceiling(
+            [c.omega for c in cuts] for cuts in cutoffs(
+                cfg.model(), cfg.elastic(), cfg.inertia()).values())
         assert run_to_file(tmp_path, "given.svg", argv + [
             "--omega-ceiling", repr(ceiling)]) == (0, svg)
 

@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 from dataclasses import replace
@@ -28,9 +29,13 @@ ALL_BLOCKS = [WaveBlock.LONGITUDINAL, WaveBlock.TRANSVERSE,
 
 
 def spectrum(model, elastic, inertia, block, grid):
-    """Gap detection's (omegas, bounded) of one block, built here."""
-    return _spectrum({}, model, block_for(model, elastic, inertia, block),
-                     grid)
+    """The omegas of one block, built here, and gap detection's bounded
+    verdicts: a column is unbounded where its range reaches inf."""
+    bs = block_for(model, elastic, inertia, block)
+    row, ranges = _spectrum({}, model, bs, grid)
+    omegas = solve_block(model, bs, grid.values, vectors=False)[0]
+    assert np.array_equal(row, omegas[0])
+    return omegas, [hi != math.inf for _, hi in ranges]
 
 
 def admissible_set(seed, mu_c_zero):
