@@ -13,7 +13,10 @@ union, merged after a sort.  Sampled ranges are an inner approximation: an
 extremum or an exact crossing between two samples can be missed by up to one
 step's change.  A union can only grow, so a report stops solving blocks once
 the ranges solved join up from 0 to an unbounded column: no later block,
-ceiling or bin width can open a gap in [0, inf).
+ceiling or bin width can open a gap in [0, inf).  Block structure can say
+so first: a coupled block has 3 - rank(K2 on null(M2)) bounded columns,
+and with none its lowest column rises from 0 (K0's u row is 0) without
+bound, so a scope holding such a block is gap-free before any solve.
 
 Band-gaps are the holes between the merged runs wider than a minimum width.
 The "complete" scope intersects the longitudinal and both transverse blocks
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import model_blocks
+from .assembly import _full_curvature_blocks, model_blocks
 from .core import ElasticParams, InertiaParams, ModelKind, WaveBlock
 from .dispersion import KGrid, default_grid, detect_asymptote, solve_block
 
@@ -170,6 +173,17 @@ def _spectrum(store, model, bs, grid: KGrid):
     return omegas[0], column_ranges(omegas, bounded)
 
 
+def _unbounded(model, bs) -> bool:
+    """Whether a coupled block has no bounded column: K2 is nonsingular on
+    null(M2), as 3 - that rank columns are bounded.  M2 is diagonal on u
+    alone and K2 couples no u with P, so that is M2_uu = 0, K2_uu > 0 and a
+    nonsingular micro part of K2, mu_e L_c^2 times the curvature unit's:
+    not 0 as built, on a unit of full rank (exact, once per model)."""
+    return (bs.M2[0, 0] == 0.0 and bs.K2[0, 0] > 0.0
+            and bs.block in _full_curvature_blocks(model)
+            and bs.K2[1:, 1:].any())
+
+
 def default_omega_ceiling(rows) -> float:
     """Default detection ceiling: headroom above the largest frequency of
     the given k = 0 rows, a block's cut-offs or row 0 of its solve."""
@@ -209,7 +223,8 @@ def _report(store, model, elastic, inertia, scope=COMPLETE, *, grid=None,
     once and solved in that order, each once, on the model's
     ``default_grid`` unless ``grid`` is given, until the ranges solved leave
     no hole (``_gap_free``); a block after that adds only the k = 0 row that
-    the default ceiling reads.
+    the default ceiling reads.  A coupled block in scope with no bounded
+    column (``_unbounded``) leaves no hole before the first.
     """
     if grid is None:
         grid = default_grid(elastic, inertia, model=model)
@@ -225,11 +240,14 @@ def _report(store, model, elastic, inertia, scope=COMPLETE, *, grid=None,
                          f"{scope!r}")
     built = model_blocks(model, elastic, inertia)
     rows, ranges = {}, []
+    if any(_unbounded(model, built[b]) for b in blocks
+           if b is not WaveBlock.UNCOUPLED):
+        ranges.append((0.0, math.inf))   # that block's lowest column
     for b in blocks:
-        rows[b], block_ranges = _spectrum(store, model, built[b], grid)
-        ranges += block_ranges
         if _gap_free(ranges):
             break
+        rows[b], block_ranges = _spectrum(store, model, built[b], grid)
+        ranges += block_ranges
     if omega_ceiling is None:
         omega_ceiling = _ceiling(store, model, built, rows)
     if delta_omega is None:

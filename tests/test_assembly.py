@@ -499,6 +499,24 @@ class TestUnitTensors:
         assert np.all((mags == 0.0) | (mags >= 1.0 / 3.0))
         assert np.array_equal(units, np.swapaxes(units, -1, -2))
 
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_structure_the_gap_free_certificate_reads(self, model):
+        # bandgap._unbounded reads a coupled block's K2 on null(M2) from
+        # M2_uu, K2_uu and K2's micro part: exact zeros elsewhere make that
+        # the whole of it
+        units = mmbands.assembly._block_tensor(model).reshape(11, 3, 5, 3, 3)
+        m2, k2 = units[:, :, 1], units[:, :, 4]
+        coupled, others = k2[:, :2], np.delete(k2, 5, axis=0)
+        # K2 couples no u (DOF 0 of a coupled block) with P
+        assert not coupled[..., 0, 1:].any() and not coupled[..., 1:, 0].any()
+        # only the curvature unit mu_e L_c^2 has micro K2 entries
+        assert not others[:, :2, 1:, 1:].any() and not others[:, 2].any()
+        assert not k2[5, :2, 0, 0].any()
+        # M2 is nonzero only at u
+        u_only = np.zeros((3, 3, 3), bool)
+        u_only[:2, 0, 0] = True
+        assert not m2[:, ~u_only].any() and m2[:, u_only].any()
+
     def test_block_basis_is_integer_rows_over_their_norms(self):
         # integer rows make the unit tensors exact with no roundoff cleanup
         rows = mmbands.assembly._BLOCK_ROWS

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from dataclasses import replace
@@ -12,9 +13,9 @@ import mmbands.eigensolve
 from mmbands.assembly import model_blocks
 from mmbands.bandgap import (CEILING_TO_DELTA, CEILING_TO_MIN_GAP, COMPLETE,
                              FrequencyAxisError, GapReport, _ceiling,
-                             _gap_free, _spectrum, column_ranges, coverage,
-                             default_omega_ceiling, detect_gaps, gap_reports,
-                             gaps_from_coverage)
+                             _gap_free, _spectrum, _unbounded, column_ranges,
+                             coverage, default_omega_ceiling, detect_gaps,
+                             gap_reports, gaps_from_coverage)
 from mmbands.core import ElasticParams, InertiaParams, ModelKind, WaveBlock
 from mmbands.dispersion import (KGrid, cutoffs, default_grid,
                                 detect_asymptote, solve_block, sweep)
@@ -724,22 +725,28 @@ class TestEarlyStop:
 
     def test_solves_the_transverse_block_at_k0_when_no_hole_is_left(
             self, monkeypatch):
-        # without gradient inertia the longitudinal block of Mindlin-Eringen,
-        # relaxed-div-curl and relaxed-div covers [0, inf) by itself: its
-        # acoustic column rises without bound from 0 and the optic ones
-        # start below it; the default ceiling still reads k = 0 of the rest
-        early = {ModelKind.MINDLIN_ERINGEN, ModelKind.RELAXED_DIV_CURL,
-                 ModelKind.RELAXED_DIV}
+        # without gradient inertia the longitudinal block of relaxed-div
+        # covers [0, inf) by itself: its acoustic column rises without bound
+        # from 0 and the optic ones start below it; Mindlin-Eringen and
+        # relaxed-div-curl have a block with no bounded column there, so no
+        # block is solved past k = 0; the default ceiling reads k = 0 of the
+        # rest
+        certified = {ModelKind.MINDLIN_ERINGEN, ModelKind.RELAXED_DIV_CURL}
         solves = counting_solves(monkeypatch)
         lon, tra, unc = WaveBlock
         for elastic, inertia in reference_sets():
             for model in ModelKind:
                 solves.clear()
                 report = detect_gaps(model, elastic, inertia)
-                stops = model in early and inertia.eta_bar_1 == 0.0
-                assert solves == [(lon, 400), (tra, 1 if stops else 400),
-                                  (unc, 1)], (model, inertia)
-                if stops:
+                no_inertia = inertia.eta_bar_1 == 0.0
+                if model in certified and no_inertia:
+                    want = [(lon, 1), (tra, 1), (unc, 1)]
+                elif model is ModelKind.RELAXED_DIV and no_inertia:
+                    want = [(lon, 400), (tra, 1), (unc, 1)]
+                else:
+                    want = [(lon, 400), (tra, 400), (unc, 1)]
+                assert solves == want, (model, inertia)
+                if want[1] == (tra, 1):     # certified or stopped early
                     assert report.gaps == ()
 
     def test_scan_mixes_early_stops_with_full_reports(self, ref_elastic,
@@ -755,14 +762,15 @@ class TestEarlyStop:
         want = [detect_gaps(*run[:4], **run[4]) for run in runs]
         solves = counting_solves(monkeypatch)
         assert list(gap_reports(runs)) == want
-        # every run here has the first run's uncoupled block; eta_bar_2
-        # moves only the transverse block, whose k = 0 row the second run's
-        # ceiling reads; the third run's transverse block is the first
-        # run's, now needed on the whole grid; the last run stops after the
-        # first run's longitudinal block and reads its k = 0 rows, so it
-        # solves nothing
+        # every run here has the first run's uncoupled block; the first
+        # two runs have a longitudinal block with no bounded column, so they
+        # solve only k = 0 rows, and eta_bar_2 moves only the transverse
+        # block, whose k = 0 row the second run's ceiling reads; the third
+        # run has gradient inertia on the u of both blocks and solves them
+        # on the whole grid, as the relaxed-curl run does; the last run
+        # repeats the first and reads its k = 0 rows, so it solves nothing
         lon, tra, unc = WaveBlock
-        assert solves == [(lon, 400), (tra, 1), (unc, 1),
+        assert solves == [(lon, 1), (tra, 1), (unc, 1),
                           (tra, 1),
                           (lon, 400), (tra, 400),
                           (lon, 400), (tra, 400)]
@@ -793,3 +801,79 @@ class TestEarlyStop:
                            match="longitudinal block"):
             detect_gaps(ModelKind.RELAXED_CURL, elastic, inertia,
                         grid=KGrid.linear(1.0e8, points))
+
+
+# bounded columns of a coupled block at L_c > 0, without and with gradient
+# inertia on its u (3 - rank of K2 on null(M2); the README's table); at
+# L_c = 0 the curvature vanishes and every model has 2 and 3
+BOUNDED_COLUMNS = {ModelKind.RELAXED_CURL: (1, 2),
+                   ModelKind.RELAXED_DIV: (1, 2),
+                   ModelKind.RELAXED_DIV_CURL: (0, 1),
+                   ModelKind.MINDLIN_ERINGEN: (0, 1),
+                   ModelKind.INTERNAL_VARIABLE: (2, 3)}
+
+
+class TestCertificate:
+    """A report with a coupled block in scope that has no bounded column is
+    gap-free, read from block structure before any block is solved."""
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_fires_exactly_where_no_column_is_bounded(self, model):
+        lon, tra, _ = WaveBlock
+        # the eta_bar that reach each block's u: the longitudinal u1 takes
+        # the deviatoric and spherical parts, a transverse u the deviatoric
+        # and skew ones
+        reach = {lon: (0, 2), tra: (0, 1)}
+        for elastic, inertia in wide_cone_sets(100, 101):
+            for on in itertools.product((False, True), repeat=3):
+                varied = replace(inertia, **{
+                    f"eta_bar_{i + 1}": inertia.eta * 10.0 ** i if o else 0.0
+                    for i, o in enumerate(on)})
+                built = model_blocks(model, elastic, varied)
+                for b, indices in reach.items():
+                    inert = any(on[i] for i in indices)
+                    bounded = (BOUNDED_COLUMNS[model][inert]
+                               if elastic.L_c > 0.0 else 2 + inert)
+                    assert _unbounded(model, built[b]) == (bounded == 0), (
+                        b, elastic, varied)
+
+    @pytest.mark.parametrize("model", [ModelKind.MINDLIN_ERINGEN,
+                                       ModelKind.RELAXED_DIV_CURL])
+    def test_not_where_the_curvature_modulus_underflows(self, model,
+                                                        ref_elastic):
+        inertia = InertiaParams(rho=RHO, eta=ETA)
+        for l_c, fires in [(1.0e-200, False), (1.0e-160, True)]:
+            # mu_e * L_c**2 is 0 in floats, then subnormal but not 0
+            built = model_blocks(model, replace(ref_elastic, L_c=l_c), inertia)
+            for b in (WaveBlock.LONGITUDINAL, WaveBlock.TRANSVERSE):
+                assert built[b].K2[1:, 1:].any() == fires
+                assert _unbounded(model, built[b]) == fires
+
+    @pytest.mark.parametrize("model", [ModelKind.MINDLIN_ERINGEN,
+                                       ModelKind.RELAXED_DIV_CURL])
+    def test_a_certified_report_is_the_all_blocks_report(self, model,
+                                                         monkeypatch):
+        # three one-pencil solves at k = 0 for the ceiling, and no other
+        # linear algebra per report
+        def forbidden(*args, **kwargs):
+            raise AssertionError("linear algebra in a certified report")
+
+        for name in ("svd", "matrix_rank", "det"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        solves = counting_solves(monkeypatch)
+        lon, tra, unc = WaveBlock
+        grids = (None, KGrid.linear(1.0e-3, 50), KGrid.linear(1.0e8, 400))
+        for elastic, inertia in wide_cone_sets(100, 101, 11, 2):
+            if elastic.L_c == 0.0:
+                continue
+            inertia = inertia.with_eta_bar(0.0)
+            for grid in grids:
+                solves.clear()
+                report = detect_gaps(model, elastic, inertia, grid=grid)
+                assert solves == [(lon, 1), (tra, 1), (unc, 1)]
+                assert report.gaps == ()
+                try:
+                    want = all_blocks_report(model, elastic, inertia, grid)
+                except EigenSolveError:
+                    continue
+                assert repr(report) == repr(want)
