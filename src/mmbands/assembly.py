@@ -343,18 +343,11 @@ def _unit_tensor(model: ModelKind) -> np.ndarray:
 
 
 @functools.cache
-def _full_curvature_blocks(model: ModelKind) -> frozenset[WaveBlock]:
-    """The coupled blocks on whose micro DOFs the curvature term's K2 has
-    full rank, decided exactly: at mu_e = L_c = 1 those entries are integers
-    (the footprint's, through the integer rows, whose norms only scale rows
-    and columns), and each 2x2 determinant is taken in int64."""
-    unit = ElasticParams(1.0, 0.0, 0.0, 0.0, 0.0, L_c=1.0)
-    k2 = assemble_full(model, unit, InertiaParams(0.0, 0.0)).K2
-    k2 = (_BLOCK_ROWS @ k2 @ _BLOCK_ROWS.conj().T).real.astype(np.int64)
-    k2 = k2.reshape(4, 3, 4, 3)   # [block, row, block, column]
-    return frozenset(_BLOCK_META[b][0] for b in _KEPT[:2]
-                     if k2[b, 1, b, 1] * k2[b, 2, b, 2]
-                     != k2[b, 1, b, 2] * k2[b, 2, b, 1])
+def _identity_curvature(model: ModelKind) -> bool:
+    """Whether each unit P's curvature footprint is P itself, as for the full
+    gradient and Div + Curl; exact, as every footprint selects columns of P."""
+    return all(np.array_equal(_curvature_footprint(model, p), p)
+               for p in np.eye(9).reshape(9, 3, 3))
 
 
 @functools.cache

@@ -15,8 +15,10 @@ step's change.  A union can only grow, so a report stops solving blocks once
 the ranges solved join up from 0 to an unbounded column: no later block,
 ceiling or bin width can open a gap in [0, inf).  Block structure can say
 so first: a coupled block has 3 - rank(K2 on null(M2)) bounded columns,
-and with none its lowest column rises from 0 (K0's u row is 0) without
-bound, so a scope holding such a block is gap-free before any solve.
+none if M2_uu = 0 and the curvature is the identity on P (K2's micro part
+is then mu_e L_c^2 times the identity), and with none its lowest column
+rises from 0 (K0's u row is 0) without bound, so a scope holding such a
+block is gap-free before any solve.
 
 Band-gaps are the holes between the merged runs wider than a minimum width.
 The "complete" scope intersects the longitudinal and both transverse blocks
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import _full_curvature_blocks, model_blocks
+from .assembly import _identity_curvature, model_blocks
 from .core import ElasticParams, InertiaParams, ModelKind, WaveBlock
 from .dispersion import KGrid, default_grid, detect_asymptote, solve_block
 
@@ -177,10 +179,10 @@ def _unbounded(model, bs) -> bool:
     """Whether a coupled block has no bounded column: K2 is nonsingular on
     null(M2), as 3 - that rank columns are bounded.  M2 is diagonal on u
     alone and K2 couples no u with P, so that is M2_uu = 0, K2_uu > 0 and a
-    nonsingular micro part of K2, mu_e L_c^2 times the curvature unit's:
-    not 0 as built, on a unit of full rank (exact, once per model)."""
-    return (bs.M2[0, 0] == 0.0 and bs.K2[0, 0] > 0.0
-            and bs.block in _full_curvature_blocks(model)
+    nonsingular micro part of K2: with identity curvature (checked exactly,
+    once per model) mu_e L_c^2 times the identity, so one not 0 as built."""
+    return (bs.block is not WaveBlock.UNCOUPLED and bs.M2[0, 0] == 0.0
+            and bs.K2[0, 0] > 0.0 and _identity_curvature(model)
             and bs.K2[1:, 1:].any())
 
 
@@ -240,8 +242,7 @@ def _report(store, model, elastic, inertia, scope=COMPLETE, *, grid=None,
                          f"{scope!r}")
     built = model_blocks(model, elastic, inertia)
     rows, ranges = {}, []
-    if any(_unbounded(model, built[b]) for b in blocks
-           if b is not WaveBlock.UNCOUPLED):
+    if any(_unbounded(model, built[b]) for b in blocks):
         ranges.append((0.0, math.inf))   # that block's lowest column
     for b in blocks:
         if _gap_free(ranges):

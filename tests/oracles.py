@@ -8,8 +8,11 @@ finder at the end marks a boolean array with one entry per frequency bin,
 the direct form of the interval union that the production code computes.
 The branch continuation and the mode classifier are the plain per-step and
 per-vector loops that the production code replaces by array passes.  The
-wide-cone sampler draws admissible parameter sets far from the reference
-set, as plain keyword dicts, so this module needs numpy only.
+curvature rank is the general rule that certified gap-free reports narrow:
+each model's curvature on a coupled block's micro DOFs, as an integer
+matrix whose rank is exact.  The wide-cone sampler draws admissible
+parameter sets far from the reference set, as plain keyword dicts, so this
+module needs numpy only.
 """
 
 import math
@@ -150,6 +153,36 @@ def classify_vector(vector, labels, threshold):
     second = max(m for i, m in enumerate(mags) if i != top)
     ratio = math.inf if second == 0.0 else mags[top] / second
     return (labels[top] if ratio >= threshold else "Mixed"), ratio
+
+
+# each model's curvature for waves along x1, as the columns of P it keeps:
+# Curl Curl the second and third, grad Div the first, Div + Curl and the
+# full gradient all three, and the internal-variable model none
+CURVATURE_COLUMNS = {"relaxed-curl": (0, 1, 1), "relaxed-div": (1, 0, 0),
+                     "relaxed-div-curl": (1, 1, 1),
+                     "mindlin-eringen": (1, 1, 1),
+                     "internal-variable": (0, 0, 0)}
+
+# the integer rows of each coupled block's two micro DOFs over the entries
+# of P they combine, and the column of P that holds each entry: (P_S, P_D)
+# over P11, P22, P33 and (P_(12), P_[12]) over P12, P21
+MICRO_ROWS = {"longitudinal": (((1, 1, 1), (2, -1, -1)), (0, 1, 2)),
+              "transverse": (((1, 1), (1, -1)), (1, 0))}
+
+
+def curvature_micro_rank(model, block):
+    """Exact rank of a model's curvature on a coupled block's micro DOFs.
+
+    ``model`` and ``block`` are the CLI names.  The curvature keeps the
+    masked columns of P, so on the block's rows R it is the integer Gram
+    matrix R diag(mask) R^T; a Gram matrix of rank below 2 has rank 1
+    unless every entry is 0.
+    """
+    mask = CURVATURE_COLUMNS[model]
+    rows, columns = MICRO_ROWS[block]
+    (a, b), (c, d) = [[sum(x * y * mask[j] for x, y, j in zip(r, s, columns))
+                       for s in rows] for r in rows]
+    return 2 if a * d != b * c else int(any((a, b, c, d)))
 
 
 def wide_cone_set(rng, *, mu_c_zero, l_c_zero, eta_bar_on):

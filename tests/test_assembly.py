@@ -13,6 +13,7 @@ from mmbands.assembly import (LEAK_REL_TOL, BlockLeakageError, FullSystem,
                               assemble_full, block_basis, block_decompose,
                               block_for, curl_x1_coefficient,
                               div_x1_coefficient, model_blocks, DOF_NAMES)
+from mmbands.bandgap import detect_gaps
 from mmbands.core import (ElasticParams, InertiaParams, ModelKind, WaveBlock,
                           validate)
 from mmbands.dispersion import solve_block
@@ -608,6 +609,24 @@ class TestUnitTensors:
         # the block tensor, and its leak check, is built once too
         assert checks == [model]
         assert mmbands.assembly._block_tensor.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_a_first_report_assembles_only_the_unit_tensor(
+            self, monkeypatch, ref_elastic, inertia_off, model):
+        # the gap-free certificate reads the curvature operator, so a first
+        # report at eta_bar = 0 assembles the tensor's six systems, no more
+        calls = []
+        original = mmbands.assembly.assemble_full
+
+        def counting(kind, elastic, inertia):
+            calls.append(kind)
+            return original(kind, elastic, inertia)
+
+        monkeypatch.setattr(mmbands.assembly, "assemble_full", counting)
+        for cached in vars(mmbands.assembly).values():   # every cache in it
+            getattr(cached, "cache_clear", lambda: None)()
+        detect_gaps(model, ref_elastic, inertia_off)
+        assert calls == [model] * 6
 
     @pytest.mark.parametrize("entry, message", [
         ((3, 2, 0, 11), "off-block"),     # mu_micro unit, K0: u1 with P_V

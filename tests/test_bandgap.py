@@ -23,7 +23,8 @@ from mmbands.eigensolve import EigenSolveError, NegativeEigenvalueError
 
 from conftest import (MU_E_MPA, LAMBDA_E_MPA, MU_C_MPA, MU_MICRO_MPA,
                       LAMBDA_MICRO_MPA, L_C_MM, RHO, ETA, ETA_BAR)
-from oracles import binned_coverage, wide_cone
+from oracles import (CURVATURE_COLUMNS, binned_coverage,
+                     curvature_micro_rank, wide_cone)
 
 
 def spectrum(columns, bounded):
@@ -877,3 +878,26 @@ class TestCertificate:
                 except EigenSolveError:
                     continue
                 assert repr(report) == repr(want)
+
+
+class TestCurvatureRank:
+    """The certificate's identity-curvature rule against the general exact
+    rank of each model's curvature on the coupled blocks' micro DOFs."""
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_rule_fires_exactly_where_both_ranks_are_full(self, model):
+        for p in np.eye(9).reshape(9, 3, 3):
+            assert np.array_equal(
+                mmbands.assembly._curvature_footprint(model, p),
+                p * CURVATURE_COLUMNS[model.value])
+        ranks = [curvature_micro_rank(model.value, b)
+                 for b in ("longitudinal", "transverse")]
+        assert mmbands.assembly._identity_curvature(model) == (ranks == [2, 2])
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_rank_gives_the_bounded_columns_table(self, model):
+        # K2_uu > 0 adds one to K2's rank on null(M2) where M2_uu = 0; where
+        # M2_uu > 0 null(M2) is the micro DOFs alone
+        for block in ("longitudinal", "transverse"):
+            rank = curvature_micro_rank(model.value, block)
+            assert (2 - rank, 3 - rank) == BOUNDED_COLUMNS[model]
