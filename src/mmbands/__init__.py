@@ -11,10 +11,9 @@ import types
 from .assembly import (BlockLeakageError, BlockSystem, FullSystem,
                        assemble_full, block_basis, block_decompose,
                        block_for, model_blocks, DOF_NAMES)
-from .bandgap import (COMPLETE, CoverageMap, FrequencyAxisError, Gap,
-                      GapReport, column_ranges, coverage,
-                      default_omega_ceiling, detect_gaps, gap_reports,
-                      gaps_from_coverage)
+from .bandgap import (COMPLETE, FrequencyAxisError, Gap, GapReport,
+                      band_gaps, column_ranges, default_omega_ceiling,
+                      detect_gaps, gap_reports)
 from .core import (ElasticParams, InertiaParams, InvariantCheck, MacroParams,
                    ModelKind, ValidationReport, WaveBlock, homogenize,
                    validate)

@@ -8,8 +8,8 @@ min to its max, with no branch continuation.  Past the end of the grid, a
 saturated column stops at its asymptote, while an unbounded one keeps rising
 to the ceiling (``default_omega_ceiling``: 1.5 times the largest k = 0
 frequency, read from row 0 of the report's own solves).  A spectrum is kept
-as its ``column_ranges``, [min, max] or [min, inf); ``coverage`` bins their
-union, merged after a sort.  Sampled ranges are an inner approximation: an
+as its ``column_ranges``, [min, max] or [min, inf); ``band_gaps`` bins
+them in one sorted sweep.  Sampled ranges are an inner approximation: an
 extremum or an exact crossing between two samples can be missed by up to one
 step's change.  A union can only grow, so a report stops solving blocks once
 the ranges solved join up from 0 to an unbounded column: no later block,
@@ -20,7 +20,7 @@ is then mu_e L_c^2 times the identity), and with none its lowest column
 rises from 0 (K0's u row is 0) without bound, so a scope holding such a
 block is gap-free before any solve.
 
-Band-gaps are the holes between the merged runs wider than a minimum width.
+Band-gaps are the holes in the binned union wider than a minimum width.
 The "complete" scope intersects the longitudinal and both transverse blocks
 (identical, so solved once): an interval counts as a complete gap when no
 displacement-coupled plane wave propagates there at any wavenumber.  The
@@ -60,20 +60,6 @@ def _check_axis(key: str, value: float, *, zero_ok: bool = False) -> None:
 
 
 @dataclass(frozen=True)
-class CoverageMap:
-    """Occupied bins of the frequency axis up to a ceiling.
-
-    ``runs[r] = (first_bin, last_bin)`` are the maximal occupied runs in
-    ascending order.
-    """
-
-    omega_ceiling: float
-    delta_omega: float
-    n_bins: int
-    runs: np.ndarray
-
-
-@dataclass(frozen=True)
 class Gap:
     """A frequency interval [omega_lo, omega_hi] free of propagating waves."""
 
@@ -96,15 +82,17 @@ class GapReport:
     inertia: InertiaParams
 
 
-def coverage(ranges, omega_ceiling: float, delta_omega: float) -> CoverageMap:
-    """Union of the frequency bins reached by any of the column ranges.
+def band_gaps(ranges, omega_ceiling: float, delta_omega: float,
+              min_gap_width: float) -> tuple[Gap, ...]:
+    """Maximal empty intervals of the column ranges' union up to a ceiling,
+    at bin resolution, at least ``min_gap_width`` wide.
 
     ``ranges`` holds one ``(lo, hi)`` pair per column, as ``column_ranges``
     makes them: [min, max] of its samples, or [min, inf) when unbounded.
     Binning (min(x, ceiling) / delta_omega, floored, clipped to the first
     and last bin) is monotone, so a column covers the bins of its lo to its
     hi, and none if its lo is at or above the ceiling.  The few ranges are
-    binned, sorted and merged as Python numbers.
+    binned, sorted and swept once as Python numbers.
     """
     _check_axis("omega_ceiling", omega_ceiling)
     _check_axis("delta_omega", delta_omega)
@@ -112,19 +100,22 @@ def coverage(ranges, omega_ceiling: float, delta_omega: float) -> CoverageMap:
     if not omega_ceiling / delta_omega <= 2.0 ** 53:
         raise FrequencyAxisError(
             f"delta_omega {delta_omega!r} gives over 2**53 bins")
+    _check_axis("min_gap_width", min_gap_width, zero_ok=True)
     n_bins = math.ceil(omega_ceiling / delta_omega)
+    delta, ceiling = float(delta_omega), float(omega_ceiling)
 
-    # a run ends where the next range starts past every bin reached so far
-    runs = []
-    for first, last in sorted(
+    # a hole runs from the bin after every bin reached so far to the next
+    # range's first bin; the sentinel range closes the last one at n_bins
+    reach, gaps = -1, []
+    for first, last in [*sorted(
             [int(min(max(min(x, omega_ceiling) / delta_omega, 0.0),
                      n_bins - 1)) for x in pair]
-            for pair in ranges if pair[0] < omega_ceiling):
-        if not runs or first > runs[-1][1] + 1:
-            runs.append([first, last])
-        runs[-1][1] = max(runs[-1][1], last)
-    return CoverageMap(omega_ceiling, delta_omega, n_bins,
-                       np.array(runs, np.int64).reshape(-1, 2))
+            for pair in ranges if pair[0] < omega_ceiling), [n_bins, n_bins]]:
+        lo, hi = (reach + 1) * delta, min(first * delta, ceiling)
+        if first > reach + 1 and hi - lo >= min_gap_width:
+            gaps.append(Gap(omega_lo=lo, omega_hi=hi))
+        reach = max(reach, last)
+    return tuple(gaps)
 
 
 def column_ranges(omegas, bounded) -> list[tuple[float, float]]:
@@ -142,19 +133,6 @@ def _gap_free(ranges) -> bool:
         if lo <= reach:
             reach = max(reach, hi)
     return reach == math.inf
-
-
-def gaps_from_coverage(cov: CoverageMap, min_gap_width: float) -> tuple[Gap, ...]:
-    """Maximal empty intervals of a coverage map, at bin resolution."""
-    _check_axis("min_gap_width", min_gap_width, zero_ok=True)
-    # the holes around the runs, from the bin after a run to the next start
-    bounds, gaps = [-1, *cov.runs.ravel().tolist(), cov.n_bins], []
-    delta, ceiling = float(cov.delta_omega), float(cov.omega_ceiling)
-    for last, end in zip(bounds[::2], bounds[1::2]):
-        lo, hi = (last + 1) * delta, min(end * delta, ceiling)
-        if last + 1 < end and hi - lo >= min_gap_width:
-            gaps.append(Gap(omega_lo=lo, omega_hi=hi))
-    return tuple(gaps)
 
 
 def _solved(store: dict, model, bs, k) -> np.ndarray:
@@ -256,8 +234,7 @@ def _report(store, model, elastic, inertia, scope=COMPLETE, *, grid=None,
     if min_gap_width is None:
         min_gap_width = omega_ceiling / CEILING_TO_MIN_GAP
 
-    gaps = gaps_from_coverage(coverage(ranges, omega_ceiling, delta_omega),
-                              min_gap_width)
+    gaps = band_gaps(ranges, omega_ceiling, delta_omega, min_gap_width)
     return GapReport(gaps=gaps, scope=scope, blocks=block_names,
                      omega_ceiling=omega_ceiling, delta_omega=delta_omega,
                      min_gap_width=min_gap_width, model=model,

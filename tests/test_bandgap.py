@@ -13,9 +13,9 @@ import mmbands.eigensolve
 from mmbands.assembly import model_blocks
 from mmbands.bandgap import (CEILING_TO_DELTA, CEILING_TO_MIN_GAP, COMPLETE,
                              FrequencyAxisError, GapReport, _ceiling,
-                             _gap_free, _spectrum, _unbounded, column_ranges,
-                             coverage, default_omega_ceiling, detect_gaps,
-                             gap_reports, gaps_from_coverage)
+                             _gap_free, _spectrum, _unbounded, band_gaps,
+                             column_ranges, default_omega_ceiling,
+                             detect_gaps, gap_reports)
 from mmbands.core import ElasticParams, InertiaParams, ModelKind, WaveBlock
 from mmbands.dispersion import (KGrid, cutoffs, default_grid,
                                 detect_asymptote, solve_block, sweep)
@@ -34,7 +34,7 @@ def spectrum(columns, bounded):
 
 def ranges_of(spectra):
     """The ``column_ranges`` of ``(omegas, bounded)`` spectra, in order: what
-    ``coverage`` takes."""
+    ``band_gaps`` takes."""
     return [r for pair in spectra for r in column_ranges(*pair)]
 
 
@@ -128,8 +128,8 @@ def counting_solves(monkeypatch):
 def all_blocks_report(model, elastic, inertia, grid=None,
                       include_uncoupled=False):
     """A complete report with every block in scope solved on the whole grid
-    before the coverage is read: the path without the early stop, kept as
-    the reference."""
+    before the gaps are read: the path without the early stop, kept as the
+    reference."""
     if grid is None:
         grid = default_grid(elastic, inertia, model=model)
     built, store = model_blocks(model, elastic, inertia), {}
@@ -140,82 +140,84 @@ def all_blocks_report(model, elastic, inertia, grid=None,
     ranges = [r for _, block_ranges in spectra.values() for r in block_ranges]
     delta, width = ceiling / CEILING_TO_DELTA, ceiling / CEILING_TO_MIN_GAP
     return GapReport(
-        gaps=gaps_from_coverage(coverage(ranges, ceiling, delta), width),
+        gaps=band_gaps(ranges, ceiling, delta, width),
         scope=COMPLETE, blocks=("longitudinal", "transverse", "transverse-3")
         + ("uncoupled",) * include_uncoupled, omega_ceiling=ceiling,
         delta_omega=delta, min_gap_width=width, model=model, elastic=elastic,
         inertia=inertia)
 
 
-class TestCoverage:
+class TestBandGaps:
     CEILING = 1.0e6
     DELTA = 250.0
+
+    def holes(self, ranges, width=0.0):
+        """``band_gaps`` on this class's axis as (lo, hi) pairs; at width 0
+        they are the complement of the occupied runs of bins."""
+        return [(g.omega_lo, g.omega_hi)
+                for g in band_gaps(ranges, self.CEILING, self.DELTA, width)]
 
     def test_constant_column_occupies_single_bin(self):
         omega0 = 4.0e5 + 0.3 * self.DELTA      # mid-bin
         spectra = [spectrum([np.full(60, omega0)] * 3, (True,) * 3)]
-        cov = coverage(ranges_of(spectra), self.CEILING, self.DELTA)
         b = int(omega0 / self.DELTA)
-        assert cov.runs.tolist() == [[b, b]]
+        assert self.holes(ranges_of(spectra)) == [
+            (0.0, b * self.DELTA), ((b + 1) * self.DELTA, self.CEILING)]
 
     def test_linear_column_covers_contiguously(self):
         k = np.linspace(0.0, 1.0e5, 60)
         omegas = 3.0 * k                      # tops out below the ceiling
-        cov = coverage(ranges_of([spectrum([omegas] * 3, (True,) * 3)]),
-                       self.CEILING, self.DELTA)
+        ranges = ranges_of([spectrum([omegas] * 3, (True,) * 3)])
         top_bin = int(3.0e5 / self.DELTA)
-        assert cov.runs.tolist() == [[0, top_bin]]
-        assert gaps_from_coverage(cov, 10 * self.DELTA) == (
-            gaps_from_coverage(cov, 10 * self.DELTA))
+        assert self.holes(ranges) == [
+            ((top_bin + 1) * self.DELTA, self.CEILING)]
+        assert self.holes(ranges, 10 * self.DELTA) == (
+            self.holes(ranges, 10 * self.DELTA))
         # exactly one trailing empty region
-        assert len(gaps_from_coverage(cov, 10 * self.DELTA)) == 1
+        assert len(self.holes(ranges, 10 * self.DELTA)) == 1
 
     def test_unbounded_column_extends_to_ceiling(self):
         k = np.linspace(0.0, 1.0e5, 60)
-        cov = coverage(ranges_of([spectrum([3.0 * k] * 3, (False,) * 3)]),
-                       self.CEILING, self.DELTA)
-        assert cov.runs.tolist() == [[0, cov.n_bins - 1]]
+        assert self.holes(ranges_of(
+            [spectrum([3.0 * k] * 3, (False,) * 3)])) == []
 
     def test_range_bridges_coarse_samples(self):
         # two samples far apart must still cover everything between them
         omegas = np.concatenate([np.full(30, 1.0e5), np.full(30, 9.0e5)])
-        cov = coverage(ranges_of([spectrum([omegas] * 3, (True,) * 3)]),
-                       self.CEILING, self.DELTA)
         lo = int(1.0e5 / self.DELTA)
         hi = int(9.0e5 / self.DELTA)
-        assert any(a <= lo and hi <= b for a, b in cov.runs.tolist())
+        assert self.holes(ranges_of(
+            [spectrum([omegas] * 3, (True,) * 3)])) == [
+            (0.0, lo * self.DELTA), ((hi + 1) * self.DELTA, self.CEILING)]
 
     def test_nothing_below_the_ceiling_leaves_one_full_gap(self):
         spectra = [spectrum([np.full(60, 2.0 * self.CEILING)] * 3,
                             (False, True, True))]
-        cov = coverage(ranges_of(spectra), self.CEILING, self.DELTA)
-        assert cov.runs.shape == (0, 2)
-        gaps = gaps_from_coverage(cov, 0.0)
-        assert [(g.omega_lo, g.omega_hi) for g in gaps] == [
-            (0.0, self.CEILING)]
+        assert self.holes(ranges_of(spectra)) == [(0.0, self.CEILING)]
 
     def test_no_ranges_cover_nothing(self):
-        cov = coverage([], self.CEILING, self.DELTA)
-        assert cov.runs.shape == (0, 2)
+        assert self.holes([]) == [(0.0, self.CEILING)]
 
     @pytest.mark.parametrize("levels, runs", [
         ((), 0),                                        # no spectra
         ((2.0e6, 3.0e6, 4.0e6), 0),                     # all above the top
         ((1.0e5, 2.0e6, 1.0e5), 1),
         ((1.0e5, 5.0e5, 9.0e5, 1.0e5, 2.0e6, 5.0e5), 3)])
-    def test_arrays_are_int64_of_fixed_shapes(self, levels, runs):
+    def test_edges_are_floats_around_fixed_runs(self, levels, runs):
+        # constants in interior bins: one hole more than occupied runs
         spectra = [spectrum([np.full(60, x) for x in levels[i:i + 3]],
                             (True,) * 3)
                    for i in range(0, len(levels), 3)]
-        cov = coverage(ranges_of(spectra), self.CEILING, self.DELTA)
-        assert cov.runs.dtype == np.int64
-        assert cov.runs.shape == (runs, 2)
+        gaps = band_gaps(ranges_of(spectra), self.CEILING, self.DELTA, 0.0)
+        assert len(gaps) == runs + 1
+        assert all(type(x) is float
+                   for g in gaps for x in (g.omega_lo, g.omega_hi))
 
     def test_ranges_may_be_any_iterable(self):
         spectra = [spectrum([np.full(60, 4.0e5)] * 3, (True,) * 3)]
-        cov = coverage(iter(ranges_of(spectra)), self.CEILING, self.DELTA)
         b = int(4.0e5 / self.DELTA)
-        assert cov.runs.tolist() == [[b, b]]
+        assert self.holes(iter(ranges_of(spectra))) == [
+            (0.0, b * self.DELTA), ((b + 1) * self.DELTA, self.CEILING)]
 
     @pytest.mark.parametrize("key, value", [
         ("omega_ceiling", 0.0), ("omega_ceiling", -1.0),
@@ -229,9 +231,18 @@ class TestCoverage:
         axis = {"omega_ceiling": self.CEILING, "delta_omega": self.DELTA,
                 "min_gap_width": 0.0, key: value}
         with pytest.raises(FrequencyAxisError, match=key):
-            cov = coverage(ranges_of(spectra), axis["omega_ceiling"],
-                           axis["delta_omega"])
-            gaps_from_coverage(cov, axis["min_gap_width"])
+            band_gaps(ranges_of(spectra), axis["omega_ceiling"],
+                      axis["delta_omega"], axis["min_gap_width"])
+
+    @pytest.mark.parametrize("axis, key", [
+        ((0.0, 0.0, -1.0), "omega_ceiling"),
+        ((1.0e6, 0.0, -1.0), "delta_omega"),
+        ((1.0e6, 1.0e-12, -1.0), "delta_omega .* over 2\\*\\*53 bins"),
+        ((1.0e6, 250.0, -1.0), "min_gap_width")])
+    def test_axis_is_checked_in_order(self, axis, key):
+        # the ceiling, the bin width, the bin count, then the gap width
+        with pytest.raises(FrequencyAxisError, match=key):
+            band_gaps([(1.0e5, 2.0e5)], *axis)
 
     def test_matches_bin_marking_oracle(self):
         rng = np.random.default_rng(20161017)
@@ -239,18 +250,23 @@ class TestCoverage:
             ceiling, delta, width, spectra = random_spectra(rng)
             columns = [(omegas[:, c], flags[c])
                        for omegas, flags in spectra for c in range(3)]
-            gaps, occupied = binned_coverage(columns, ceiling, delta, width)
-
-            cov = coverage(ranges_of(spectra), ceiling, delta)
-            got = gaps_from_coverage(cov, width)
-            assert [(g.omega_lo, g.omega_hi) for g in got] == gaps
-            runs = cov.runs.tolist()
-            assert sum(b - a + 1 for a, b in runs) == occupied
-            # maximal runs: an empty bin separates each from the next
-            assert all(b + 1 < a for (_, b), (a, _) in zip(runs, runs[1:]))
+            ranges = ranges_of(spectra)
+            for w in (width, 0.0):
+                gaps, occupied = binned_coverage(columns, ceiling, delta, w)
+                got = band_gaps(ranges, ceiling, delta, w)
+                assert [(g.omega_lo, g.omega_hi) for g in got] == gaps
+            # the width-0 holes are the empty bins: the rest are occupied
+            n_bins = math.ceil(ceiling / delta)
+            assert n_bins - sum(
+                (n_bins if g.omega_hi == ceiling
+                 else round(g.omega_hi / delta)) - round(g.omega_lo / delta)
+                for g in got) == occupied
+            # maximal holes: an occupied bin separates each from the next
+            assert all(g.omega_lo < g.omega_hi for g in got)
+            assert all(a.omega_hi < b.omega_lo for a, b in zip(got, got[1:]))
 
     def test_depends_only_on_the_column_ranges(self):
-        # regrouping the columns into blocks changes neither runs nor gaps:
+        # regrouping the columns into blocks changes no gap, at any width:
         # shuffled across blocks (edge-padded to one length, which keeps
         # each range), or one block per column whose other two columns lie
         # above the ceiling (unbounded, so they would count if they reached
@@ -271,13 +287,12 @@ class TestCoverage:
                 [spectrum([om if j == i % 3 else above for j in range(3)],
                           tuple(f if j == i % 3 else False for j in range(3)))
                  for i, (om, f) in enumerate(columns)])
-            cov = coverage(ranges_of(spectra), ceiling, delta)
+            want = {w: band_gaps(ranges_of(spectra), ceiling, delta, w)
+                    for w in (width, 0.0)}
             for regrouped in regroupings:
-                again = coverage(ranges_of(regrouped), ceiling, delta)
-                assert again.runs.tolist() == cov.runs.tolist()
-                assert again.n_bins == cov.n_bins
-                assert (gaps_from_coverage(again, width)
-                        == gaps_from_coverage(cov, width))
+                for w, gaps in want.items():
+                    assert band_gaps(ranges_of(regrouped), ceiling, delta,
+                                     w) == gaps
 
     @pytest.mark.parametrize("ranges, free", [
         ([(0.0, math.inf)], True),
@@ -326,9 +341,8 @@ class TestCoverage:
             delta = ceiling / float(rng.choice(
                 [rng.integers(1, 5000), rng.uniform(1.0, 5000.0)]))
             width = float(rng.choice([0.0, delta, rng.uniform(0.0, ceiling)]))
-            cov = coverage(ranges_of(spectra), ceiling, delta)
-            assert gaps_from_coverage(cov, width) == ()
-            assert cov.runs.tolist() == [[0, cov.n_bins - 1]]
+            for w in (width, 0.0):     # at width 0: no empty bin at all
+                assert band_gaps(ranges_of(spectra), ceiling, delta, w) == ()
             assert binned_coverage(sampled, ceiling, delta, width)[0] == []
 
 
@@ -670,15 +684,15 @@ class TestGapReports:
 
     def test_each_report_bins_its_ranges_once(self, ref_elastic, inertia_on,
                                               monkeypatch):
-        # a report calls the public coverage, the step the tracer times
+        # a report calls the public band_gaps once, its one gap extraction
         calls = []
-        bin_ranges = mmbands.bandgap.coverage
+        bin_ranges = mmbands.bandgap.band_gaps
 
-        def counting_coverage(*args):
+        def counting_band_gaps(*args):
             calls.append(args)
             return bin_ranges(*args)
 
-        monkeypatch.setattr(mmbands.bandgap, "coverage", counting_coverage)
+        monkeypatch.setattr(mmbands.bandgap, "band_gaps", counting_band_gaps)
         for elastic, inertia in reference_sets():
             for model in ModelKind:
                 calls.clear()
@@ -901,3 +915,31 @@ class TestCurvatureRank:
         for block in ("longitudinal", "transverse"):
             rank = curvature_micro_rank(model.value, block)
             assert (2 - rank, 3 - rank) == BOUNDED_COLUMNS[model]
+
+
+def bounded_count(model, bs):
+    """A coupled block's bounded columns read from its structure: 3 - rank
+    of K2 on null(M2), where M2 is diagonal on u alone and K2's micro part
+    is mu_e L_c^2 times the model's curvature (0 when that underflows)."""
+    rank = (curvature_micro_rank(model.value, bs.block.value)
+            if bs.K2[1:, 1:].any() else 0)
+    return (2 if bs.M2[0, 0] == 0.0 else 3) - rank
+
+
+class TestGapCap:
+    """The paper's "multiple band-gaps" claim as a structural cap: a coupled
+    block's lowest column rises from 0 and its unbounded ones reach the
+    ceiling, so its b bounded columns leave at most b holes, and the
+    complete gaps, holes of both blocks, number at most b_L + b_T - 1, or 0
+    when either block has no bounded column."""
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_complete_gaps_stay_within_the_cap(self, model):
+        for elastic, inertia in reference_sets() + wide_cone_sets(100, 101):
+            built = model_blocks(model, elastic, inertia)
+            b_l, b_t = (bounded_count(model, built[b])
+                        for b in (WaveBlock.LONGITUDINAL,
+                                  WaveBlock.TRANSVERSE))
+            cap = 0 if min(b_l, b_t) == 0 else b_l + b_t - 1
+            report = detect_gaps(model, elastic, inertia)
+            assert len(report.gaps) <= cap, (elastic, inertia)
