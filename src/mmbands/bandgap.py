@@ -6,19 +6,19 @@ uncoupled one.  Each column is continuous in k (Weyl's inequality; Kato,
 Perturbation Theory for Linear Operators), so it takes every value from its
 min to its max, with no branch continuation.  Past the end of the grid, a
 saturated column stops at its asymptote, while an unbounded one keeps rising
-to the ceiling (``default_omega_ceiling``: 1.5 times the largest k = 0
-frequency, read from row 0 of the report's own solves).  A spectrum is kept
-as its ``column_ranges``, [min, max] or [min, inf); ``band_gaps`` bins
-them in one sorted sweep.  Sampled ranges are an inner approximation: an
-extremum or an exact crossing between two samples can be missed by up to one
-step's change.  A union can only grow, so a report stops solving blocks once
-the ranges solved join up from 0 to an unbounded column: no later block,
-ceiling or bin width can open a gap in [0, inf).  Block structure can say
-so first: a coupled block has 3 - rank(K2 on null(M2)) bounded columns,
-none if M2_uu = 0 and the curvature is the identity on P (K2's micro part
-is then mu_e L_c^2 times the identity), and with none its lowest column
-rises from 0 (K0's u row is 0) without bound, so a scope holding such a
-block is gap-free before any solve.
+to the ceiling (``default_omega_ceiling``: 1.5 times the largest cut-off,
+omega_s, omega_r or omega_p, read from row 0 of the coupled blocks' solves;
+the micro modes' are omega_s, omega_r, omega_s).  A spectrum is kept as its
+``column_ranges``, [min, max] or [min, inf); ``band_gaps`` bins them in one
+sorted sweep.  Sampled ranges are an inner approximation: an extremum or an
+exact crossing between two samples can be missed by up to one step's change.
+A union can only grow, so a report stops solving blocks once the ranges
+solved join up from 0 to an unbounded column: no later block, ceiling or
+bin width can open a gap in [0, inf).  Block structure can say so first: a
+coupled block has 3 - rank(K2 on null(M2)) bounded columns, none if its
+M2_uu = 0 and the curvature is the identity on P (K2's micro part is then
+mu_e L_c^2 times the identity), and with none its lowest column rises from
+0 (K0's u row is 0) unbounded: a scope with one is gap-free before any solve.
 
 Band-gaps are the holes in the binned union wider than a minimum width.
 The "complete" scope intersects the longitudinal and both transverse blocks
@@ -88,11 +88,11 @@ def band_gaps(ranges, omega_ceiling: float, delta_omega: float,
     at bin resolution, at least ``min_gap_width`` wide.
 
     ``ranges`` holds one ``(lo, hi)`` pair per column, as ``column_ranges``
-    makes them: [min, max] of its samples, or [min, inf) when unbounded.
-    Binning (min(x, ceiling) / delta_omega, floored, clipped to the first
-    and last bin) is monotone, so a column covers the bins of its lo to its
-    hi, and none if its lo is at or above the ceiling.  The few ranges are
-    binned, sorted and swept once as Python numbers.
+    makes them: [min, max] of its samples, or [min, inf) when unbounded; a
+    lo not finite or above its hi raises ``FrequencyAxisError``.  Binning
+    (min(x, ceiling) / delta_omega, floored, clipped to the bins) is
+    monotone, so a column covers the bins of its lo to its hi, none if its
+    lo is at or above the ceiling; the few ranges are sorted and swept once.
     """
     _check_axis("omega_ceiling", omega_ceiling)
     _check_axis("delta_omega", delta_omega)
@@ -101,6 +101,11 @@ def band_gaps(ranges, omega_ceiling: float, delta_omega: float,
         raise FrequencyAxisError(
             f"delta_omega {delta_omega!r} gives over 2**53 bins")
     _check_axis("min_gap_width", min_gap_width, zero_ok=True)
+    ranges = list(ranges)
+    for i, (lo, hi) in enumerate(ranges):   # hi = inf: unbounded
+        if not (math.isfinite(lo) and lo <= hi):
+            raise FrequencyAxisError(f"range {i} must have a finite lo <= "
+                                     f"hi, got ({lo!r}, {hi!r})")
     n_bins = math.ceil(omega_ceiling / delta_omega)
     delta, ceiling = float(delta_omega), float(omega_ceiling)
 
@@ -171,11 +176,11 @@ def default_omega_ceiling(rows) -> float:
 
 
 def _ceiling(store, model, blocks, rows) -> float:
-    """``default_omega_ceiling`` of the k = 0 rows solved, by block, and of
-    a k = 0 solve of each other block (the pencil diagonal if uncoupled)."""
+    """``default_omega_ceiling`` of the k = 0 rows solved and of a k = 0 solve
+    of each coupled block unsolved, whose cut-offs hold the micro modes'."""
     return default_omega_ceiling([*rows.values(), *(
-        _solved(store, model, bs, np.zeros(1))[0]
-        for b, bs in blocks.items() if b not in rows)])
+        _solved(store, model, blocks[b], np.zeros(1))[0] for b in (
+            WaveBlock.LONGITUDINAL, WaveBlock.TRANSVERSE) if b not in rows)])
 
 
 def detect_gaps(model, elastic, inertia, scope=COMPLETE, **options):
@@ -202,8 +207,8 @@ def _report(store, model, elastic, inertia, scope=COMPLETE, *, grid=None,
     also the uncoupled one, see the module docstring).  The blocks are built
     once and solved in that order, each once, on the model's
     ``default_grid`` unless ``grid`` is given, until the ranges solved leave
-    no hole (``_gap_free``); a block after that adds only the k = 0 row that
-    the default ceiling reads.  A coupled block in scope with no bounded
+    no hole (``_gap_free``); the default ceiling adds a k = 0 solve of each
+    coupled block not solved.  A coupled block in scope with no bounded
     column (``_unbounded``) leaves no hole before the first.
     """
     if grid is None:

@@ -238,11 +238,24 @@ class TestBandGaps:
         ((0.0, 0.0, -1.0), "omega_ceiling"),
         ((1.0e6, 0.0, -1.0), "delta_omega"),
         ((1.0e6, 1.0e-12, -1.0), "delta_omega .* over 2\\*\\*53 bins"),
-        ((1.0e6, 250.0, -1.0), "min_gap_width")])
+        ((1.0e6, 250.0, -1.0), "min_gap_width"),
+        ((1.0e6, 250.0, 0.0), "range 0")])
     def test_axis_is_checked_in_order(self, axis, key):
-        # the ceiling, the bin width, the bin count, then the gap width
+        # the ceiling, the bin width, the bin count, the gap width, then
+        # the ranges
         with pytest.raises(FrequencyAxisError, match=key):
-            band_gaps([(1.0e5, 2.0e5)], *axis)
+            band_gaps([(2.0e5, 1.0e5)], *axis)
+
+    @pytest.mark.parametrize("pair", [
+        (0.0, math.nan), (math.nan, 1.0), (math.inf, math.inf),
+        (-math.inf, 1.0), (5.0, 1.0), (1.0, -math.inf)])
+    def test_bad_range_rejected(self, pair):
+        # a lo not finite, a hi that is nan or a hi below lo is named by its
+        # index and values, not dropped, binned or failed on as a float
+        with pytest.raises(FrequencyAxisError, match=re.escape(
+                f"range 1 must have a finite lo <= hi, got {pair!r}")):
+            band_gaps(iter([(1.0e5, 2.0e5), pair]), self.CEILING,
+                      self.DELTA, 0.0)
 
     def test_matches_bin_marking_oracle(self):
         rng = np.random.default_rng(20161017)
@@ -404,9 +417,10 @@ class TestDetectGaps:
                              grid=grid, include_uncoupled=include_uncoupled)
         assert len(on_grid) == n_solves
         assert on_grid.count(WaveBlock.TRANSVERSE) == 1
-        # the ceiling needs only the k = 0 row of an uncoupled block left
-        # out of the scope, and no second coupled solve
-        assert at_zero == [WaveBlock.UNCOUPLED] * (not include_uncoupled)
+        # the ceiling reads the k = 0 rows of the coupled solves, so it
+        # solves nothing at k = 0, not even an uncoupled block left out of
+        # the scope, and no coupled block twice
+        assert at_zero == []
         assert report.blocks == (("longitudinal", "transverse",
                                   "transverse-3")
                                  + ("uncoupled",) * include_uncoupled)
@@ -593,11 +607,29 @@ class TestDetectGaps:
                                      grid=grid, include_uncoupled=include)
                 assert report.omega_ceiling == want
 
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_micro_mode_cutoffs_are_transverse_cutoffs(self, model):
+        # the uncoupled k = 0 row is (omega_s, omega_r, omega_s) and the
+        # transverse one, sorted, is 0, omega_s and omega_r, bit for bit:
+        # the micro modes never raise the default ceiling above the coupled
+        # blocks' cut-offs, so it reads the coupled blocks alone
+        zero = np.zeros(1)
+        for elastic, inertia in ceiling_sets() + wide_cone_sets(100, 101):
+            built = model_blocks(model, elastic, inertia)
+            unc, tra = (solve_block(model, built[b], zero,
+                                    vectors=False)[0][0].tolist()
+                        for b in (WaveBlock.UNCOUPLED, WaveBlock.TRANSVERSE))
+            omega_s, omega_r, again = unc
+            assert again.hex() == omega_s.hex()
+            assert [x.hex() for x in tra] == [
+                x.hex() for x in sorted((0.0, omega_s, omega_r))]
+
     @pytest.mark.parametrize("seed", [2, 8])
     def test_ceiling_is_cutoffs_over_the_wide_cone(self, seed):
-        # the k = 0 row of every block solve is cutoffs()' equilibrated
-        # solve, the uncoupled block's too, where a micro mode has the top
-        # cut-off (wide_cone(2)[4])
+        # the k = 0 row of every coupled block solve is cutoffs()'
+        # equilibrated solve; where a micro mode has the top cut-off
+        # (wide_cone(2)[4]), that is omega_r, which the transverse block
+        # carries too
         for e, i in wide_cone(seed):
             elastic, inertia = ElasticParams(**e), InertiaParams(**i)
             for model in ModelKind:
@@ -647,14 +679,16 @@ class TestGapReports:
         want = [detect_gaps(*run[:4], **run[4]) for run in runs]
         solves = counting_solves(monkeypatch)
         assert list(gap_reports(runs)) == want
-        # run 1 reuses the longitudinal block and the ceiling's uncoupled
-        # k = 0 row of run 0, run 2 both coupled blocks, run 3 the
-        # longitudinal block and that row (eta_bar_2 moves only the
-        # transverse block), and run 6, a repeat of run 0, solves nothing
+        # run 1 reuses the longitudinal block of run 0 and adds the
+        # transverse k = 0 row its ceiling reads, run 2 reuses both coupled
+        # blocks, run 3 the longitudinal block (eta_bar_2 moves only the
+        # transverse block), and run 6, a repeat of run 0, solves nothing;
+        # no ceiling solves the uncoupled block, which only run 2 and run 5
+        # hold in scope
         lon, tra, unc = WaveBlock
-        assert solves == [(lon, 400), (tra, 400), (unc, 1), (tra, 1),
+        assert solves == [(lon, 400), (tra, 400), (tra, 1),
                           (unc, 400), (tra, 400),
-                          (lon, 400), (tra, 400), (unc, 1),
+                          (lon, 400), (tra, 400),
                           (unc, 120), (lon, 1), (tra, 1)]
 
     def test_takes_a_run_after_the_previous_report(self, ref_elastic,
@@ -678,9 +712,10 @@ class TestGapReports:
         reports = [detect_gaps(ModelKind.RELAXED_CURL, ref_elastic,
                                inertia_on) for _ in range(2)]
         assert reports[0] == reports[1]
+        # the ceiling reads the k = 0 rows of the two coupled solves: no
+        # k = 0 solve
         assert solves == 2 * [
-            (WaveBlock.LONGITUDINAL, 400), (WaveBlock.TRANSVERSE, 400),
-            (WaveBlock.UNCOUPLED, 1)]
+            (WaveBlock.LONGITUDINAL, 400), (WaveBlock.TRANSVERSE, 400)]
 
     def test_each_report_bins_its_ranges_once(self, ref_elastic, inertia_on,
                                               monkeypatch):
@@ -745,21 +780,21 @@ class TestEarlyStop:
         # from 0 and the optic ones start below it; Mindlin-Eringen and
         # relaxed-div-curl have a block with no bounded column there, so no
         # block is solved past k = 0; the default ceiling reads k = 0 of the
-        # rest
+        # coupled blocks left, and never solves the uncoupled one
         certified = {ModelKind.MINDLIN_ERINGEN, ModelKind.RELAXED_DIV_CURL}
         solves = counting_solves(monkeypatch)
-        lon, tra, unc = WaveBlock
+        lon, tra = WaveBlock.LONGITUDINAL, WaveBlock.TRANSVERSE
         for elastic, inertia in reference_sets():
             for model in ModelKind:
                 solves.clear()
                 report = detect_gaps(model, elastic, inertia)
                 no_inertia = inertia.eta_bar_1 == 0.0
                 if model in certified and no_inertia:
-                    want = [(lon, 1), (tra, 1), (unc, 1)]
+                    want = [(lon, 1), (tra, 1)]
                 elif model is ModelKind.RELAXED_DIV and no_inertia:
-                    want = [(lon, 400), (tra, 1), (unc, 1)]
+                    want = [(lon, 400), (tra, 1)]
                 else:
-                    want = [(lon, 400), (tra, 400), (unc, 1)]
+                    want = [(lon, 400), (tra, 400)]
                 assert solves == want, (model, inertia)
                 if want[1] == (tra, 1):     # certified or stopped early
                     assert report.gaps == ()
@@ -777,15 +812,16 @@ class TestEarlyStop:
         want = [detect_gaps(*run[:4], **run[4]) for run in runs]
         solves = counting_solves(monkeypatch)
         assert list(gap_reports(runs)) == want
-        # every run here has the first run's uncoupled block; the first
-        # two runs have a longitudinal block with no bounded column, so they
-        # solve only k = 0 rows, and eta_bar_2 moves only the transverse
-        # block, whose k = 0 row the second run's ceiling reads; the third
-        # run has gradient inertia on the u of both blocks and solves them
-        # on the whole grid, as the relaxed-curl run does; the last run
-        # repeats the first and reads its k = 0 rows, so it solves nothing
-        lon, tra, unc = WaveBlock
-        assert solves == [(lon, 1), (tra, 1), (unc, 1),
+        # the first two runs have a longitudinal block with no bounded
+        # column, so they solve only the coupled blocks' k = 0 rows, and
+        # eta_bar_2 moves only the transverse block, whose k = 0 row the
+        # second run's ceiling reads; the third run has gradient inertia on
+        # the u of both blocks and solves them on the whole grid, as the
+        # relaxed-curl run does; the last run is the first with the
+        # uncoupled block in scope, still certified gap-free, and reads the
+        # first run's k = 0 rows, so it solves nothing
+        lon, tra = WaveBlock.LONGITUDINAL, WaveBlock.TRANSVERSE
+        assert solves == [(lon, 1), (tra, 1),
                           (tra, 1),
                           (lon, 400), (tra, 400),
                           (lon, 400), (tra, 400)]
@@ -868,15 +904,15 @@ class TestCertificate:
                                        ModelKind.RELAXED_DIV_CURL])
     def test_a_certified_report_is_the_all_blocks_report(self, model,
                                                          monkeypatch):
-        # three one-pencil solves at k = 0 for the ceiling, and no other
-        # linear algebra per report
+        # two one-pencil solves at k = 0, of the coupled blocks, for the
+        # ceiling, and no other linear algebra per report
         def forbidden(*args, **kwargs):
             raise AssertionError("linear algebra in a certified report")
 
         for name in ("svd", "matrix_rank", "det"):
             monkeypatch.setattr(np.linalg, name, forbidden)
         solves = counting_solves(monkeypatch)
-        lon, tra, unc = WaveBlock
+        lon, tra = WaveBlock.LONGITUDINAL, WaveBlock.TRANSVERSE
         grids = (None, KGrid.linear(1.0e-3, 50), KGrid.linear(1.0e8, 400))
         for elastic, inertia in wide_cone_sets(100, 101, 11, 2):
             if elastic.L_c == 0.0:
@@ -885,7 +921,7 @@ class TestCertificate:
             for grid in grids:
                 solves.clear()
                 report = detect_gaps(model, elastic, inertia, grid=grid)
-                assert solves == [(lon, 1), (tra, 1), (unc, 1)]
+                assert solves == [(lon, 1), (tra, 1)]
                 assert report.gaps == ()
                 try:
                     want = all_blocks_report(model, elastic, inertia, grid)

@@ -430,31 +430,30 @@ class TestSweepParamScan:
         assert code == 0
         return list(csv.reader(io.StringIO(out)))[1:]
 
-    # solves per block over the four values: longitudinal, transverse, the
-    # uncoupled k = 0 row that the default ceiling reads, and the uncoupled
-    # block on the grid.  eta_bar_2 weighs skew(grad u) and mu_c the skew
-    # coupling, which only the transverse wave has; eta_bar_3, lambda_e and
-    # lambda_micro trace terms, which only the longitudinal wave has; no
-    # eta_bar enters the uncoupled block, the frequency-axis settings no
-    # block, and L_c no internal-variable block
+    # solves per block over the four values: longitudinal, transverse and
+    # uncoupled, on the grid; the default ceiling reads the k = 0 rows of
+    # the coupled solves, so no k = 0 solve is made.  eta_bar_2 weighs
+    # skew(grad u) and mu_c the skew coupling, which only the transverse
+    # wave has; eta_bar_3, lambda_e and lambda_micro trace terms, which only
+    # the longitudinal wave has; no eta_bar enters the uncoupled block, the
+    # frequency-axis settings no block, and L_c no internal-variable block
     @pytest.mark.parametrize("param, values, extra, want", [
-        ("eta_bar_2", VALUES, [], (1, 4, 1, 0)),
-        ("eta_bar_3", VALUES, [], (4, 1, 1, 0)),
-        ("mu_c", "0,500,1000,2000", [], (1, 4, 4, 0)),
-        ("lambda_e", "300,400,500,600", [], (4, 1, 1, 0)),
-        ("delta_omega", "10,20,30,40", [], (1, 1, 1, 0)),
-        ("omega_ceiling", "1e5,2e5,3e5,4e5", [], (1, 1, 0, 0)),
-        ("mu_micro", "50,100,150,200", [], (4, 4, 4, 0)),
-        ("eta_bar_1", VALUES, [], (4, 4, 1, 0)),
-        ("eta_bar_2", VALUES, ["--include-uncoupled"], (1, 4, 0, 1)),
+        ("eta_bar_2", VALUES, [], (1, 4, 0)),
+        ("eta_bar_3", VALUES, [], (4, 1, 0)),
+        ("mu_c", "0,500,1000,2000", [], (1, 4, 0)),
+        ("lambda_e", "300,400,500,600", [], (4, 1, 0)),
+        ("delta_omega", "10,20,30,40", [], (1, 1, 0)),
+        ("omega_ceiling", "1e5,2e5,3e5,4e5", [], (1, 1, 0)),
+        ("mu_micro", "50,100,150,200", [], (4, 4, 0)),
+        ("eta_bar_1", VALUES, [], (4, 4, 0)),
+        ("eta_bar_2", VALUES, ["--include-uncoupled"], (1, 4, 1)),
         ("L_c", "0.5,1,1.5,2", ["--model", "internal-variable"],
-         (1, 1, 1, 0))])
+         (1, 1, 0))])
     def test_each_distinct_block_is_solved_once(self, monkeypatch, capsys,
                                                 param, values, extra, want):
         solves = self.counting(monkeypatch)
         assert len(self.sweep(capsys, param, values, *extra)) == 4
-        keys = [("longitudinal", 400), ("transverse", 400), ("uncoupled", 1),
-                ("uncoupled", 400)]
+        keys = [("longitudinal", 400), ("transverse", 400), ("uncoupled", 400)]
         assert solves == {key: n for key, n in zip(keys, want) if n}
 
     def test_no_solve_outlives_a_command(self, monkeypatch, capsys):
@@ -462,8 +461,7 @@ class TestSweepParamScan:
         rows = [self.sweep(capsys, "eta_bar_2", self.VALUES)
                 for _ in range(2)]
         assert rows[0] == rows[1]
-        assert solves == {("longitudinal", 400): 2, ("transverse", 400): 8,
-                          ("uncoupled", 1): 2}
+        assert solves == {("longitudinal", 400): 2, ("transverse", 400): 8}
 
     @pytest.mark.parametrize("param, values", [
         ("eta_bar_2", "0.0,0.05,0.2"), ("eta_bar_3", "0.0,0.2,0.0"),
